@@ -2,9 +2,10 @@
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 identity fails (an alarm, since it would falsify a proven statement),
-2 for malformed or invalid input.  Sweep reports are JSON lines, one
-object per instance, and identical invocations produce byte-identical
-output.
+2 for malformed or invalid input, 3 for an internal error (a broken
+invariant inside the library, never a verdict).  Sweep reports are JSON
+lines, one object per instance, and identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .subdivision import (
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 # The built-in worked example: three subdivisions of the 3-sphere
 # cross-polytope boundary (ids 0..7), chosen so that the gamma complex
@@ -117,6 +119,8 @@ def _verify_instances(args):
 def cmd_verify(args, out: _Output) -> int:
     if args.random is None and args.seq_file is None:
         raise ValueError("provide a sequence file or --random D K SEED TRIALS")
+    if args.random is not None and args.random[3] < 1:
+        raise ValueError(f"TRIALS must be at least 1, got {args.random[3]}")
     all_ok = True
     for index, seed, seq in _verify_instances(args):
         report = verify_f_equals_gamma(seq)
@@ -204,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=4,
         type=int,
         metavar=("D", "K", "SEED", "TRIALS"),
-        help="verify TRIALS random sequences with seeds SEED, SEED+1, ...",
+        help="verify TRIALS (at least 1) random sequences with seeds SEED, SEED+1, ...",
     )
     p_verify.add_argument(
         "--deep",
@@ -244,6 +248,9 @@ def main(argv=None) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     out.close()
     return code
 

@@ -57,6 +57,13 @@ class FlagComplex:
             adj[b].add(a)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
 
+    @classmethod
+    def _from_adj(cls, adj: dict) -> "FlagComplex":
+        """Wrap an already symmetric, loop-free adjacency dict of frozensets."""
+        c = cls.__new__(cls)
+        c._adj = adj
+        return c
+
     @property
     def vertices(self) -> frozenset:
         return frozenset(self._adj)
@@ -134,9 +141,8 @@ class FlagComplex:
         """Rename vertices through a bijective mapping covering all of them."""
         if set(mapping) != self.vertices or len(set(mapping.values())) != len(self._adj):
             raise ValueError("relabel mapping is not a bijection on the vertex set")
-        return FlagComplex(
-            (mapping[v] for v in self._adj),
-            ((mapping[a], mapping[b]) for a, b in self.edges()),
+        return FlagComplex._from_adj(
+            {mapping[v]: frozenset(mapping[u] for u in ns) for v, ns in self._adj.items()}
         )
 
     def to_face_complex(self) -> "FaceComplex":
@@ -159,7 +165,9 @@ class FlagComplex:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FlagComplex":
-        return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
+        vertices = [json_int(v, "vertex id") for v in obj["vertices"]]
+        edges = [tuple(json_int(v, "vertex id") for v in e) for e in obj["edges"]]
+        return cls(vertices, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "FlagComplex":
@@ -228,11 +236,20 @@ class FaceComplex:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FaceComplex":
-        return cls.from_facets(obj["facets"], obj["vertices"])
+        vertices = [json_int(v, "vertex id") for v in obj["vertices"]]
+        facets = [[json_int(v, "vertex id") for v in f] for f in obj["facets"]]
+        return cls.from_facets(facets, vertices)
 
     @classmethod
     def from_json(cls, text: str) -> "FaceComplex":
         return cls.from_json_obj(json.loads(text))
+
+
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; bools are rejected although Python counts them as ints."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def antipode(v: int) -> int:
@@ -276,16 +293,24 @@ def subdivide_edge(c: FlagComplex, edge: Iterable[Vertex], s: Vertex) -> FlagCom
     The edge is removed and the fresh vertex ``s`` becomes adjacent to both
     endpoints and to every common neighbor of the endpoints.  The result is
     again flag.
+
+    Costs O(degree) set work plus one shallow copy of the adjacency dict:
+    only the entries of a, b, their common neighbors and s are replaced,
+    and every other neighbor set is shared with ``c``.
     """
     a, b = tuple(edge)
     if not c.has_edge(a, b):
         raise ValueError(f"({a!r}, {b!r}) is not an edge of the complex")
-    if s in c.vertices:
+    if s in c._adj:
         raise ValueError(f"subdivision vertex {s!r} already present")
-    star = c.common_neighbors((a, b)) | {a, b}
-    edges = [e for e in c.edges() if set(e) != {a, b}]
-    edges.extend((v, s) for v in star)
-    return FlagComplex(c.vertices | {s}, edges)
+    adj = dict(c._adj)
+    common = adj[a] & adj[b]
+    adj[a] = adj[a] - {b} | {s}
+    adj[b] = adj[b] - {a} | {s}
+    for v in common:
+        adj[v] = adj[v] | {s}
+    adj[s] = common | {a, b}
+    return FlagComplex._from_adj(adj)
 
 
 def subdivide_face_general(c: FaceComplex, face: Iterable[Vertex], s: Vertex) -> FaceComplex:

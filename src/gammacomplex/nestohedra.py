@@ -435,9 +435,8 @@ def verify_ordering_equivalence(o: FlagOrdering) -> dict:
     )
 
     uv_match = True
-    for j, (step, snap) in enumerate(zip(seq.steps, seq.k_snapshots), start=1):
-        a, c = step.edge
-        frozen_k = {seq.w_index(x) for x in snap[a] & snap[c]}
+    for j, step in enumerate(seq.steps, start=1):
+        frozen_k = {seq.w_index(x) for x in seq.k_tables[j][step.new_vertex]}
         if frozen_k != set(u_set(o, j)) | set(v_set(o, j)):
             uv_match = False
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 import enum
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .complexes import FlagComplex, cross_polytope, link, subdivide_edge
+from .complexes import FlagComplex, cross_polytope, json_int, link, subdivide_edge
 from .polynomials import f_from_counts, gamma_of
 
 __all__ = [
@@ -89,14 +90,13 @@ class SubdivisionSequence:
     the sizes involved are tiny and the recursive constructions need them.
     """
 
-    __slots__ = ("d", "steps", "complexes", "k_tables", "k_snapshots", "gamma_edges", "_cache")
+    __slots__ = ("d", "steps", "complexes", "k_tables", "gamma_edges", "_cache")
 
-    def __init__(self, d, steps, complexes, k_tables, k_snapshots, gamma_edges):
+    def __init__(self, d, steps, complexes, k_tables, gamma_edges):
         self.d = d
         self.steps = steps
         self.complexes = complexes
         self.k_tables = k_tables
-        self.k_snapshots = k_snapshots
         self.gamma_edges = gamma_edges
         self._cache: dict = {}
 
@@ -132,10 +132,10 @@ class SubdivisionSequence:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SubdivisionSequence":
-        seq = new_sequence(obj["d"])
+        seq = new_sequence(json_int(obj["d"], "d"))
         for i, step in enumerate(obj["steps"], start=1):
             try:
-                seq = extend(seq, tuple(step["edge"]))
+                seq = extend(seq, tuple(json_int(v, "vertex id") for v in step["edge"]))
             except ValueError as exc:
                 raise ValueError(f"step {i}: {exc}") from None
         return seq
@@ -154,7 +154,6 @@ def new_sequence(d: int) -> SubdivisionSequence:
         steps=(),
         complexes=(start,),
         k_tables=(table,),
-        k_snapshots=(),
         gamma_edges=frozenset(),
     )
 
@@ -166,7 +165,8 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
     the new vertex; every common neighbor of the endpoints gains the new
     vertex; the new vertex starts with the intersection of the endpoints'
     pre-step K-sets, and that frozen intersection is what contributes
-    gamma edges.
+    gamma edges.  The frozen intersection stays readable afterwards as
+    ``k_tables[j][w]``, and equals ``k_tables[j-1][a] & k_tables[j-1][b]``.
     """
     a, b = tuple(edge)
     cur = seq.final
@@ -174,7 +174,6 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
         raise ValueError(f"({a}, {b}) is not an edge of the current complex")
     w = 2 * seq.d + seq.k
     table = dict(seq.k_table)
-    snapshot = {a: table[a], b: table[b]}
     kw = table[a] & table[b]
     for v in cur.common_neighbors((a, b)):
         table[v] = table[v] | {w}
@@ -184,19 +183,30 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
         steps=seq.steps + (SubdivisionStep((a, b), w),),
         complexes=seq.complexes + (subdivide_edge(cur, (a, b), w),),
         k_tables=seq.k_tables + (table,),
-        k_snapshots=seq.k_snapshots + (snapshot,),
         gamma_edges=seq.gamma_edges | {(x, w) for x in kw},
     )
 
 
 def random_sequence(d: int, k: int, seed: int) -> SubdivisionSequence:
-    """k uniformly chosen valid edge subdivisions, deterministic in the seed."""
+    """k uniformly chosen valid edge subdivisions, deterministic in the seed.
+
+    Each step draws from the current complex's ``edges()`` list, kept up to
+    date in place instead of rebuilt: the subdivided edge leaves it and the
+    edges (v, w) to the new vertex w join it.  w is larger than every other
+    id, so plain tuple order is the order of ``edges()``.
+    """
     if d < 2 and k > 0:
         raise ValueError(f"d={d} has no edges to subdivide")
     rng = random.Random(seed)
     seq = new_sequence(d)
+    edges = seq.final.edges()
     for _ in range(k):
-        seq = extend(seq, rng.choice(seq.final.edges()))
+        edge = rng.choice(edges)
+        seq = extend(seq, edge)
+        del edges[bisect_left(edges, edge)]
+        w = seq.steps[-1].new_vertex
+        for v in seq.final.neighbors(w):
+            insort(edges, (v, w))
     return seq
 
 
@@ -377,16 +387,6 @@ def phi(seq: SubdivisionSequence, face: Iterable[int]) -> dict[int, int]:
 def gamma_complex(seq: SubdivisionSequence) -> FlagComplex:
     """Flag complex on the subdivision vertices with the accumulated edges."""
     return FlagComplex(seq.w_ids(), seq.gamma_edges)
-
-
-def gamma_complex_from_snapshots(seq: SubdivisionSequence) -> FlagComplex:
-    """Recompute the gamma complex from the per-step endpoint snapshots."""
-    edges = set()
-    for step, snap in zip(seq.steps, seq.k_snapshots):
-        a, b = step.edge
-        for x in snap[a] & snap[b]:
-            edges.add((x, step.new_vertex))
-    return FlagComplex(seq.w_ids(), edges)
 
 
 def verify_f_equals_gamma(seq: SubdivisionSequence) -> dict:

@@ -6,6 +6,8 @@ exact integer equality; there are no numeric tolerances anywhere.
 
 Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
+The scale guard before it bounds the cost of one long subdivision
+sequence, so a return to per-step rebuilding of the graph fails here.
 """
 
 import time
@@ -197,6 +199,20 @@ def test_criterion_6_building_set_bridge():
         time.perf_counter() - start,
         120.0,
         f"{len(bad)} failures; pentagon gamma={spot['pentagon']}, hexagon gamma={spot['hexagon']}",
+    )
+
+
+def test_scale_guard_long_sequence():
+    start = time.perf_counter()
+    seq = random_sequence(5, 800, 1)
+    report = verify_f_equals_gamma(seq)
+    _collect(gamma_of(seq.final, 5).gamma)
+    _report(
+        "scale guard (f(gamma complex) == gamma on one sequence, d=5, k=800)",
+        report["equal"],
+        time.perf_counter() - start,
+        10.0,
+        f"f_gamma={report['f_gamma']}, gamma_theta={report['gamma_theta']}",
     )
 
 

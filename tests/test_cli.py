@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from gammacomplex import cli
 from gammacomplex.cli import main
 
 
@@ -96,6 +99,37 @@ class TestVerify:
         lines = target.read_text().strip().splitlines()
         assert len(lines) == 4 and all(json.loads(line)["equal"] for line in lines)
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--random", "4", "5", "1", trials)
+        assert code == 2
+        assert out == ""
+        assert "TRIALS must be at least 1" in err
+
+    def test_boolean_d_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": True, "steps": []})
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2
+        assert out == ""
+        assert "d must be an integer" in err
+
+    def test_boolean_vertex_rejected(self, capsys, tmp_path):
+        # true would otherwise be read as vertex 1, and {1, 2} is an edge
+        path = write(tmp_path, "seq.json", {"d": 2, "steps": [{"edge": [True, 2]}]})
+        code, _, err = run(capsys, "verify", path)
+        assert code == 2
+        assert "step 1" in err and "vertex id" in err
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(seq):
+            raise RuntimeError("internal inconsistency: injected")
+
+        monkeypatch.setattr(cli, "verify_f_equals_gamma", broken)
+        code, out, err = run(capsys, "verify", "--random", "3", "2", "1", "1")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--random", "2", "1", "1", "1", "--format", "table")
         assert code == 0
@@ -189,6 +223,19 @@ class TestGamma:
         code, _, err = run(capsys, "gamma", path)
         assert code == 2
         assert "not symmetric" in err
+
+    def test_boolean_vertex_in_edge_file_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "bad.json", {"vertices": [True, 2], "edges": [[True, 2]]})
+        code, out, err = run(capsys, "gamma", path)
+        assert code == 2
+        assert out == ""
+        assert "vertex id" in err
+
+    def test_boolean_d_in_sequence_file_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": True, "steps": []})
+        code, _, err = run(capsys, "gamma", path)
+        assert code == 2
+        assert "d must be an integer" in err
 
     def test_unrecognized_shape(self, capsys, tmp_path):
         path = write(tmp_path, "odd.json", {"something": 1})

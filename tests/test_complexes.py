@@ -47,6 +47,14 @@ def is_cycle(c: FlagComplex, length: int) -> bool:
     return len(seen) == length
 
 
+def rebuild_subdivide_edge(c: FlagComplex, edge, s) -> FlagComplex:
+    """Edge subdivision by rebuilding the whole graph from its edge list."""
+    a, b = edge
+    star = c.common_neighbors(edge) | {a, b}
+    edges = [e for e in c.edges() if set(e) != {a, b}] + [(v, s) for v in star]
+    return FlagComplex(c.vertices | {s}, edges)
+
+
 class TestCrossPolytope:
     def test_smallest_case_is_two_isolated_points(self):
         c = cross_polytope(1)
@@ -182,6 +190,45 @@ class TestSubdivideEdge:
             s = seq.steps[-1].new_vertex
             assert link(seq.final, {s}) == join(FlagComplex(edge), link(before, edge))
 
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rebuild_on_random_graphs(self, seed):
+        rng = Random(seed)
+        c = random_flag_graph(rng, max_vertices=9)
+        for _ in range(rng.randint(1, 8)):
+            if not c.edges():
+                return
+            edge = rng.choice(c.edges())
+            s = max(c.vertices) + 1
+            before = c.edges()
+            fast = subdivide_edge(c, edge, s)
+            slow = rebuild_subdivide_edge(c, edge, s)
+            assert fast == slow
+            assert fast.edges() == slow.edges()
+            assert c.edges() == before  # the parent shares sets but is not changed
+            c = fast
+
+
+class TestRelabel:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rebuild_on_random_graphs(self, seed):
+        rng = Random(seed)
+        c = random_flag_graph(rng, max_vertices=9)
+        vs = sorted(c.vertices)
+        mapping = dict(zip(vs, rng.sample(range(1000), len(vs))))
+        rebuilt = FlagComplex(
+            (mapping[v] for v in vs), ((mapping[a], mapping[b]) for a, b in c.edges())
+        )
+        assert c.relabel(mapping) == rebuilt
+
+    def test_non_bijection_rejected(self):
+        c = cross_polytope(2)
+        with pytest.raises(ValueError):
+            c.relabel({0: 0, 1: 0, 2: 2, 3: 3})
+        with pytest.raises(ValueError):
+            c.relabel({0: 0, 1: 1, 2: 2})
+
 
 class TestFaceComplexOracle:
     def test_subdividing_a_triangle_in_its_2_face(self):
@@ -284,6 +331,14 @@ class TestValidationAndJson:
         assert again == c
         obj = json.loads(c.to_json())
         assert set(obj) == {"vertices", "edges"}
+
+    def test_json_bools_are_not_vertex_ids(self):
+        with pytest.raises(ValueError, match="vertex id"):
+            FlagComplex.from_json('{"vertices": [true, 2], "edges": []}')
+        with pytest.raises(ValueError, match="vertex id"):
+            FlagComplex.from_json('{"vertices": [1, 2], "edges": [[true, 2]]}')
+        with pytest.raises(ValueError, match="vertex id"):
+            FaceComplex.from_json('{"vertices": [1, 2], "facets": [[true, 2]]}')
 
     def test_face_complex_json_round_trip(self):
         c = cross_polytope(2).to_face_complex()

@@ -5,6 +5,8 @@ expected values: ids 0..7 are the antipodal pairs (0,1), (2,3), (4,5),
 (6,7) and the steps subdivide {0,2}, {4,6}, {0,9}, creating 8, 9, 10.
 """
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from gammacomplex import (
     w_set,
 )
 from gammacomplex.checks import deep_report
-from gammacomplex.subdivision import gamma_complex_from_snapshots, k_set_at
+from gammacomplex.subdivision import k_set_at
 from helpers import sequence_from_edges
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
@@ -44,6 +46,25 @@ K_AFTER_STEP_3 = {
     6: [8, 10], 7: [8],
     8: [9, 10], 9: [8], 10: [],
 }
+
+
+def gamma_complex_from_k_tables(seq):
+    """Gamma complex recomputed from each step's pre-step endpoint K-sets."""
+    edges = set()
+    for j, step in enumerate(seq.steps, start=1):
+        a, b = step.edge
+        before = seq.k_tables[j - 1]
+        edges.update((x, step.new_vertex) for x in before[a] & before[b])
+    return FlagComplex(seq.w_ids(), edges)
+
+
+def reference_random_sequence(d, k, seed):
+    """The rebuild-every-step loop that ``random_sequence`` must reproduce."""
+    rng = Random(seed)
+    seq = new_sequence(d)
+    for _ in range(k):
+        seq = extend(seq, rng.choice(seq.final.edges()))
+    return seq
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +96,13 @@ class TestExtend:
             assert {v: sorted(ks) for v, ks in table.items()} == expected
 
     def test_snapshots_hold_pre_step_endpoint_values(self, example):
-        assert example.k_snapshots[0] == {0: frozenset(), 2: frozenset()}
-        assert example.k_snapshots[1] == {4: frozenset([8]), 6: frozenset([8])}
-        assert example.k_snapshots[2] == {0: frozenset([9]), 9: frozenset([8])}
+        pre_step = [
+            {v: example.k_tables[j - 1][v] for v in step.edge}
+            for j, step in enumerate(example.steps, start=1)
+        ]
+        assert pre_step[0] == {0: frozenset(), 2: frozenset()}
+        assert pre_step[1] == {4: frozenset([8]), 6: frozenset([8])}
+        assert pre_step[2] == {0: frozenset([9]), 9: frozenset([8])}
 
     def test_gamma_edges_of_the_example(self, example):
         assert example.gamma_edges == {(8, 9)}
@@ -207,10 +232,18 @@ class TestRandomSequence:
         with pytest.raises(ValueError):
             random_sequence(1, 1, 0)
 
+    @given(st.integers(2, 6), st.integers(0, 40), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rebuild_every_step_loop(self, d, k, seed):
+        assert random_sequence(d, k, seed).steps == reference_random_sequence(d, k, seed).steps
+
+    def test_matches_the_rebuild_every_step_loop_long(self):
+        assert random_sequence(5, 200, 3).steps == reference_random_sequence(5, 200, 3).steps
+
 
 class TestGammaComplex:
     def test_snapshot_recomputation_matches(self, example):
-        assert gamma_complex_from_snapshots(example) == gamma_complex(example)
+        assert gamma_complex_from_k_tables(example) == gamma_complex(example)
 
     def test_disjoint_edge_subdivisions_of_the_octahedron(self):
         # the second edge shares no endpoint with the first and its
@@ -218,13 +251,13 @@ class TestGammaComplex:
         seq = sequence_from_edges(3, [(0, 2), (1, 3)])
         assert seq.k_table[7] == frozenset()
         assert gamma_complex(seq).edges() == []
-        assert gamma_complex_from_snapshots(seq) == gamma_complex(seq)
+        assert gamma_complex_from_k_tables(seq) == gamma_complex(seq)
 
     @given(st.integers(0, 5_000))
     @settings(max_examples=40, deadline=None)
     def test_snapshot_recomputation_matches_random(self, seed):
         seq = random_sequence(2 + seed % 4, seed % 8, seed)
-        assert gamma_complex_from_snapshots(seq) == gamma_complex(seq)
+        assert gamma_complex_from_k_tables(seq) == gamma_complex(seq)
 
     @given(st.integers(0, 5_000))
     @settings(max_examples=30, deadline=None)
