@@ -17,7 +17,6 @@ from .polynomials import (
     IntPolynomial,
     f_poly,
     gamma_from_h,
-    gamma_increment_check,
     gamma_of,
     h_from_f,
     is_symmetric,

@@ -18,6 +18,7 @@ from .polynomials import gamma_of
 from .subdivision import (
     FaceClass,
     SubdivisionSequence,
+    classify_at,
     gamma_complex,
     induced_sequence,
     k_set,
@@ -64,13 +65,11 @@ def _transformed(fs, cls, a, b, w):
 
 def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for K of every face of every complex in the sequence."""
-    from .subdivision import _classify_at
-
     failures = []
     for j in range(1, seq.k + 1):
         (a, b), w = seq.steps[j - 1]
         for fs in seq.complexes[j].faces():
-            cls = _classify_at(seq, j, fs)
+            cls = classify_at(seq, j, fs)
             prev = set(k_set_at(seq, j - 1, _transformed(fs, cls, a, b, w)))
             expected = prev | {w} if cls is FaceClass.F4 else prev
             actual = set(k_set_at(seq, j, fs))
@@ -84,13 +83,11 @@ def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
 
 def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for W (with orderings) of every face of every complex."""
-    from .subdivision import _classify_at
-
     failures = []
     for j in range(1, seq.k + 1):
         (a, b), w = seq.steps[j - 1]
         for fs in seq.complexes[j].faces():
-            cls = _classify_at(seq, j, fs)
+            cls = classify_at(seq, j, fs)
             prev = w_set_at(seq, j - 1, _transformed(fs, cls, a, b, w))
             if cls is FaceClass.F1:
                 other = b if a in fs else a

@@ -3,9 +3,9 @@
 Exit codes: 0 when every requested check passes, 1 when a mathematical
 identity fails (an alarm, since it would falsify a proven statement),
 2 for malformed or invalid input, 3 for an internal error (a broken
-invariant inside the library, never a verdict).  Sweep reports are JSON
-lines, one object per instance, and identical invocations produce
-byte-identical output.
+invariant or any other exception inside the library, never a verdict).
+Sweep reports are JSON lines, one object per instance, and identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .checks import deep_report
 from .complexes import FaceComplex, FlagComplex
@@ -105,15 +106,30 @@ def cmd_example(args, out: _Output) -> int:
     return EXIT_OK if report["equal"] else EXIT_FALSIFIED
 
 
+def _read_json(path: str, build):
+    """``build`` applied to the JSON value in the file at ``path``.
+
+    A KeyError or TypeError while building means a missing field or a value
+    of the wrong type in the file, and is reported as invalid input; raised
+    anywhere else, they are internal errors.
+    """
+    with open(path) as handle:
+        obj = json.load(handle)
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: value of the wrong type ({exc})") from None
+
+
 def _verify_instances(args):
     if args.random is not None:
         d, k, seed, trials = args.random
         for i in range(trials):
             yield i, seed + i, random_sequence(d, k, seed + i)
     else:
-        with open(args.seq_file) as handle:
-            seq = SubdivisionSequence.from_json(handle.read())
-        yield 0, None, seq
+        yield 0, None, _read_json(args.seq_file, SubdivisionSequence.from_json_obj)
 
 
 def cmd_verify(args, out: _Output) -> int:
@@ -136,8 +152,7 @@ def cmd_verify(args, out: _Output) -> int:
 
 
 def cmd_nestohedron(args, out: _Output) -> int:
-    with open(args.building_set) as handle:
-        bs = BuildingSet.from_json(handle.read())
+    bs = _read_json(args.building_set, BuildingSet.from_json_obj)
     if not validate_building_set(bs):
         raise ValueError("input is not a building set")
     if not bs.is_connected():
@@ -145,8 +160,7 @@ def cmd_nestohedron(args, out: _Output) -> int:
     if not is_flag_building_set(bs):
         raise ValueError("not a flag building set")
     if args.ordering is not None:
-        with open(args.ordering) as handle:
-            ordering = FlagOrdering.from_json_obj(bs, json.load(handle))
+        ordering = _read_json(args.ordering, lambda obj: FlagOrdering.from_json_obj(bs, obj))
         validate_ordering(ordering)
     else:
         rng = None
@@ -161,26 +175,30 @@ def cmd_nestohedron(args, out: _Output) -> int:
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
-def cmd_gamma(args, out: _Output) -> int:
-    with open(args.file) as handle:
-        obj = json.load(handle)
+def _gamma_source(obj):
     if "steps" in obj:
-        seq = SubdivisionSequence.from_json_obj(obj)
-        d = args.d if args.d is not None else seq.d
-        f = f_poly(seq.final, d)
-    elif "facets" in obj:
-        fc = FaceComplex.from_json_obj(obj)
-        counts = fc.f_counts()
+        return SubdivisionSequence.from_json_obj(obj)
+    if "facets" in obj:
+        return FaceComplex.from_json_obj(obj)
+    if "edges" in obj:
+        return FlagComplex.from_json_obj(obj)
+    raise ValueError("file is neither a sequence, a facet list, nor an edge list")
+
+
+def cmd_gamma(args, out: _Output) -> int:
+    source = _read_json(args.file, _gamma_source)
+    if isinstance(source, SubdivisionSequence):
+        d = args.d if args.d is not None else source.d
+        f = f_poly(source.final, d)
+    else:
+        if isinstance(source, FaceComplex):
+            counts, kind = source.f_counts(), "face"
+        else:
+            counts, kind = source.clique_count_by_size(), "clique"
         d = args.d if args.d is not None else max(counts)
         if max(counts) > d:
-            raise ValueError(f"found a face of {max(counts)} vertices but d={d}")
+            raise ValueError(f"found a {kind} of {max(counts)} vertices but d={d}")
         f = f_from_counts(counts)
-    elif "edges" in obj:
-        c = FlagComplex.from_json_obj(obj)
-        d = args.d if args.d is not None else max(c.clique_count_by_size())
-        f = f_poly(c, d)
-    else:
-        raise ValueError("file is neither a sequence, a facet list, nor an edge list")
     report = report_from_f(f, d)
     out.emit(_dumps(report.to_json_obj()) if args.format == "json" else _table_row(report.to_json_obj()))
     return EXIT_OK
@@ -245,11 +263,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
     out.close()
     return code

@@ -115,19 +115,53 @@ class FlagComplex:
         yield from grow((), order)
 
     def clique_count_by_size(self) -> Counter:
-        """Number of cliques of each size, without materializing the cliques."""
-        counts: Counter = Counter({0: 1})
-        adj = self._adj
+        """Number of cliques of each size, without visiting the cliques one by one.
+
+        With the vertices numbered in ``_vkey`` order and every vertex set
+        held as an int bitmask, the clique polynomial of an induced subgraph
+        M is f(M) = 1 + t * sum over v in M of f(M_{>v} & N(v)), where M_{>v}
+        is the part of M after v.  f is memoized on the mask, so a
+        neighbourhood reached from many cliques is counted once; the
+        recursion only steps into neighbourhoods, so its depth is at most
+        the clique number.
+
+        A polynomial is one packed int with coefficient i in bits
+        [i*width, (i+1)*width): adding is ``+`` and multiplying by t is
+        ``<< width``.  Every clique has a first vertex v and is v plus a set
+        of later neighbours of v, so no coefficient exceeds
+        1 + sum_v 2**|later neighbours of v| (2**n for K_n), and a field of
+        that bound's bit length never carries into the next.
+        """
         order = sorted(self._adj, key=_vkey)
+        index = {v: i for i, v in enumerate(order)}
+        nbr = [sum(1 << index[u] for u in self._adj[v]) for v in order]
+        bound = 1 + sum(1 << (m >> (i + 1)).bit_count() for i, m in enumerate(nbr))
+        width = bound.bit_length()
+        memo: dict = {}
 
-        def grow(size, candidates):
-            for i, v in enumerate(candidates):
-                counts[size + 1] += 1
-                nxt = [u for u in candidates[i + 1 :] if u in adj[v]]
-                if nxt:
-                    grow(size + 1, nxt)
+        def f(mask):
+            acc = 0
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                sub = mask & nbr[low.bit_length() - 1]
+                if sub:
+                    val = memo.get(sub)
+                    if val is None:
+                        val = memo[sub] = f(sub)
+                    acc += val
+                else:
+                    acc += 1
+            return 1 + (acc << width)
 
-        grow(0, order)
+        packed = f((1 << len(order)) - 1)
+        counts: Counter = Counter()
+        field = (1 << width) - 1
+        size = 0
+        while packed:
+            counts[size] = packed & field
+            packed >>= width
+            size += 1
         return counts
 
     def induced(self, vertices: Iterable[Vertex]) -> "FlagComplex":

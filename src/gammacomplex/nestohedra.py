@@ -26,6 +26,7 @@ from .complexes import (
     cross_polytope,
     is_flag,
     is_isomorphic_under,
+    json_int,
 )
 from .polynomials import f_from_counts, gamma_of
 from .subdivision import (
@@ -88,7 +89,7 @@ class BuildingSet:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BuildingSet":
-        return cls.of(obj["n"], obj["elements"])
+        return cls.of(json_int(obj["n"], "n"), obj["elements"])
 
     @classmethod
     def from_json(cls, text: str) -> "BuildingSet":

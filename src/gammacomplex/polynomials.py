@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Mapping
 
-from .complexes import FlagComplex, link, subdivide_edge
+from .complexes import FlagComplex
 
 __all__ = [
     "IntPolynomial",
@@ -23,7 +23,6 @@ __all__ = [
     "gamma_from_h",
     "gamma_of",
     "report_from_f",
-    "gamma_increment_check",
 ]
 
 
@@ -172,15 +171,3 @@ def gamma_of(c: FlagComplex, d: int) -> FHGammaReport:
     """Chain f -> h -> gamma for a flag complex of intended dimension d-1."""
     return report_from_f(f_poly(c, d), d)
 
-
-def gamma_increment_check(theta: FlagComplex, edge, d: int) -> bool:
-    """Check that subdividing ``edge`` changes gamma by t * gamma of the edge's link.
-
-    The link of an edge lives two dimensions down, so it is transformed
-    with parameter d-2.
-    """
-    fresh = max(v for v in theta.vertices if isinstance(v, int)) + 1
-    before = gamma_of(theta, d).gamma
-    after = gamma_of(subdivide_edge(theta, edge, fresh), d).gamma
-    lk = gamma_of(link(theta, edge), d - 2).gamma
-    return after - before == lk.shift(1)

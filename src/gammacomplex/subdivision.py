@@ -37,6 +37,7 @@ __all__ = [
     "random_sequence",
     "k_set",
     "classify_face",
+    "classify_at",
     "induced_sequence",
     "w_set",
     "phi",
@@ -230,7 +231,12 @@ def k_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:
     return k_set_at(seq, seq.k, face)
 
 
-def _classify_at(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> FaceClass:
+def classify_at(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> FaceClass:
+    """Position of a face of ``complexes[j]`` relative to step j, for 1 <= j <= k.
+
+    Unchecked: ``fs`` must be a face of ``complexes[j]``; ``classify_face``
+    is the validating form for the final complex.
+    """
     (a, b), w = seq.steps[j - 1]
     if a in fs or b in fs:
         return FaceClass.F2 if w in fs else FaceClass.F1
@@ -248,7 +254,7 @@ def classify_face(seq: SubdivisionSequence, face: Iterable[int]) -> FaceClass:
     fs = frozenset(face)
     if not seq.final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of the final complex")
-    return _classify_at(seq, seq.k, fs)
+    return classify_at(seq, seq.k, fs)
 
 
 def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> _LinkSeq:
@@ -266,7 +272,7 @@ def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> _LinkSeq:
         out = _LinkSeq(pairs, ())
     else:
         (a, b), w = seq.steps[j - 1]
-        cls = _classify_at(seq, j, fs)
+        cls = classify_at(seq, j, fs)
         if cls is FaceClass.F1:
             other = b if a in fs else a
             out = _rename(_link_seq(seq, j - 1, fs), other, w)

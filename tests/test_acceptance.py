@@ -6,8 +6,10 @@ exact integer equality; there are no numeric tolerances anywhere.
 
 Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
-The scale guard before it bounds the cost of one long subdivision
-sequence, so a return to per-step rebuilding of the graph fails here.
+The two scale guards before it bound the cost of one long subdivision
+sequence and of one complex at d=12 with 13.9M faces, so a return to
+per-step rebuilding of the graph, or to counting faces one by one,
+fails here.
 """
 
 import time
@@ -209,6 +211,20 @@ def test_scale_guard_long_sequence():
     _collect(gamma_of(seq.final, 5).gamma)
     _report(
         "scale guard (f(gamma complex) == gamma on one sequence, d=5, k=800)",
+        report["equal"],
+        time.perf_counter() - start,
+        10.0,
+        f"f_gamma={report['f_gamma']}, gamma_theta={report['gamma_theta']}",
+    )
+
+
+def test_scale_guard_wide_d():
+    start = time.perf_counter()
+    seq = random_sequence(12, 30, 1)
+    report = verify_f_equals_gamma(seq)
+    _GAMMAS.append(report["gamma_theta"])
+    _report(
+        "scale guard (f(gamma complex) == gamma on one sequence, d=12, k=30)",
         report["equal"],
         time.perf_counter() - start,
         10.0,

@@ -130,6 +130,31 @@ class TestVerify:
         assert out == ""
         assert err.startswith("internal error:")
 
+    def test_missing_steps_field_is_invalid_input(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": 4})
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2
+        assert out == ""
+        assert "missing field 'steps'" in err
+
+    def test_wrongly_typed_field_is_invalid_input(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": 7}]})
+        code, _, err = run(capsys, "verify", path)
+        assert code == 2
+        assert "wrong type" in err
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_library_key_and_type_errors_are_internal(self, capsys, monkeypatch, error):
+        def broken(seq):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "verify_f_equals_gamma", broken)
+        code, out, err = run(capsys, "verify", "--random", "3", "2", "1", "1")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith(f"internal error: {error.__name__}: ")
+        assert "Traceback" in err
+
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--random", "2", "1", "1", "1", "--format", "table")
         assert code == 0
@@ -157,6 +182,12 @@ class TestNestohedron:
         code, _, err = run(capsys, "nestohedron", path)
         assert code == 2
         assert "not a flag building set" in err
+
+    def test_non_integer_n_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "bs.json", {"n": "3", "elements": [[1], [2], [3], [1, 2, 3]]})
+        code, _, err = run(capsys, "nestohedron", path)
+        assert code == 2
+        assert "n must be an integer" in err
 
     def test_invalid_building_set_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [1, 2]]})
@@ -211,6 +242,29 @@ class TestGamma:
         assert code == 0
         report = json.loads(out)
         assert report["f"] == [1, 5, 5] and report["gamma"] == [1, 1]
+
+    def test_edge_file_counts_cliques_once(self, capsys, tmp_path, monkeypatch):
+        from gammacomplex.complexes import FlagComplex
+
+        calls = []
+        count = FlagComplex.clique_count_by_size
+
+        def counted(self):
+            calls.append(1)
+            return count(self)
+
+        monkeypatch.setattr(FlagComplex, "clique_count_by_size", counted)
+        pentagon = {"vertices": [0, 1, 2, 3, 4], "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
+        code, out, _ = run(capsys, "gamma", write(tmp_path, "pentagon.json", pentagon))
+        assert code == 0 and json.loads(out)["d"] == 2
+        assert len(calls) == 1
+
+    def test_edge_file_clique_above_d_rejected(self, capsys, tmp_path):
+        triangle = {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}
+        code, out, err = run(capsys, "gamma", write(tmp_path, "triangle.json", triangle), "--d", "2")
+        assert code == 2
+        assert out == ""
+        assert "found a clique of 3 vertices but d=2" in err
 
     def test_sequence_file(self, capsys, tmp_path):
         path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": [0, 2]}]})

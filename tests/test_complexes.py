@@ -1,6 +1,7 @@
 """Complex representations: constructors, links, joins, subdivision, oracle twin."""
 
 import json
+from collections import Counter
 from itertools import combinations
 from math import comb
 from random import Random
@@ -15,10 +16,12 @@ from gammacomplex import (
     antipode,
     cross_polytope,
     f_poly,
+    gamma_complex,
     is_flag,
     is_isomorphic_under,
     join,
     link,
+    random_sequence,
     subdivide_edge,
     subdivide_face_general,
 )
@@ -84,6 +87,56 @@ class TestCrossPolytope:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             cross_polytope(0)
+
+
+class TestCliqueCount:
+    """``clique_count_by_size`` against the face walk and the face-set twin."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_face_walk_on_random_graphs(self, seed):
+        rng = Random(seed)
+        n = rng.randint(0, 14)
+        density = rng.random()
+        vs = rng.sample(range(100), n)
+        edges = [(a, b) for a, b in combinations(vs, 2) if rng.random() < density]
+        c = FlagComplex(vs, edges)
+        counts = dict(c.clique_count_by_size())
+        assert counts == dict(Counter(len(f) for f in c.faces()))
+        assert counts == dict(c.to_face_complex().f_counts())
+
+    def test_empty_graph_and_isolated_vertices(self):
+        assert dict(FlagComplex().clique_count_by_size()) == {0: 1}
+        assert dict(FlagComplex(range(5)).clique_count_by_size()) == {0: 1, 1: 5}
+
+    def test_complete_graphs_fill_every_field(self):
+        # K_n has 2**n cliques in all: the largest total for n vertices
+        for n in range(13):
+            counts = FlagComplex(range(n), combinations(range(n), 2)).clique_count_by_size()
+            assert dict(counts) == {i: comb(n, i) for i in range(n + 1)}
+            assert sum(counts.values()) == 2**n
+
+    def test_frozenset_labels(self):
+        vs = [frozenset(s) for s in ({1}, {2}, {3}, {1, 2}, {2, 3}, {1, 2, 3})]
+        edges = [(a, b) for a, b in combinations(vs, 2) if a <= b or b <= a]
+        c = FlagComplex(vs, edges)
+        counts = dict(c.clique_count_by_size())
+        assert counts == dict(Counter(len(f) for f in c.faces()))
+        assert counts == brute_force_face_counts(c)
+        renamed = c.relabel({v: i for i, v in enumerate(vs)})
+        assert dict(renamed.clique_count_by_size()) == counts
+
+    def test_pinned_counts_at_d12_k30(self):
+        # the final complex has 13.9M cliques; these counts were taken
+        # with a one-by-one clique enumeration
+        seq = random_sequence(12, 30, 1)
+        gc = gamma_complex(seq).clique_count_by_size()
+        assert [gc[i] for i in range(len(gc))] == [1, 30, 225, 563, 475, 103, 2]
+        final = seq.final.clique_count_by_size()
+        assert [final[i] for i in range(len(final))] == [
+            1, 54, 1119, 12373, 83665, 371284, 1123286,
+            2356966, 3429511, 3394595, 2180001, 818772, 136462,
+        ]
 
 
 class TestLink:

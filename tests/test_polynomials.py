@@ -9,11 +9,11 @@ from gammacomplex import (
     cross_polytope,
     f_poly,
     gamma_from_h,
-    gamma_increment_check,
     gamma_of,
     h_from_f,
     is_symmetric,
 )
+from gammacomplex.checks import increment_identity_failures
 from gammacomplex.complexes import FlagComplex
 from helpers import h_by_expansion, sequence_from_edges
 
@@ -148,7 +148,7 @@ class TestGammaIncrement:
     def test_every_edge_of_sigma3(self):
         c = cross_polytope(4)
         for edge in c.edges():
-            assert gamma_increment_check(c, edge, 4)
+            assert increment_identity_failures(sequence_from_edges(4, [edge])) == []
 
     def test_worked_example_steps(self):
         seq = sequence_from_edges(4, [(0, 2), (4, 6), (0, 9)])
@@ -157,11 +157,10 @@ class TestGammaIncrement:
         # step 2 subdivides an edge whose link is a 5-cycle, step 3 a 4-cycle
         assert gamma_of(link(seq.complexes[1], (4, 6)), 2).gamma.to_list() == [1, 1]
         assert gamma_of(link(seq.complexes[2], (0, 9)), 2).gamma.to_list() == [1]
-        assert gamma_increment_check(seq.complexes[1], (4, 6), 4)
-        assert gamma_increment_check(seq.complexes[2], (0, 9), 4)
+        assert increment_identity_failures(seq) == []
 
     def test_four_cycle_increment(self):
-        assert gamma_increment_check(cross_polytope(2), (0, 2), 2)
+        assert increment_identity_failures(sequence_from_edges(2, [(0, 2)])) == []
 
 
 class TestSphereSymmetry:
