@@ -22,7 +22,6 @@ from .subdivision import (
     gamma_complex,
     induced_sequence,
     k_set,
-    k_set_at,
     phi,
     w_set_at,
 )
@@ -43,9 +42,9 @@ def increment_identity_failures(seq: SubdivisionSequence) -> list[str]:
     """gamma(step j) - gamma(step j-1) == t * gamma(link of the subdivided edge)."""
     failures = []
     for j, step in enumerate(seq.steps, start=1):
-        before = gamma_of(seq.complexes[j - 1], seq.d).gamma
-        after = gamma_of(seq.complexes[j], seq.d).gamma
-        lk = gamma_of(link(seq.complexes[j - 1], step.edge), seq.d - 2).gamma
+        before = gamma_of(seq.prefix(j - 1).final, seq.d).gamma
+        after = gamma_of(seq.prefix(j).final, seq.d).gamma
+        lk = gamma_of(link(seq.prefix(j - 1).final, step.edge), seq.d - 2).gamma
         if after - before != lk.shift(1):
             failures.append(
                 f"step {j}: gamma increment {(after - before).to_list()} != "
@@ -68,11 +67,12 @@ def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     failures = []
     for j in range(1, seq.k + 1):
         (a, b), w = seq.steps[j - 1]
-        for fs in seq.complexes[j].faces():
+        before, after = seq.prefix(j - 1), seq.prefix(j)
+        for fs in after.final.faces():
             cls = classify_at(seq, j, fs)
-            prev = set(k_set_at(seq, j - 1, _transformed(fs, cls, a, b, w)))
+            prev = set(k_set(before, _transformed(fs, cls, a, b, w)))
             expected = prev | {w} if cls is FaceClass.F4 else prev
-            actual = set(k_set_at(seq, j, fs))
+            actual = set(k_set(after, fs))
             if actual != expected:
                 failures.append(
                     f"step {j}, face {sorted(fs)}, class {cls.value}: "
@@ -86,7 +86,7 @@ def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
     failures = []
     for j in range(1, seq.k + 1):
         (a, b), w = seq.steps[j - 1]
-        for fs in seq.complexes[j].faces():
+        for fs in seq.prefix(j).final.faces():
             cls = classify_at(seq, j, fs)
             prev = w_set_at(seq, j - 1, _transformed(fs, cls, a, b, w))
             if cls is FaceClass.F1:
@@ -155,10 +155,10 @@ def oracle_failures(seq: SubdivisionSequence) -> list[str]:
     representation takes for granted.
     """
     failures = []
-    fc = seq.complexes[0].to_face_complex()
+    fc = seq.prefix(0).final.to_face_complex()
     for j, step in enumerate(seq.steps, start=1):
         fc = subdivide_face_general(fc, step.edge, step.new_vertex)
-        if fc != seq.complexes[j].to_face_complex():
+        if fc != seq.prefix(j).final.to_face_complex():
             failures.append(f"step {j}: face sets diverge from graph subdivision")
         if not is_flag(fc):
             failures.append(f"step {j}: face set is not flag")

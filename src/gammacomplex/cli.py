@@ -27,7 +27,7 @@ from .nestohedra import (
     validate_ordering,
     verify_ordering_equivalence,
 )
-from .polynomials import f_from_counts, f_poly, report_from_f
+from .polynomials import f_from_counts, report_from_f
 from .subdivision import (
     SubdivisionSequence,
     extend,
@@ -94,7 +94,7 @@ def cmd_example(args, out: _Output) -> int:
     names = lambda v: example_vertex_name(seq.d, v)
     for j in range(1, seq.k + 1):
         out.emit(f"K after step {j}:")
-        table = seq.k_tables[j]
+        table = seq.prefix(j).k_table
         for v in sorted(table):
             if v <= 2 * seq.d + j - 1:
                 ks = ", ".join(names(x) for x in sorted(table[v]))
@@ -187,19 +187,18 @@ def _gamma_source(obj):
 
 def cmd_gamma(args, out: _Output) -> int:
     source = _read_json(args.file, _gamma_source)
+    d = args.d
     if isinstance(source, SubdivisionSequence):
-        d = args.d if args.d is not None else source.d
-        f = f_poly(source.final, d)
+        d = source.d if d is None else d
+        source = source.final
+    if isinstance(source, FaceComplex):
+        counts, kind = source.f_counts(), "face"
     else:
-        if isinstance(source, FaceComplex):
-            counts, kind = source.f_counts(), "face"
-        else:
-            counts, kind = source.clique_count_by_size(), "clique"
-        d = args.d if args.d is not None else max(counts)
-        if max(counts) > d:
-            raise ValueError(f"found a {kind} of {max(counts)} vertices but d={d}")
-        f = f_from_counts(counts)
-    report = report_from_f(f, d)
+        counts, kind = source.clique_count_by_size(), "clique"
+    d = max(counts) if d is None else d
+    if max(counts) > d:
+        raise ValueError(f"found a {kind} of {max(counts)} vertices but d={d}")
+    report = report_from_f(f_from_counts(counts), d)
     out.emit(_dumps(report.to_json_obj()) if args.format == "json" else _table_row(report.to_json_obj()))
     return EXIT_OK
 

@@ -28,12 +28,12 @@ from .complexes import (
     is_isomorphic_under,
     json_int,
 )
-from .polynomials import f_from_counts, gamma_of
 from .subdivision import (
     SubdivisionSequence,
     extend,
     gamma_complex,
     new_sequence,
+    verify_f_equals_gamma,
 )
 
 __all__ = [
@@ -435,31 +435,22 @@ def verify_ordering_equivalence(o: FlagOrdering) -> dict:
         {e: ids[e] for e in b.elements - {b.ground}}
     )
 
+    gc_seq = gamma_complex(seq)
     uv_match = True
     for j, step in enumerate(seq.steps, start=1):
-        frozen_k = {seq.w_index(x) for x in seq.k_tables[j][step.new_vertex]}
+        w = step.new_vertex
+        frozen_k = {seq.w_index(x) for x in gc_seq.neighbors(w) if x < w}
         if frozen_k != set(u_set(o, j)) | set(v_set(o, j)):
             uv_match = False
 
-    gc_seq = gamma_complex(seq)
     gc_ord = gamma_complex_of_ordering(o)
     isomorphic = is_isomorphic_under(
         gc_seq, gc_ord, {seq.w_id(j): j for j in range(1, seq.k + 1)}
     )
 
-    f_gamma = f_from_counts(gc_seq.clique_count_by_size())
-    gamma_theta = gamma_of(seq.final, seq.d).gamma
-    return {
-        "n": b.n,
-        "d": seq.d,
-        "k": seq.k,
-        "f_gamma": f_gamma.to_list(),
-        "gamma_theta": gamma_theta.to_list(),
-        "equal": f_gamma == gamma_theta,
-        "isomorphic": isomorphic,
-        "uv_match": uv_match,
-        "bridge": bridge,
-    }
+    report = verify_f_equals_gamma(seq)
+    report.update(n=b.n, isomorphic=isomorphic, uv_match=uv_match, bridge=bridge)
+    return report
 
 
 def power_set_building_set(n: int) -> BuildingSet:

@@ -1,7 +1,7 @@
 """Subdivision sequences, their K- and W-sets, and the gamma complex.
 
 A subdivision sequence starts from a cross-polytope boundary and applies
-edge subdivisions one at a time.  Alongside the complexes it maintains,
+edge subdivisions one at a time.  Alongside the complex it maintains,
 for every vertex v, the set K(v) of subdivision vertices whose creating
 edge had both endpoints adjacent to v at creation time.  The gamma
 complex is the graph on the subdivision vertices w_1..w_k where w_a ~ w_b
@@ -86,32 +86,39 @@ def _rename(ls: _LinkSeq, old: int, new: int) -> _LinkSeq:
 class SubdivisionSequence:
     """Cross-polytope boundary plus an ordered list of edge subdivisions.
 
-    Instances are immutable; ``extend`` returns a new sequence.  All the
-    intermediate complexes and the full K-table after every step are kept:
-    the sizes involved are tiny and the recursive constructions need them.
+    Instances are immutable; ``extend`` returns a new sequence.  Only the
+    step log and the last state (complex, K-table, gamma edges) are stored;
+    ``prefix(j)`` rebuilds the state after step j by replaying ``extend``.
     """
 
-    __slots__ = ("d", "steps", "complexes", "k_tables", "gamma_edges", "_cache")
+    __slots__ = ("d", "steps", "final", "k_table", "gamma_edges", "_cache", "_prefixes")
 
-    def __init__(self, d, steps, complexes, k_tables, gamma_edges):
+    def __init__(self, d, steps, final, k_table, gamma_edges):
         self.d = d
         self.steps = steps
-        self.complexes = complexes
-        self.k_tables = k_tables
+        self.final = final
+        self.k_table = k_table
         self.gamma_edges = gamma_edges
         self._cache: dict = {}
+        self._prefixes: list[SubdivisionSequence] | None = None
 
     @property
     def k(self) -> int:
         return len(self.steps)
 
-    @property
-    def final(self) -> FlagComplex:
-        return self.complexes[-1]
-
-    @property
-    def k_table(self) -> dict[int, frozenset[int]]:
-        return self.k_tables[-1]
+    def prefix(self, j: int) -> "SubdivisionSequence":
+        """Sequence of the first j steps; ``self`` when j == k, else replayed once and kept."""
+        k = len(self.steps)
+        if j == k:
+            return self
+        if not 0 <= j < k:
+            raise ValueError(f"prefix length {j} out of range 0..{k}")
+        if self._prefixes is None:
+            prefixes = [new_sequence(self.d)]
+            for step in self.steps[:-1]:
+                prefixes.append(extend(prefixes[-1], step.edge))
+            self._prefixes = prefixes
+        return self._prefixes[j]
 
     def w_id(self, i: int) -> int:
         """Vertex id of the i-th subdivision vertex, i starting at 1."""
@@ -153,8 +160,8 @@ def new_sequence(d: int) -> SubdivisionSequence:
     return SubdivisionSequence(
         d=d,
         steps=(),
-        complexes=(start,),
-        k_tables=(table,),
+        final=start,
+        k_table=table,
         gamma_edges=frozenset(),
     )
 
@@ -166,8 +173,8 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
     the new vertex; every common neighbor of the endpoints gains the new
     vertex; the new vertex starts with the intersection of the endpoints'
     pre-step K-sets, and that frozen intersection is what contributes
-    gamma edges.  The frozen intersection stays readable afterwards as
-    ``k_tables[j][w]``, and equals ``k_tables[j-1][a] & k_tables[j-1][b]``.
+    gamma edges; afterwards it is the set of gamma-complex neighbors of w
+    below w.
     """
     a, b = tuple(edge)
     cur = seq.final
@@ -182,8 +189,8 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
     return SubdivisionSequence(
         d=seq.d,
         steps=seq.steps + (SubdivisionStep((a, b), w),),
-        complexes=seq.complexes + (subdivide_edge(cur, (a, b), w),),
-        k_tables=seq.k_tables + (table,),
+        final=subdivide_edge(cur, (a, b), w),
+        k_table=table,
         gamma_edges=seq.gamma_edges | {(x, w) for x in kw},
     )
 
@@ -196,6 +203,8 @@ def random_sequence(d: int, k: int, seed: int) -> SubdivisionSequence:
     edges (v, w) to the new vertex w join it.  w is larger than every other
     id, so plain tuple order is the order of ``edges()``.
     """
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     if d < 2 and k > 0:
         raise ValueError(f"d={d} has no edges to subdivide")
     rng = random.Random(seed)
@@ -213,12 +222,17 @@ def random_sequence(d: int, k: int, seed: int) -> SubdivisionSequence:
 
 def k_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int, ...]:
     """K of a face of the j-th complex, ordered by subdivision index."""
+    return k_set(seq.prefix(j), face)
+
+
+def k_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:
+    """K of a face of the final complex: intersection of the vertex K-sets."""
     fs = frozenset(face)
-    if not seq.complexes[j].is_face(fs):
-        raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
+    if not seq.final.is_face(fs):
+        raise ValueError(f"{set(fs)!r} is not a face of complex {seq.k}")
     if not fs:
-        return tuple(2 * seq.d + i for i in range(j))
-    table = seq.k_tables[j]
+        return seq.w_ids()
+    table = seq.k_table
     it = iter(fs)
     out = set(table[next(it)])
     for v in it:
@@ -226,15 +240,10 @@ def k_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int
     return tuple(sorted(out))
 
 
-def k_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:
-    """K of a face of the final complex: intersection of the vertex K-sets."""
-    return k_set_at(seq, seq.k, face)
-
-
 def classify_at(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> FaceClass:
-    """Position of a face of ``complexes[j]`` relative to step j, for 1 <= j <= k.
+    """Position of a face of ``prefix(j).final`` relative to step j, for 1 <= j <= k.
 
-    Unchecked: ``fs`` must be a face of ``complexes[j]``; ``classify_face``
+    Unchecked: ``fs`` must be a face of ``prefix(j).final``; ``classify_face``
     is the validating form for the final complex.
     """
     (a, b), w = seq.steps[j - 1]
@@ -242,7 +251,7 @@ def classify_at(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> FaceCla
         return FaceClass.F2 if w in fs else FaceClass.F1
     if w in fs:
         return FaceClass.F3
-    if fs <= seq.complexes[j].neighbors(w):
+    if fs <= seq.prefix(j).final.neighbors(w):
         return FaceClass.F4
     return FaceClass.F5
 
@@ -337,7 +346,7 @@ class InducedSequence:
 def induced_sequence_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> InducedSequence:
     """Induced sequence for a face of the j-th complex."""
     fs = frozenset(face)
-    if not seq.complexes[j].is_face(fs):
+    if not seq.prefix(j).final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
     recipe = _link_seq(seq, j, fs)
     if not recipe.pairs:
@@ -369,7 +378,7 @@ def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSe
 
 def w_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int, ...]:
     fs = frozenset(face)
-    if not seq.complexes[j].is_face(fs):
+    if not seq.prefix(j).final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
     return tuple(w for _, w in _link_seq(seq, j, fs).steps)
 

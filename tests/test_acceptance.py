@@ -6,13 +6,14 @@ exact integer equality; there are no numeric tolerances anywhere.
 
 Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
-The two scale guards before it bound the cost of one long subdivision
-sequence and of one complex at d=12 with 13.9M faces, so a return to
-per-step rebuilding of the graph, or to counting faces one by one,
-fails here.
+The scale guards before it bound the time and the memory of one long
+subdivision sequence and the time of one complex at d=12 with 13.9M
+faces, so a return to per-step rebuilding of the graph, to keeping a
+copy of every step's state, or to counting faces one by one, fails here.
 """
 
 import time
+import tracemalloc
 
 from gammacomplex import (
     find_flag_ordering,
@@ -68,10 +69,10 @@ def test_criterion_1_worked_example_reproduction():
     ok &= len(table) == 11
 
     # earlier snapshots of the table are pinned too
-    ok &= {v: sorted(ks) for v, ks in seq.k_tables[1].items()} == {
+    ok &= {v: sorted(ks) for v, ks in seq.prefix(1).k_table.items()} == {
         0: [], 1: [], 2: [], 3: [], 4: [8], 5: [8], 6: [8], 7: [8], 8: [],
     }
-    ok &= {v: sorted(ks) for v, ks in seq.k_tables[2].items()} == {
+    ok &= {v: sorted(ks) for v, ks in seq.prefix(2).k_table.items()} == {
         0: [9], 1: [9], 2: [9], 3: [9],
         4: [8], 5: [8], 6: [8], 7: [8], 8: [9], 9: [8],
     }
@@ -120,9 +121,9 @@ def test_criterion_3_increment_identity_sweep():
         k = (seed - 1) % 9
         seq = random_sequence(d, k, seed)
         for j, step in enumerate(seq.steps, start=1):
-            before = gamma_of(seq.complexes[j - 1], d).gamma
-            after = gamma_of(seq.complexes[j], d).gamma
-            lk = gamma_of(link(seq.complexes[j - 1], step.edge), d - 2).gamma
+            before = gamma_of(seq.prefix(j - 1).final, d).gamma
+            after = gamma_of(seq.prefix(j).final, d).gamma
+            lk = gamma_of(link(seq.prefix(j - 1).final, step.edge), d - 2).gamma
             _collect(after)
             _collect(lk)
             if after - before != lk.shift(1):
@@ -215,6 +216,25 @@ def test_scale_guard_long_sequence():
         time.perf_counter() - start,
         10.0,
         f"f_gamma={report['f_gamma']}, gamma_theta={report['gamma_theta']}",
+    )
+
+
+def test_scale_guard_long_sequence_memory():
+    # one state per sequence: a per-step copy of the complex and K-table
+    # would make the peak grow quadratically in k (about 52 MB here)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        report = verify_f_equals_gamma(random_sequence(5, 800, 1))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    _report(
+        "scale guard (traced peak memory of one sequence, d=5, k=800)",
+        report["equal"] and peak_mb < 16.0,
+        time.perf_counter() - start,
+        20.0,
+        f"peak {peak_mb:.1f} MB, limit 16 MB",
     )
 
 

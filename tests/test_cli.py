@@ -106,6 +106,12 @@ class TestVerify:
         assert out == ""
         assert "TRIALS must be at least 1" in err
 
+    def test_negative_step_count_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--random", "4", "-5", "1", "1")
+        assert code == 2
+        assert out == ""
+        assert "k must be at least 0, got -5" in err
+
     def test_boolean_d_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "seq.json", {"d": True, "steps": []})
         code, out, err = run(capsys, "verify", path)

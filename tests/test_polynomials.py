@@ -155,8 +155,8 @@ class TestGammaIncrement:
         from gammacomplex import link
 
         # step 2 subdivides an edge whose link is a 5-cycle, step 3 a 4-cycle
-        assert gamma_of(link(seq.complexes[1], (4, 6)), 2).gamma.to_list() == [1, 1]
-        assert gamma_of(link(seq.complexes[2], (0, 9)), 2).gamma.to_list() == [1]
+        assert gamma_of(link(seq.prefix(1).final, (4, 6)), 2).gamma.to_list() == [1, 1]
+        assert gamma_of(link(seq.prefix(2).final, (0, 9)), 2).gamma.to_list() == [1]
         assert increment_identity_failures(seq) == []
 
     def test_four_cycle_increment(self):

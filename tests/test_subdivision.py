@@ -53,7 +53,7 @@ def gamma_complex_from_k_tables(seq):
     edges = set()
     for j, step in enumerate(seq.steps, start=1):
         a, b = step.edge
-        before = seq.k_tables[j - 1]
+        before = seq.prefix(j - 1).k_table
         edges.update((x, step.new_vertex) for x in before[a] & before[b])
     return FlagComplex(seq.w_ids(), edges)
 
@@ -92,12 +92,12 @@ class TestNewSequence:
 class TestExtend:
     def test_k_tables_of_the_example(self, example):
         for step_index, expected in ((1, K_AFTER_STEP_1), (2, K_AFTER_STEP_2), (3, K_AFTER_STEP_3)):
-            table = example.k_tables[step_index]
+            table = example.prefix(step_index).k_table
             assert {v: sorted(ks) for v, ks in table.items()} == expected
 
     def test_snapshots_hold_pre_step_endpoint_values(self, example):
         pre_step = [
-            {v: example.k_tables[j - 1][v] for v in step.edge}
+            {v: example.prefix(j - 1).k_table[v] for v in step.edge}
             for j, step in enumerate(example.steps, start=1)
         ]
         assert pre_step[0] == {0: frozenset(), 2: frozenset()}
@@ -120,6 +120,36 @@ class TestExtend:
         # when w2 was created
         assert example.k_table[8] == frozenset([9, 10])
         assert gamma_complex(example).neighbors(10) == frozenset()
+
+
+class TestPrefix:
+    @given(st.integers(2, 6), st.integers(0, 40), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fold_of_extend(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        expected = new_sequence(d)
+        for j in range(k + 1):
+            if j:
+                expected = extend(expected, seq.steps[j - 1].edge)
+            got = seq.prefix(j)
+            assert got.steps == expected.steps == seq.steps[:j]
+            assert got.final == expected.final
+            assert got.k_table == expected.k_table
+            assert got.gamma_edges == expected.gamma_edges
+
+    def test_full_length_is_the_sequence_itself(self, example):
+        assert example.prefix(example.k) is example
+        start = new_sequence(3)
+        assert start.prefix(0) is start
+
+    @pytest.mark.parametrize("j", [-1, 4])
+    def test_out_of_range_rejected(self, example, j):
+        with pytest.raises(ValueError, match="out of range 0..3"):
+            example.prefix(j)
+
+    def test_out_of_range_step_index_rejected(self, example):
+        with pytest.raises(ValueError):
+            k_set_at(example, -1, frozenset())
 
 
 class TestKSet:
@@ -231,6 +261,10 @@ class TestRandomSequence:
     def test_d1_with_steps_rejected(self):
         with pytest.raises(ValueError):
             random_sequence(1, 1, 0)
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 0"):
+            random_sequence(4, -5, 1)
 
     @given(st.integers(2, 6), st.integers(0, 40), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
