@@ -152,6 +152,8 @@ def cmd_verify(args, out: _Output) -> int:
 
 
 def cmd_nestohedron(args, out: _Output) -> int:
+    if args.ordering is not None and args.seed is not None:
+        raise ValueError("--seed applies only when no ordering is given")
     bs = _read_json(args.building_set, BuildingSet.from_json_obj)
     if not validate_building_set(bs):
         raise ValueError("input is not a building set")

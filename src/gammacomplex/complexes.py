@@ -155,6 +155,7 @@ class FlagComplex:
             return 1 + (acc << width)
 
         packed = f((1 << len(order)) - 1)
+        del f  # f refers to itself through its closure cell: break that cycle
         counts: Counter = Counter()
         field = (1 << width) - 1
         size = 0

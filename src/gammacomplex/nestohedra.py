@@ -8,8 +8,12 @@ time, with every prefix again a flag building set, corresponds step for
 step to subdividing edges of the dual nested-set complex, and
 ``ordering_to_sequence`` realizes that correspondence on canonical
 cross-polytope ids.  ``verify_ordering_equivalence`` checks that the
-gamma complex of the resulting sequence and the one read directly off
-the ordering's U/V-sets agree, vertex for vertex.
+sequence ends at the building set's nested-set complex, and that the
+gamma complex of the sequence and the one read directly off the
+ordering's U/V-sets agree, vertex for vertex.  ``nested_set_complex``
+builds the nested-set complex from the compatibility graph of the
+members on int bitmasks, without enumerating nested sets;
+``nested_set_faces`` enumerates them and is its test oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .complexes import (
     FaceComplex,
     FlagComplex,
     cross_polytope,
-    is_flag,
     is_isomorphic_under,
     json_int,
 )
@@ -310,7 +313,10 @@ def nested_set_faces(b: BuildingSet) -> FaceComplex:
 
     A nested set is a family of members (the ground set excluded) that is
     pairwise comparable-or-disjoint and in which no two or more pairwise
-    disjoint members union to a member.
+    disjoint members union to a member.  Every nested set is enumerated,
+    so the cost grows with the number of faces; ``nested_set_complex``
+    never calls this, and the tests use it, with ``is_flag``, as the
+    oracle for that function's graph and its flagness verdict.
     """
     if not b.is_connected():
         raise ValueError("nested set complex needs a connected building set")
@@ -348,16 +354,61 @@ def nested_set_faces(b: BuildingSet) -> FaceComplex:
     return FaceComplex(verts, faces)
 
 
+def _has_compatible_partition(u: int, parts: list[int], members: set[int]) -> bool:
+    """Is the bitmask ``u`` a disjoint union of some of ``parts``, no two of
+    which have their union in ``members``?
+
+    Depth-first over partial partitions: the next part is one that holds
+    the lowest element not yet covered, so each partition is reached once.
+    """
+    stack = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == u:
+            return True
+        rest = u & ~covered
+        low = rest & -rest
+        for p in parts:
+            if p & low and not p & covered and all((p | q) not in members for q in chosen):
+                stack.append((covered | p, chosen + (p,)))
+    return False
+
+
 def nested_set_complex(b: BuildingSet) -> FlagComplex:
     """1-skeleton of the nested-set complex, valid for flag building sets only.
 
-    The explicit face set is built first and checked to be flag, so a
-    non-flag input cannot slip through and silently lose faces.
+    Built from the compatibility graph alone, with no face enumerated: the
+    vertices are the members other than the ground set, and x ~ y when they
+    are comparable, or disjoint with x | y not a member.  These are exactly
+    the 2-element nested sets.
+
+    A clique of this graph is no nested set exactly when it holds pairwise
+    disjoint members whose union U is a member.  A minimal such group
+    partitions U into pairwise compatible proper members, at least three
+    of them, since two parts of U always have union U; and any such
+    partition is itself a clique that is no nested set.  So the input is
+    rejected exactly when some member has such a partition (members are
+    nonempty), and a non-flag input cannot slip through and silently lose
+    faces.  ``nested_set_faces`` with ``is_flag`` is the test oracle for
+    both the graph and this verdict.
     """
-    fc = nested_set_faces(b)
-    if not is_flag(fc):
-        raise ValueError("nested sets are not the cliques of their 1-skeleton: building set is not flag")
-    return fc.one_skeleton()
+    if not b.is_connected():
+        raise ValueError("nested set complex needs a connected building set")
+    bit = {x: 1 << i for i, x in enumerate(sorted(set().union(*b.elements)))}
+    mask = {e: sum(bit[x] for x in e) for e in b.elements}
+    members = set(mask.values())
+    for u in members:
+        parts = [p for p in members if p & u == p and p != u]
+        if _has_compatible_partition(u, parts, members):
+            raise ValueError("nested sets are not the cliques of their 1-skeleton: building set is not flag")
+    verts = sorted(b.elements - {b.ground}, key=_skey)
+    edges = []
+    for x, y in combinations(verts, 2):
+        mx, my = mask[x], mask[y]
+        common = mx & my
+        if common == mx or common == my or (not common and (mx | my) not in members):
+            edges.append((x, y))
+    return FlagComplex(verts, edges)
 
 
 def _decomposition_children(decomposition: frozenset[Subset], target: Subset) -> tuple[Subset, Subset]:
@@ -435,15 +486,17 @@ def verify_ordering_equivalence(o: FlagOrdering) -> dict:
         {e: ids[e] for e in b.elements - {b.ground}}
     )
 
+    # U_j and V_j hold only indices below j, so they are the neighbours of
+    # j below j in the ordering's gamma complex
     gc_seq = gamma_complex(seq)
+    gc_ord = gamma_complex_of_ordering(o)
     uv_match = True
     for j, step in enumerate(seq.steps, start=1):
         w = step.new_vertex
         frozen_k = {seq.w_index(x) for x in gc_seq.neighbors(w) if x < w}
-        if frozen_k != set(u_set(o, j)) | set(v_set(o, j)):
+        if frozen_k != {i for i in gc_ord.neighbors(j) if i < j}:
             uv_match = False
 
-    gc_ord = gamma_complex_of_ordering(o)
     isomorphic = is_isomorphic_under(
         gc_seq, gc_ord, {seq.w_id(j): j for j in range(1, seq.k + 1)}
     )

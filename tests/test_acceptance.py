@@ -7,9 +7,10 @@ exact integer equality; there are no numeric tolerances anywhere.
 Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
-subdivision sequence and the time of one complex at d=12 with 13.9M
-faces, so a return to per-step rebuilding of the graph, to keeping a
-copy of every step's state, or to counting faces one by one, fails here.
+subdivision sequence, the time of one complex at d=12 with 13.9M faces,
+and the time of the bridge on the power set n=8, so a return to per-step
+rebuilding of the graph, to keeping a copy of every step's state, to
+counting faces one by one, or to enumerating every nested set, fails here.
 """
 
 import time
@@ -249,6 +250,22 @@ def test_scale_guard_wide_d():
         time.perf_counter() - start,
         10.0,
         f"f_gamma={report['f_gamma']}, gamma_theta={report['gamma_theta']}",
+    )
+
+
+def test_scale_guard_power_set_bridge():
+    # the nested-set complex is read off the compatibility graph; built
+    # from every nested set, this took about 19 s
+    start = time.perf_counter()
+    report = verify_ordering_equivalence(find_flag_ordering(power_set_building_set(8)))
+    _GAMMAS.append(report["gamma_theta"])
+    ok = report["equal"] and report["isomorphic"] and report["uv_match"] and report["bridge"]
+    _report(
+        "scale guard (ordering/sequence bridge on the power set, n=8)",
+        ok and report["gamma_theta"] == [1, 240, 3072, 3968],
+        time.perf_counter() - start,
+        10.0,
+        f"gamma_theta={report['gamma_theta']}, f_gamma={report['f_gamma']}",
     )
 
 

@@ -229,6 +229,18 @@ class TestNestohedron:
         _, out2, _ = run(capsys, "nestohedron", path, "--seed", "3")
         assert out == out2
 
+    def test_seed_with_an_ordering_file_rejected(self, capsys, tmp_path):
+        bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
+        ordering = write(
+            tmp_path,
+            "ordering.json",
+            {"decomposition": [[1], [2], [3], [1, 2], [1, 2, 3]], "order": [[2, 3]]},
+        )
+        code, out, err = run(capsys, "nestohedron", bs, ordering, "--seed", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed applies only when no ordering is given\n"
+
 
 class TestGamma:
     def test_facet_file(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Complex representations: constructors, links, joins, subdivision, oracle twin."""
 
+import gc
 import json
 from collections import Counter
 from itertools import combinations
@@ -125,6 +126,18 @@ class TestCliqueCount:
         assert counts == brute_force_face_counts(c)
         renamed = c.relabel({v: i for i, v in enumerate(vs)})
         assert dict(renamed.clique_count_by_size()) == counts
+
+    def test_leaves_no_reference_cycle(self):
+        # garbage left for the cyclic collector would hold the memo until
+        # the collector happens to run
+        c = random_sequence(10, 16, 100).final
+        gc.collect()
+        gc.disable()
+        try:
+            c.clique_count_by_size()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_pinned_counts_at_d12_k30(self):
         # the final complex has 13.9M cliques; these counts were taken

@@ -1,6 +1,13 @@
 """Building sets, flag orderings, nested-set complexes, and the sequence bridge."""
 
+from collections import Counter
+from itertools import combinations, permutations
+from math import comb
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammacomplex import (
     BuildingSet,
@@ -23,6 +30,8 @@ from gammacomplex import (
     validate_ordering,
     verify_ordering_equivalence,
 )
+from gammacomplex import nestohedra
+from gammacomplex.complexes import is_flag
 from gammacomplex.nestohedra import nested_set_faces
 from gammacomplex.polynomials import f_from_counts
 
@@ -32,6 +41,39 @@ def fs(*items):
 
 
 LEX_GREEDY_D3 = fs([1], [2], [3], [1, 2], [1, 2, 3])
+
+
+def union_closure_building_set(n, rng):
+    """Connected building set, flag or not: the singletons, the ground set
+    and a few random subsets, closed under unions of intersecting members."""
+    ground = frozenset(range(1, n + 1))
+    elements = {frozenset((i,)) for i in ground} | {ground}
+    subsets = [frozenset(c) for r in range(2, n) for c in combinations(sorted(ground), r)]
+    elements |= set(rng.sample(subsets, min(rng.randint(0, 8), len(subsets))))
+    grown = True
+    while grown:
+        grown = False
+        for x, y in combinations(list(elements), 2):
+            if x & y and (x | y) not in elements:
+                elements.add(x | y)
+                grown = True
+    return BuildingSet(n, frozenset(elements))
+
+
+def associahedron_gamma(n):
+    """gamma_i = C(n-1, 2i) * Catalan(i) (Postnikov-Reiner-Williams)."""
+    return [comb(n - 1, 2 * i) * comb(2 * i, i) // (i + 1) for i in range((n - 1) // 2 + 1)]
+
+
+def permutohedron_gamma(n):
+    """gamma_i counts the permutations of [n] with i descents, no double
+    descent and no final descent (Postnikov-Reiner-Williams)."""
+    counts = Counter()
+    for w in permutations(range(n)):
+        descents = {i for i in range(n - 1) if w[i] > w[i + 1]}
+        if n - 2 not in descents and not any(i + 1 in descents for i in descents):
+            counts[len(descents)] += 1
+    return [counts[i] for i in range(max(counts) + 1)]
 
 
 class TestValidation:
@@ -207,14 +249,41 @@ class TestNestedSetComplex:
             assert is_isomorphic_under(nested_set_complex(b), cross_polytope(n - 1), ids)
 
     def test_faces_are_the_cliques_for_flag_inputs(self):
-        from gammacomplex.complexes import is_flag
-
         for b in (power_set_building_set(4), interval_building_set(4)):
             assert is_flag(nested_set_faces(b))
 
     def test_non_flag_input_rejected(self):
         with pytest.raises(ValueError):
             nested_set_complex(BuildingSet.of(3, [[1], [2], [3], [1, 2, 3]]))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_explicit_face_set(self, seed):
+        # the flag check and the graph against the enumerated nested sets
+        rng = Random(seed)
+        b = union_closure_building_set(rng.randint(2, 6), rng)
+        faces = nested_set_faces(b)
+        if is_flag(faces):
+            assert nested_set_complex(b) == faces.one_skeleton()
+        else:
+            with pytest.raises(ValueError, match="not flag"):
+                nested_set_complex(b)
+
+    def test_disconnected_input_rejected(self):
+        b = BuildingSet.of(3, [[1], [2], [3], [1, 2]])
+        with pytest.raises(ValueError, match="connected"):
+            nested_set_faces(b)
+        with pytest.raises(ValueError, match="connected"):
+            nested_set_complex(b)
+
+    def test_enumerates_no_nested_sets(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("nested sets enumerated")
+
+        monkeypatch.setattr(nestohedra, "nested_set_faces", forbidden)
+        monkeypatch.setattr(nestohedra, "FaceComplex", forbidden)
+        c = nested_set_complex(power_set_building_set(4))
+        assert len(c.vertices) == 14
 
 
 class TestBridge:
@@ -276,6 +345,29 @@ class TestBridge:
         validate_ordering(o1)
         report = verify_ordering_equivalence(o1)
         assert report["equal"] and report["isomorphic"]
+
+
+class TestClosedForms:
+    """Bridge gamma vectors against counts that share no code with it."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_associahedra(self, n):
+        report = verify_ordering_equivalence(find_flag_ordering(interval_building_set(n)))
+        assert report["equal"] and report["isomorphic"], report
+        assert report["uv_match"] and report["bridge"], report
+        assert report["gamma_theta"] == associahedron_gamma(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_permutohedra(self, n):
+        report = verify_ordering_equivalence(find_flag_ordering(power_set_building_set(n)))
+        assert report["equal"] and report["isomorphic"], report
+        assert report["uv_match"] and report["bridge"], report
+        assert report["gamma_theta"] == permutohedron_gamma(n)
+
+    def test_closed_forms_at_small_n(self):
+        assert associahedron_gamma(6) == [1, 10, 10]
+        assert permutohedron_gamma(3) == [1, 2]
+        assert permutohedron_gamma(5) == [1, 22, 16]
 
 
 class TestRandomBuildingSets:
