@@ -41,9 +41,9 @@ __all__ = [
 def increment_identity_failures(seq: SubdivisionSequence) -> list[str]:
     """gamma(step j) - gamma(step j-1) == t * gamma(link of the subdivided edge)."""
     failures = []
+    after = gamma_of(seq.prefix(0).final, seq.d).gamma
     for j, step in enumerate(seq.steps, start=1):
-        before = gamma_of(seq.prefix(j - 1).final, seq.d).gamma
-        after = gamma_of(seq.prefix(j).final, seq.d).gamma
+        before, after = after, gamma_of(seq.prefix(j).final, seq.d).gamma
         lk = gamma_of(link(seq.prefix(j - 1).final, step.edge), seq.d - 2).gamma
         if after - before != lk.shift(1):
             failures.append(

@@ -84,9 +84,8 @@ class FlagComplex:
 
     def is_face(self, face: Iterable[Vertex]) -> bool:
         fs = frozenset(face)
-        if not fs <= self.vertices:
-            return False
-        return all(b in self._adj[a] for a, b in combinations(fs, 2))
+        adj = self._adj
+        return adj.keys() >= fs and all(b in adj[a] for a, b in combinations(fs, 2))
 
     def common_neighbors(self, face: Iterable[Vertex]) -> frozenset:
         fs = frozenset(face)

@@ -7,13 +7,14 @@ members.  Adding the members outside a binary decomposition one at a
 time, with every prefix again a flag building set, corresponds step for
 step to subdividing edges of the dual nested-set complex, and
 ``ordering_to_sequence`` realizes that correspondence on canonical
-cross-polytope ids.  ``verify_ordering_equivalence`` checks that the
-sequence ends at the building set's nested-set complex, and that the
-gamma complex of the sequence and the one read directly off the
-ordering's U/V-sets agree, vertex for vertex.  ``nested_set_complex``
-builds the nested-set complex from the compatibility graph of the
-members on int bitmasks, without enumerating nested sets;
-``nested_set_faces`` enumerates them and is its test oracle.
+cross-polytope ids.  Finding an ordering, reading its U/V-sets and
+translating it are each forward passes over one growing family.
+``verify_ordering_equivalence`` checks that the sequence ends at the
+building set's nested-set complex, and that the gamma complex of the
+sequence and the one read off the U/V-sets agree, vertex for vertex.
+``nested_set_complex`` builds the nested-set complex from the
+compatibility graph of the members on int bitmasks, without enumerating
+nested sets; ``nested_set_faces`` enumerates them and is its oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from .complexes import (
     FaceComplex,
@@ -66,6 +67,10 @@ def _skey(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
+def _json_members(rows) -> list[Subset]:
+    return [frozenset(json_int(x, "member id") for x in row) for row in rows]
+
+
 @dataclass(frozen=True)
 class BuildingSet:
     """Family of nonempty subsets of the ground set {1, ..., n}."""
@@ -92,7 +97,7 @@ class BuildingSet:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BuildingSet":
-        return cls.of(json_int(obj["n"], "n"), obj["elements"])
+        return cls(json_int(obj["n"], "n"), frozenset(_json_members(obj["elements"])))
 
     @classmethod
     def from_json(cls, text: str) -> "BuildingSet":
@@ -113,18 +118,13 @@ def validate_building_set(b: BuildingSet) -> bool:
     )
 
 
-def _splits(target: Subset, elements: frozenset[Subset]) -> list[tuple[Subset, Subset]]:
-    """Unordered two-part splits of ``target`` inside ``elements``, each listed once."""
-    out = []
-    seen = set()
-    for part in elements:
-        if part < target and (target - part) in elements:
-            pair = frozenset((part, target - part))
-            if pair not in seen:
-                seen.add(pair)
-                small, big = sorted(pair, key=_skey)
-                out.append((small, big))
-    return out
+def _splits(target: Subset, elements: Collection[Subset]) -> list[tuple[Subset, Subset]]:
+    """Two-part splits (small, big) of ``target`` inside ``elements``, each listed once."""
+    return [
+        (part, target - part)
+        for part in elements
+        if part < target and (target - part) in elements and _skey(part) < _skey(target - part)
+    ]
 
 
 def is_flag_building_set(b: BuildingSet) -> bool:
@@ -197,8 +197,8 @@ class FlagOrdering:
     def from_json_obj(cls, b: BuildingSet, obj) -> "FlagOrdering":
         return cls(
             building_set=b,
-            decomposition=frozenset(frozenset(e) for e in obj["decomposition"]),
-            order=tuple(frozenset(e) for e in obj["order"]),
+            decomposition=frozenset(_json_members(obj["decomposition"])),
+            order=tuple(_json_members(obj["order"])),
         )
 
 
@@ -220,29 +220,36 @@ def find_flag_ordering(
 ) -> FlagOrdering:
     """Order the members outside the decomposition with every prefix flag.
 
-    Candidates are tried smallest first (or shuffled when ``rng`` is given)
-    with full backtracking; exhaustion means the input was not a connected
-    flag building set to begin with.
+    One forward pass: each step appends the first remaining member, taken
+    smallest first (or in a fresh shuffle per step when ``rng`` is given),
+    that passes ``_can_append``.  No step needs undoing.  Lemma: let B be a
+    flag building set, D a binary decomposition of B (it holds every
+    singleton; ``find_decomposition`` returns one), and C a flag building
+    set with D ⊆ C ⊊ B; then some X in B - C passes ``_can_append(C, X)``.
+    Proof sketch: (1) an inclusion-minimal X in B - C splits inside C, as
+    B is flag; (2) if X = A ⊔ A' fails the union condition against some Y
+    in C, then X ∪ Y is in B - C; (3) Y meets just one of A and A', say A,
+    else C would hold (A ∪ Y) ∪ (A' ∪ Y) = X ∪ Y, so X ∪ Y splits inside
+    C as (A ∪ Y) ⊔ A'; (4) members grow strictly, so repeating (2) and (3)
+    ends at a member that passes.  So this returns the order a backtracking
+    search over the same candidates would.  For a decomposition outside
+    these hypotheses, a dead end raises the same ``ValueError`` as an input
+    that is not a connected flag building set.
     """
     decomposition = decomposition if decomposition is not None else find_decomposition(b)
-    remaining = sorted(b.elements - decomposition, key=_skey)
-
-    def search(current: set[Subset], left: list[Subset]) -> list[Subset] | None:
-        if not left:
-            return []
+    current = set(decomposition)
+    left = sorted(b.elements - decomposition, key=_skey)
+    order = []
+    while left:
         candidates = list(left)
         if rng is not None:
             rng.shuffle(candidates)
-        for cand in candidates:
-            if _can_append(current, cand):
-                rest = search(current | {cand}, [x for x in left if x != cand])
-                if rest is not None:
-                    return [cand] + rest
-        return None
-
-    order = search(set(decomposition), remaining)
-    if order is None:
-        raise ValueError("no flag ordering exists: input is not a connected flag building set")
+        member = next((x for x in candidates if _can_append(current, x)), None)
+        if member is None:
+            raise ValueError("no flag ordering exists: input is not a connected flag building set")
+        current.add(member)
+        left.remove(member)
+        order.append(member)
     return FlagOrdering(building_set=b, decomposition=decomposition, order=tuple(order))
 
 
@@ -263,48 +270,44 @@ def validate_ordering(o: FlagOrdering) -> None:
         family.add(member)
 
 
+def _uv_sets(o: FlagOrdering, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """U_j and V_j in one pass over the family as it grows towards I_j: the
+    residues x - I_j of the family so far make the U test a set lookup, and
+    its members strictly inside I_j serve the V test."""
+    if not 1 <= j <= o.k:
+        raise ValueError(f"ordering index {j} out of range 1..{o.k}")
+    ij = o.order[j - 1]
+    residues = {x - ij for x in o.decomposition}
+    inside = [x for x in o.decomposition if x < ij]
+    u, v = [], []
+    for i, ii in enumerate(o.order[: j - 1], start=1):
+        if not ii <= ij and ii - ij not in residues:
+            u.append(i)
+        if ii < ij:
+            if any(ii < x for x in inside):
+                v.append(i)
+            inside.append(ii)
+        residues.add(ii - ij)
+    return tuple(u), tuple(v)
+
+
 def u_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
     """Earlier indices whose member leaves a residue no earlier member matched.
 
     i < j qualifies when I_i is not inside I_j and no member of the family
     before I_i has the same difference with I_j as I_i does.
     """
-    if not 1 <= j <= o.k:
-        raise ValueError(f"ordering index {j} out of range 1..{o.k}")
-    ij = o.order[j - 1]
-    out = []
-    for i in range(1, j):
-        ii = o.order[i - 1]
-        if ii <= ij:
-            continue
-        family = o.prefix_elements(i - 1)
-        if not any(x - ij == ii - ij for x in family):
-            out.append(i)
-    return tuple(out)
+    return _uv_sets(o, j)[0]
 
 
 def v_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
     """Earlier indices i with I_i strictly sandwiched inside I_j by a yet earlier member."""
-    if not 1 <= j <= o.k:
-        raise ValueError(f"ordering index {j} out of range 1..{o.k}")
-    ij = o.order[j - 1]
-    out = []
-    for i in range(1, j):
-        ii = o.order[i - 1]
-        if not ii <= ij:
-            continue
-        family = o.prefix_elements(i - 1)
-        if any(ii < x < ij for x in family):
-            out.append(i)
-    return tuple(out)
+    return _uv_sets(o, j)[1]
 
 
 def gamma_complex_of_ordering(o: FlagOrdering) -> FlagComplex:
     """Graph on vertex indices 1..k; i ~ j exactly when i is in U_j or V_j."""
-    edges = []
-    for j in range(1, o.k + 1):
-        for i in set(u_set(o, j)) | set(v_set(o, j)):
-            edges.append((i, j))
+    edges = [(i, j) for j in range(1, o.k + 1) for uv in _uv_sets(o, j) for i in uv]
     return FlagComplex(range(1, o.k + 1), edges)
 
 
@@ -411,21 +414,15 @@ def nested_set_complex(b: BuildingSet) -> FlagComplex:
     return FlagComplex(verts, edges)
 
 
-def _decomposition_children(decomposition: frozenset[Subset], target: Subset) -> tuple[Subset, Subset]:
-    for part in decomposition:
-        if part < target and (target - part) in decomposition:
-            small, big = sorted((part, target - part), key=_skey)
-            return small, big
-    raise ValueError(f"{sorted(target)} has no split inside the decomposition")
-
-
 def sibling_pairs(decomposition: frozenset[Subset]) -> list[tuple[Subset, Subset]]:
     """Child pairs of the decomposition tree, ordered by their union's (size, lex)."""
-    pairs = [
-        _decomposition_children(decomposition, t)
-        for t in decomposition
-        if len(t) > 1
-    ]
+    pairs = []
+    for t in decomposition:
+        if len(t) > 1:
+            options = _splits(t, decomposition)
+            if not options:
+                raise ValueError(f"{sorted(t)} has no split inside the decomposition")
+            pairs.append(options[0])
     return sorted(pairs, key=lambda p: _skey(p[0] | p[1]))
 
 
@@ -457,8 +454,9 @@ def ordering_to_sequence(o: FlagOrdering) -> tuple[SubdivisionSequence, dict[Sub
     if start != cross_polytope(d):
         raise RuntimeError("internal inconsistency: decomposition complex is not a cross polytope")
     seq = new_sequence(d)
-    for j, member in enumerate(o.order, start=1):
-        options = _splits(member, o.prefix_elements(j - 1))
+    for member in o.order:
+        # ids holds every member of the prefix but the ground set, which no split uses
+        options = _splits(member, ids)
         if len(options) != 1:
             raise ValueError(
                 f"member {sorted(member)} has {len(options)} two-part splits "

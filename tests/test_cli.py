@@ -195,6 +195,28 @@ class TestNestohedron:
         assert code == 2
         assert "n must be an integer" in err
 
+    @pytest.mark.parametrize("member_id", [True, 1.0])
+    def test_non_integer_member_id_rejected(self, capsys, tmp_path, member_id):
+        # true and 1.0 would otherwise be read as element 1
+        elements = [[member_id], [2], [3], [member_id, 2], [1, 2, 3]]
+        path = write(tmp_path, "bs.json", {"n": 3, "elements": elements})
+        code, out, err = run(capsys, "nestohedron", path)
+        assert code == 2
+        assert out == ""
+        assert "member id must be an integer" in err
+
+    def test_boolean_member_id_in_ordering_file_rejected(self, capsys, tmp_path):
+        bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
+        ordering = write(
+            tmp_path,
+            "ordering.json",
+            {"decomposition": [[True], [2], [3], [1, 2], [1, 2, 3]], "order": [[2, 3]]},
+        )
+        code, out, err = run(capsys, "nestohedron", bs, ordering)
+        assert code == 2
+        assert out == ""
+        assert "member id must be an integer, got true" in err
+
     def test_invalid_building_set_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [1, 2]]})
         code, _, err = run(capsys, "nestohedron", path)

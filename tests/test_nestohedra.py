@@ -1,5 +1,7 @@
 """Building sets, flag orderings, nested-set complexes, and the sequence bridge."""
 
+import inspect
+import sys
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb
@@ -31,8 +33,8 @@ from gammacomplex import (
     verify_ordering_equivalence,
 )
 from gammacomplex import nestohedra
-from gammacomplex.complexes import is_flag
-from gammacomplex.nestohedra import nested_set_faces
+from gammacomplex.complexes import FlagComplex, is_flag
+from gammacomplex.nestohedra import decomposition_vertex_ids, nested_set_faces
 from gammacomplex.polynomials import f_from_counts
 
 
@@ -58,6 +60,98 @@ def union_closure_building_set(n, rng):
                 elements.add(x | y)
                 grown = True
     return BuildingSet(n, frozenset(elements))
+
+
+def graphical_building_set(n, edges):
+    """The connected vertex subsets of the graph on [n] with these edges."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def connected(s):
+        seen, stack = set(), [min(s)]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] & s)
+        return seen == s
+
+    subsets = (frozenset(c) for r in range(1, n + 1) for c in combinations(range(1, n + 1), r))
+    return BuildingSet(n, frozenset(s for s in subsets if connected(s)))
+
+
+def random_connected_graph(n, rng):
+    """A random spanning tree on [n] plus a few random extra edges."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    edges |= set(rng.sample(list(combinations(range(1, n + 1), 2)), rng.randint(0, n)))
+    return sorted(edges)
+
+
+def ordering_oracle_inputs():
+    """Power sets, intervals, random flag building sets and graphical ones
+    (cycles, stars, random connected graphs), all with n <= 6."""
+    sets = [power_set_building_set(n) for n in range(2, 7)]
+    sets += [interval_building_set(n) for n in range(2, 7)]
+    sets += [random_flag_building_set(n, seed) for n in range(3, 7) for seed in range(6)]
+    for n in range(3, 7):
+        path = [(v, v + 1) for v in range(1, n)]
+        sets += [
+            graphical_building_set(n, path + [(1, n)]),
+            graphical_building_set(n, [(1, v) for v in range(2, n + 1)]),
+        ]
+    rng = Random(11)
+    sets += [graphical_building_set(n, random_connected_graph(n, rng)) for n in (4, 5, 6) for _ in range(4)]
+    return sets
+
+
+def backtracking_flag_ordering(b, decomposition, rng):
+    """Order the members outside the decomposition by a full backtracking
+    search, candidates smallest first or shuffled per level by ``rng``."""
+
+    def search(current, left):
+        if not left:
+            return []
+        candidates = list(left)
+        if rng is not None:
+            rng.shuffle(candidates)
+        for cand in candidates:
+            if nestohedra._can_append(current, cand):
+                rest = search(current | {cand}, [x for x in left if x != cand])
+                if rest is not None:
+                    return [cand] + rest
+        return None
+
+    return search(set(decomposition), sorted(b.elements - decomposition, key=nestohedra._skey))
+
+
+def prefix_u_set(o, j):
+    """U_j with the prefix family rebuilt for every earlier index."""
+    ij = o.order[j - 1]
+    out = []
+    for i in range(1, j):
+        ii = o.order[i - 1]
+        if ii <= ij:
+            continue
+        family = o.prefix_elements(i - 1)
+        if not any(x - ij == ii - ij for x in family):
+            out.append(i)
+    return tuple(out)
+
+
+def prefix_v_set(o, j):
+    """V_j with the prefix family rebuilt for every earlier index."""
+    ij = o.order[j - 1]
+    out = []
+    for i in range(1, j):
+        ii = o.order[i - 1]
+        if not ii <= ij:
+            continue
+        family = o.prefix_elements(i - 1)
+        if any(ii < x < ij for x in family):
+            out.append(i)
+    return tuple(out)
 
 
 def associahedron_gamma(n):
@@ -151,6 +245,38 @@ class TestFindFlagOrdering:
         o = find_flag_ordering(power_set_building_set(4))
         validate_ordering(o)
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_matches_the_backtracking_search(self, seed):
+        for b in ordering_oracle_inputs():
+            dec = find_decomposition(b)
+            o = find_flag_ordering(b, dec, None if seed is None else Random(seed))
+            expected = backtracking_flag_ordering(b, dec, None if seed is None else Random(seed))
+            assert o.order == tuple(expected)
+            validate_ordering(o)
+
+    def test_graphical_building_sets_are_flag(self):
+        assert graphical_building_set(3, [(1, 2), (2, 3)]).elements == interval_building_set(3).elements
+        assert graphical_building_set(4, combinations(range(1, 5), 2)) == power_set_building_set(4)
+        for b in ordering_oracle_inputs():
+            assert validate_building_set(b) and b.is_connected() and is_flag_building_set(b)
+
+    def test_no_recursion_per_member(self):
+        # the ordering has 190 members; the stack allows 60 more frames
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            o = find_flag_ordering(interval_building_set(21))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert o.k == 190
+
+    def test_member_with_no_split_raises(self):
+        dec = fs([1], [2], [3], [4], [5], [1, 2], [3, 4, 5], [4, 5], [1, 2, 3, 4, 5])
+        b = BuildingSet(5, dec | fs([1, 3, 4], [1, 2, 3, 4], [1, 3, 4, 5]))
+        assert validate_building_set(b) and not is_flag_building_set(b)
+        with pytest.raises(ValueError, match="no flag ordering"):
+            find_flag_ordering(b, dec)
+
     def test_validate_ordering_rejects_bad_prefix(self):
         b = power_set_building_set(3)
         bad = FlagOrdering(
@@ -184,6 +310,17 @@ class TestUVSets:
         o = find_flag_ordering(power_set_building_set(3))
         with pytest.raises(ValueError):
             u_set(o, 3)
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_match_the_prefix_rebuilding_definitions(self, seed):
+        for b in ordering_oracle_inputs():
+            o = find_flag_ordering(b, rng=None if seed is None else Random(seed))
+            edges = []
+            for j in range(1, o.k + 1):
+                u, v = prefix_u_set(o, j), prefix_v_set(o, j)
+                assert (u_set(o, j), v_set(o, j)) == (u, v)
+                edges += [(i, j) for i in u + v]
+            assert gamma_complex_of_ordering(o) == FlagComplex(range(1, o.k + 1), edges)
 
     def n5_ordering(self):
         b = BuildingSet.of(
@@ -240,13 +377,15 @@ class TestNestedSetComplex:
         assert gamma_of(c, 2).gamma.to_list() == [1, 2]
 
     def test_binary_decompositions_give_cross_polytopes(self):
-        from gammacomplex.nestohedra import decomposition_vertex_ids
-
         for n in (2, 3, 4, 5):
             dec = find_decomposition(power_set_building_set(n))
             b = BuildingSet(n, dec)
             ids = decomposition_vertex_ids(dec)
             assert is_isomorphic_under(nested_set_complex(b), cross_polytope(n - 1), ids)
+
+    def test_member_with_no_split_in_the_decomposition_raises(self):
+        with pytest.raises(ValueError, match="no split"):
+            decomposition_vertex_ids(fs([1], [2], [3], [1, 2, 3]))
 
     def test_faces_are_the_cliques_for_flag_inputs(self):
         for b in (power_set_building_set(4), interval_building_set(4)):
