@@ -64,20 +64,28 @@ def build_example_sequence() -> SubdivisionSequence:
 
 
 class _Output:
+    """Report lines to stdout, or to a file that is truncated on creation.
+
+    Each line reaches the file as soon as it is emitted, so a run that ends
+    in an error leaves exactly the reports it finished, never stale ones.
+    """
+
     def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
+        self._handle = None if path is None else open(path, "w")
 
     def emit(self, line: str) -> None:
-        if self.path is None:
+        if self._handle is None:
             print(line)
         else:
-            self.lines.append(line)
+            self._handle.write(f"{line}\n")
+            self._handle.flush()
 
-    def close(self) -> None:
-        if self.path is not None:
-            with open(self.path, "w") as handle:
-                handle.write("".join(f"{line}\n" for line in self.lines))
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._handle is not None:
+            self._handle.close()
 
 
 def _dumps(obj) -> str:
@@ -252,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = _Output(getattr(args, "output", None))
     handlers = {
         "example": cmd_example,
         "verify": cmd_verify,
@@ -260,7 +267,8 @@ def main(argv=None) -> int:
         "gamma": cmd_gamma,
     }
     try:
-        code = handlers[args.command](args, out)
+        with _Output(getattr(args, "output", None)) as out:
+            return handlers[args.command](args, out)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_INPUT
@@ -271,8 +279,6 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
-    out.close()
-    return code
 
 
 def entrypoint() -> None:

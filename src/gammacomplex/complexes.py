@@ -113,6 +113,29 @@ class FlagComplex:
 
         yield from grow((), order)
 
+    def faces_with(self, start, step) -> Iterator[tuple[frozenset, object]]:
+        """Every clique in ``faces()`` order, each paired with a value folded along the walk.
+
+        The empty face carries ``start``; a clique F + v, where v comes after
+        every vertex of F, carries ``step(value of F, v)``.  Each value is
+        computed once, from the value of the clique it extends, so a running
+        intersection such as K(F + v) = K(F) & K(v) costs one step per face.
+        """
+        adj = self._adj
+        yield frozenset(), start
+
+        def grow(clique, value, candidates):
+            for i, v in enumerate(candidates):
+                cur = clique | {v}
+                val = step(value, v)
+                yield cur, val
+                nbrs = adj[v]
+                nxt = [u for u in candidates[i + 1 :] if u in nbrs]
+                if nxt:
+                    yield from grow(cur, val, nxt)
+
+        yield from grow(frozenset(), start, sorted(adj, key=_vkey))
+
     def clique_count_by_size(self) -> Counter:
         """Number of cliques of each size, without visiting the cliques one by one.
 

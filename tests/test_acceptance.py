@@ -8,9 +8,11 @@ Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
 subdivision sequence, the time of one complex at d=12 with 13.9M faces,
-and the time of the bridge on the power set n=8, so a return to per-step
-rebuilding of the graph, to keeping a copy of every step's state, to
-counting faces one by one, or to enumerating every nested set, fails here.
+the time of the bridge on the power set n=8, and the induced sequences
+that the deep suites build, so a return to per-step rebuilding of the
+graph, to keeping a copy of every step's state, to counting faces one by
+one, to enumerating every nested set, or to one face walk per deep suite,
+fails here.
 """
 
 import time
@@ -28,7 +30,9 @@ from gammacomplex import (
     verify_f_equals_gamma,
     verify_ordering_equivalence,
 )
+from gammacomplex import checks
 from gammacomplex.checks import (
+    deep_report,
     gamma_restriction_failures,
     k_rule_failures,
     link_recursion_failures,
@@ -266,6 +270,35 @@ def test_scale_guard_power_set_bridge():
         time.perf_counter() - start,
         10.0,
         f"gamma_theta={report['gamma_theta']}, f_gamma={report['f_gamma']}",
+    )
+
+
+def test_scale_guard_deep_suites(monkeypatch):
+    # a count, not a time: one induced sequence per face of the final
+    # complex, shared by the link, phi and restriction suites (one sweep
+    # per suite built three)
+    start = time.perf_counter()
+    built = []
+    real = checks.induced_sequence
+
+    def counting(seq, face):
+        built.append(face)
+        return real(seq, face)
+
+    monkeypatch.setattr(checks, "induced_sequence", counting)
+    seq = random_sequence(5, 8, 1)
+    faces = sum(seq.final.clique_count_by_size().values())
+    report = deep_report(seq)
+    monkeypatch.undo()
+    big_start = time.perf_counter()
+    big = deep_report(random_sequence(6, 20, 1))
+    big_s = time.perf_counter() - big_start
+    _report(
+        "scale guard (induced sequences built by the deep suites, d=5, k=8)",
+        all(report.values()) and all(big.values()) and len(built) == faces,
+        time.perf_counter() - start,
+        60.0,
+        f"{len(built)} induced sequences for {faces} faces; d=6, k=20 took {big_s:.2f}s",
     )
 
 

@@ -8,6 +8,29 @@ from gammacomplex import cli
 from gammacomplex.cli import main
 
 
+# ``verify --deep --random 4 6 1000 3``, captured from the one-sweep-per-suite
+# checks (``deep_report`` over the seven ``*_failures`` functions); the shared
+# clique walk must print the same bytes.
+DEEP_GOLDEN = {
+    "json": (
+        '{"d": 4, "equal": true, "f_gamma": [1, 6, 2], "gamma_restriction": true, "gamma_theta": [1, 6, 2], "increment_identity": true, "instance": '
+        '0, "k": 6, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1000, "w_recursion": true}\n'
+        '{"d": 4, "equal": true, "f_gamma": [1, 6, 2], "gamma_restriction": true, "gamma_theta": [1, 6, 2], "increment_identity": true, "instance": '
+        '1, "k": 6, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1001, "w_recursion": true}\n'
+        '{"d": 4, "equal": true, "f_gamma": [1, 6, 2], "gamma_restriction": true, "gamma_theta": [1, 6, 2], "increment_identity": true, "instance": '
+        '2, "k": 6, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1002, "w_recursion": true}\n'
+    ),
+    "table": (
+        'd=4  equal=True  f_gamma=[1, 6, 2]  gamma_restriction=True  gamma_theta=[1, 6, 2]  increment_identity=True  instance=0 '
+        ' k=6  k_recursion=True  link_recursion=True  oracle_equivalence=True  phi_image=True  seed=1000  w_recursion=True\n'
+        'd=4  equal=True  f_gamma=[1, 6, 2]  gamma_restriction=True  gamma_theta=[1, 6, 2]  increment_identity=True  instance=1 '
+        ' k=6  k_recursion=True  link_recursion=True  oracle_equivalence=True  phi_image=True  seed=1001  w_recursion=True\n'
+        'd=4  equal=True  f_gamma=[1, 6, 2]  gamma_restriction=True  gamma_theta=[1, 6, 2]  increment_identity=True  instance=2 '
+        ' k=6  k_recursion=True  link_recursion=True  oracle_equivalence=True  phi_image=True  seed=1002  w_recursion=True\n'
+    ),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -73,6 +96,12 @@ class TestVerify:
             ):
                 assert report[key] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_deep_sweep_bytes_are_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "verify", "--deep", "--random", "4", "6", "1000", "3", "--format", fmt)
+        assert code == 0
+        assert out == DEEP_GOLDEN[fmt]
+
     def test_invalid_step_names_the_step(self, capsys, tmp_path):
         path = write(tmp_path, "bad.json", {"d": 2, "steps": [{"edge": [0, 1]}]})
         code, _, err = run(capsys, "verify", path)
@@ -98,6 +127,32 @@ class TestVerify:
         assert out == ""
         lines = target.read_text().strip().splitlines()
         assert len(lines) == 4 and all(json.loads(line)["equal"] for line in lines)
+
+    def test_output_file_keeps_the_reports_finished_before_an_error(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "report.jsonl"
+        target.write_text("stale line from an earlier run\n" * 9)
+        real = cli.deep_report
+        calls = []
+
+        def failing_third(seq):
+            calls.append(seq)
+            if len(calls) == 3:
+                raise RuntimeError("internal inconsistency: injected")
+            return real(seq)
+
+        monkeypatch.setattr(cli, "deep_report", failing_third)
+        code, out, err = run(capsys, "verify", "--deep", "--random", "3", "3", "1", "5", "--output", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError")
+        lines = target.read_text().splitlines()
+        assert [json.loads(line)["seed"] for line in lines] == [1, 2]
+
+    def test_unwritable_output_is_invalid_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--random", "2", "2", "1", "1", "--output", str(tmp_path / "no" / "such.jsonl"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_rejected(self, capsys, trials):

@@ -152,6 +152,31 @@ class TestCliqueCount:
         ]
 
 
+class TestFacesWith:
+    """The folded walk visits ``faces()`` in its order and folds each value once."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_order_and_running_intersection(self, seed):
+        rng = Random(seed)
+        c = random_flag_graph(rng, max_vertices=9)
+        if rng.random() < 0.5:
+            c = random_sequence(2 + seed % 4, seed % 9, seed).final
+        walked = list(c.faces_with(None, lambda acc, v: c.neighbors(v) if acc is None else acc & c.neighbors(v)))
+        assert [fs for fs, _ in walked] == list(c.faces())
+        for fs, common in walked:
+            assert common == (None if not fs else c.common_neighbors(fs))
+
+    def test_each_value_extends_its_parent(self):
+        c = cross_polytope(3)
+        walked = dict(c.faces_with((), lambda acc, v: acc + (v,)))
+        assert len(walked) == 27
+        assert all(path == tuple(sorted(fs)) for fs, path in walked.items())
+
+    def test_empty_complex(self):
+        assert list(FlagComplex().faces_with("start", None)) == [(frozenset(), "start")]
+
+
 class TestLink:
     def test_edge_link_in_sigma3_is_four_cycle(self):
         c = cross_polytope(4)

@@ -27,11 +27,32 @@ from gammacomplex import (
     verify_f_equals_gamma,
     w_set,
 )
-from gammacomplex.checks import deep_report
-from gammacomplex.subdivision import k_set_at
+from gammacomplex.checks import (
+    deep_failures,
+    deep_report,
+    gamma_restriction_failures,
+    increment_identity_failures,
+    k_rule_failures,
+    link_recursion_failures,
+    oracle_failures,
+    phi_image_failures,
+    w_rule_failures,
+)
+from gammacomplex.subdivision import SubdivisionSequence, _link_seq, _LinkSeq, k_set_at
 from helpers import sequence_from_edges
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
+
+# The one-sweep-per-suite oracles behind ``deep_failures``, under its keys.
+SUITES = {
+    "increment_identity": increment_identity_failures,
+    "k_recursion": k_rule_failures,
+    "w_recursion": w_rule_failures,
+    "link_recursion": link_recursion_failures,
+    "phi_image": phi_image_failures,
+    "gamma_restriction": gamma_restriction_failures,
+    "oracle_equivalence": oracle_failures,
+}
 
 K_AFTER_STEP_1 = {0: [], 1: [], 2: [], 3: [], 4: [8], 5: [8], 6: [8], 7: [8], 8: []}
 K_AFTER_STEP_2 = {
@@ -345,3 +366,112 @@ class TestDeepChecks:
         seq = random_sequence(2 + seed % 4, 2 + seed % 4, seed)
         report = deep_report(seq)
         assert all(report.values()), report
+
+
+def pendant_at_the_start():
+    """prefix(0) gains a vertex hanging off +e1: gamma stays defined, the increment breaks."""
+    seq = sequence_from_edges(2, [(0, 2), (0, 4)])
+    start = seq.prefix(0)
+    start.final = FlagComplex(list(start.final.vertices) + [99], start.final.edges() + [(0, 99)])
+    return seq
+
+
+def k_entry_dropped():
+    """K(+e3) after step 1 should be {w1}."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq.prefix(1).k_table[4] = frozenset()
+    return seq
+
+
+def commuting_steps_reversed():
+    """The empty face's recipe replays the two disjoint subdivisions in the other order.
+
+    Its result is still the final complex, but W(empty face) becomes (w2, w1).
+    """
+    seq = sequence_from_edges(3, [(0, 2), (1, 3)])
+    steps = tuple((s.edge, s.new_vertex) for s in reversed(seq.steps))
+    seq._cache[(2, frozenset())] = _LinkSeq(((0, 1), (2, 3), (4, 5)), steps)
+    return seq
+
+
+def link_pair_dropped():
+    """The recipe of {w3} loses one antipodal pair, so its result is a proper part of the link."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    key = (3, frozenset({10}))
+    recipe = _link_seq(seq, *key)
+    seq._cache[key] = _LinkSeq(recipe.pairs[:-1], recipe.steps)
+    return seq
+
+
+def final_k_entry_moved():
+    """K(2) in the final table reads {w4} instead of {w1}; every |K(F)| keeps its size."""
+    seq = random_sequence(3, 4, 0)
+    table = dict(seq.k_table)
+    assert table[2] == frozenset({6})
+    table[2] = frozenset({9})
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+
+
+def gamma_edge_added():
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges | {(9, 10)})
+
+
+class TestDeepFailures:
+    """``deep_failures`` against the seven one-sweep suite functions."""
+
+    @staticmethod
+    def assert_same_as_the_suites(seq):
+        got = deep_failures(seq)
+        assert list(got) == list(SUITES) == list(deep_report(seq))
+        for name, suite in SUITES.items():
+            assert got[name] == suite(seq), name
+
+    @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_suites_on_random_sequences(self, d, k, seed):
+        self.assert_same_as_the_suites(random_sequence(d, k, seed))
+
+    def test_matches_the_suites_on_the_worked_example(self):
+        self.assert_same_as_the_suites(sequence_from_edges(4, EXAMPLE_STEPS))
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("increment_identity", pendant_at_the_start),
+            ("k_recursion", k_entry_dropped),
+            ("w_recursion", commuting_steps_reversed),
+            ("link_recursion", link_pair_dropped),
+            ("phi_image", final_k_entry_moved),
+            ("gamma_restriction", gamma_edge_added),
+            ("oracle_equivalence", pendant_at_the_start),
+        ],
+    )
+    def test_a_corrupted_sequence_fails_alike(self, name, corrupt):
+        seq = corrupt()
+        assert SUITES[name](seq)
+        self.assert_same_as_the_suites(seq)
+        assert deep_report(seq)[name] is False
+
+    def test_pinned_failure_strings(self):
+        assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
+            "step 1, face [4], class F4: K=[] expected [8]",
+            "step 1, face [4, 6], class F4: K=[] expected [8]",
+            "step 1, face [4, 7], class F4: K=[] expected [8]",
+            "step 2, face [4], class F1: K=[8] expected []",
+        ]
+        assert deep_failures(commuting_steps_reversed())["w_recursion"] == [
+            "step 2, face [], class F4: W=[7, 6] expected [6, 7]"
+        ]
+        assert deep_failures(link_pair_dropped())["link_recursion"] == [
+            "face [10]: induced result differs from link"
+        ]
+        assert deep_failures(final_k_entry_moved())["phi_image"] == [
+            "F=[], G=[2]: phi image [9] != link K-set [6]"
+        ]
+        assert deep_failures(gamma_edge_added())["gamma_restriction"] == [
+            f"face {face}: restricted gamma complex mismatch" for face in ([], [3], [8])
+        ]
+        assert deep_failures(pendant_at_the_start())["increment_identity"] == [
+            "step 1: gamma increment [] != t*[1]"
+        ]
