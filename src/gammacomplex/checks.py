@@ -34,8 +34,8 @@ from .subdivision import (
     induced_sequence,
     k_set,
     phi,
+    _link_seq,
     w_set_at,
-    w_set_unchecked,
 )
 
 __all__ = [
@@ -207,7 +207,7 @@ def _case_rule_failures(seq, j, k_failures, w_failures):
             expected = prev + (w,)
         else:
             expected = prev
-        actual = w_set_unchecked(seq, j, fs)
+        actual = tuple(w for _, w in _link_seq(seq, j, fs).steps)
         if actual != expected:
             w_failures.append(
                 f"step {j}, face {sorted(fs)}, class {cls.value}: "

@@ -64,21 +64,27 @@ def build_example_sequence() -> SubdivisionSequence:
 
 
 class _Output:
-    """Report lines to stdout, or to a file that is truncated on creation.
+    """Report lines to stdout, or to a file opened at the first line.
 
-    Each line reaches the file as soon as it is emitted, so a run that ends
-    in an error leaves exactly the reports it finished, never stale ones.
+    Every handler reads all its inputs before its first line, so the file
+    may be one of them, and a run that fails before its first line leaves
+    the file as it was.  From then on each line reaches the file as soon as
+    it is emitted: a run that ends in an error leaves exactly the reports it
+    finished, never stale ones.
     """
 
     def __init__(self, path: str | None):
-        self._handle = None if path is None else open(path, "w")
+        self.path = path
+        self._handle = None
 
     def emit(self, line: str) -> None:
-        if self._handle is None:
+        if self.path is None:
             print(line)
-        else:
-            self._handle.write(f"{line}\n")
-            self._handle.flush()
+            return
+        if self._handle is None:
+            self._handle = open(self.path, "w")
+        self._handle.write(f"{line}\n")
+        self._handle.flush()
 
     def __enter__(self) -> "_Output":
         return self

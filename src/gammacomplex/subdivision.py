@@ -40,7 +40,6 @@ __all__ = [
     "classify_at",
     "induced_sequence",
     "w_set",
-    "w_set_unchecked",
     "phi",
     "gamma_complex",
     "verify_f_equals_gamma",
@@ -381,15 +380,6 @@ def w_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int
     fs = frozenset(face)
     if not seq.prefix(j).final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
-    return w_set_unchecked(seq, j, fs)
-
-
-def w_set_unchecked(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> tuple[int, ...]:
-    """W of a face of ``prefix(j).final``, in creation order.
-
-    Unchecked: ``fs`` must be a face of ``prefix(j).final``; ``w_set_at`` is
-    the validating form.
-    """
     return tuple(w for _, w in _link_seq(seq, j, fs).steps)
 
 

@@ -148,6 +148,22 @@ class TestVerify:
         lines = target.read_text().splitlines()
         assert [json.loads(line)["seed"] for line in lines] == [1, 2]
 
+    def test_output_file_may_be_the_input_file(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": [0, 2]}, {"edge": [4, 6]}, {"edge": [0, 9]}]})
+        code, out, err = run(capsys, "verify", path, "--output", path)
+        assert (code, out, err) == (0, "", "")
+        report = json.loads(open(path).read())
+        assert report["f_gamma"] == [1, 3, 1] and report["gamma_theta"] == [1, 3, 1]
+
+    def test_run_failing_before_its_first_report_leaves_the_output_file(self, capsys, tmp_path):
+        target = tmp_path / "report.jsonl"
+        target.write_text("report of an earlier run\n")
+        code, out, err = run(capsys, "verify", str(tmp_path / "typo.json"), "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert target.read_text() == "report of an earlier run\n"
+
     def test_unwritable_output_is_invalid_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--random", "2", "2", "1", "1", "--output", str(tmp_path / "no" / "such.jsonl"))
         assert code == 2
@@ -288,6 +304,17 @@ class TestNestohedron:
         assert code == 0
         assert json.loads(out)["isomorphic"] is True
 
+    def test_output_file_may_be_the_ordering_file(self, capsys, tmp_path):
+        bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
+        ordering = write(
+            tmp_path,
+            "ordering.json",
+            {"decomposition": [[1], [2], [3], [1, 2], [1, 2, 3]], "order": [[2, 3]]},
+        )
+        code, out, err = run(capsys, "nestohedron", bs, ordering, "--output", ordering)
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(open(ordering).read())["isomorphic"] is True
+
     def test_bad_ordering_file_rejected(self, capsys, tmp_path):
         bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
         ordering = write(
@@ -366,6 +393,12 @@ class TestGamma:
         code, out, _ = run(capsys, "gamma", path)
         assert code == 0
         assert json.loads(out)["gamma"] == [1, 1]
+
+    def test_output_file_may_be_the_input_file(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": [0, 2]}]})
+        code, out, err = run(capsys, "gamma", path, "--output", path)
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(open(path).read())["gamma"] == [1, 1]
 
     def test_asymmetric_h_names_the_symmetry(self, capsys, tmp_path):
         path = write(tmp_path, "triangle.json", {"vertices": [1, 2, 3], "facets": [[1, 2, 3]]})
