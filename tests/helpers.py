@@ -9,7 +9,14 @@ plain polynomial arithmetic.
 from itertools import combinations, permutations
 from random import Random
 
-from gammacomplex import FlagComplex, IntPolynomial, extend, new_sequence
+from gammacomplex import (
+    FlagComplex,
+    IntPolynomial,
+    SubdivisionSequence,
+    extend,
+    new_sequence,
+    random_sequence,
+)
 
 
 def brute_force_face_counts(c: FlagComplex) -> dict[int, int]:
@@ -63,3 +70,12 @@ def all_bijections(src, dst):
     src = sorted(src)
     for perm in permutations(sorted(dst, key=repr)):
         yield dict(zip(src, perm))
+
+
+def final_k_entry_moved():
+    """K(2) in the final table reads {w4} instead of {w1}; every |K(F)| keeps its size."""
+    seq = random_sequence(3, 4, 0)
+    table = dict(seq.k_table)
+    assert table[2] == frozenset({6})
+    table[2] = frozenset({9})
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)

@@ -30,6 +30,17 @@ DEEP_GOLDEN = {
     ),
 }
 
+# ``verify --deep --random 5 8 1 2``, captured before the phi image was
+# checked on single link vertices and before the case rules and the face-set
+# suite stopped re-validating: 783 faces in the first final complex, so the
+# singleton path carries real weight here.
+DEEP_GOLDEN_D5 = (
+    '{"d": 5, "equal": true, "f_gamma": [1, 8, 9], "gamma_restriction": true, "gamma_theta": [1, 8, 9], "increment_identity": true, "instance": 0'
+    ', "k": 8, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1, "w_recursion": true}\n'
+    '{"d": 5, "equal": true, "f_gamma": [1, 8, 6], "gamma_restriction": true, "gamma_theta": [1, 8, 6], "increment_identity": true, "instance": 1'
+    ', "k": 8, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 2, "w_recursion": true}\n'
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -101,6 +112,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--deep", "--random", "4", "6", "1000", "3", "--format", fmt)
         assert code == 0
         assert out == DEEP_GOLDEN[fmt]
+
+    def test_deep_sweep_bytes_at_d5_are_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--deep", "--random", "5", "8", "1", "2")
+        assert code == 0
+        assert out == DEEP_GOLDEN_D5
 
     def test_invalid_step_names_the_step(self, capsys, tmp_path):
         path = write(tmp_path, "bad.json", {"d": 2, "steps": [{"edge": [0, 1]}]})

@@ -5,6 +5,7 @@ expected values: ids 0..7 are the antipodal pairs (0,1), (2,3), (4,5),
 (6,7) and the steps subdivide {0,2}, {4,6}, {0,9}, creating 8, 9, 10.
 """
 
+import sys
 from random import Random
 
 import pytest
@@ -13,20 +14,24 @@ from hypothesis import strategies as st
 
 from gammacomplex import (
     FaceClass,
+    FaceComplex,
     FlagComplex,
     classify_face,
     cross_polytope,
     extend,
     gamma_complex,
     induced_sequence,
+    is_flag,
     k_set,
     link,
     new_sequence,
     phi,
     random_sequence,
+    subdivide_face_general,
     verify_f_equals_gamma,
     w_set,
 )
+from gammacomplex import checks
 from gammacomplex.checks import (
     deep_failures,
     deep_report,
@@ -39,7 +44,7 @@ from gammacomplex.checks import (
     w_rule_failures,
 )
 from gammacomplex.subdivision import SubdivisionSequence, _link_seq, _LinkSeq, k_set_at
-from helpers import sequence_from_edges
+from helpers import final_k_entry_moved, sequence_from_edges
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
 
@@ -403,13 +408,37 @@ def link_pair_dropped():
     return seq
 
 
-def final_k_entry_moved():
-    """K(2) in the final table reads {w4} instead of {w1}; every |K(F)| keeps its size."""
-    seq = random_sequence(3, 4, 0)
-    table = dict(seq.k_table)
-    assert table[2] == frozenset({6})
-    table[2] = frozenset({9})
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+def pendant_added_at_step_2():
+    """prefix(2) gains the vertex 99 and the edge (0, 99), neither of them in prefix(1)."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    after = seq.prefix(2)
+    after.final = FlagComplex(list(after.final.vertices) + [99], after.final.edges() + [(0, 99)])
+    after.k_table[99] = frozenset()
+    return seq
+
+
+def pendant_moved_at_step_1():
+    """The pendant 99 hangs off +e2 in prefix(0) and off +e1 in prefix(1).
+
+    Every vertex of prefix(1) but w1 is one of prefix(0); the edge (0, 99) is not.
+    """
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    for j, v in ((0, 2), (1, 0)):
+        state = seq.prefix(j)
+        state.final = FlagComplex(list(state.final.vertices) + [99], state.final.edges() + [(v, 99)])
+        state.k_table[99] = frozenset()
+    return seq
+
+
+def endpoint_swapped_at_step_1():
+    """prefix(1) with +e1 and -e1 swapped: isomorphic, and no edge away from w1 is new.
+
+    But {-e1, +e3, +e4, w1} is now an F3 face whose transformed face is not in prefix(0).
+    """
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    state = seq.prefix(1)
+    state.final = state.final.relabel({v: {0: 1, 1: 0}.get(v, v) for v in state.final.vertices})
+    return seq
 
 
 def gamma_edge_added():
@@ -453,6 +482,23 @@ class TestDeepFailures:
         self.assert_same_as_the_suites(seq)
         assert deep_report(seq)[name] is False
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (pendant_added_at_step_2, "{0, 99} is not a face of complex 1"),
+            (pendant_moved_at_step_1, "{0, 99} is not a face of complex 0"),
+            (endpoint_swapped_at_step_1, "{0, 1, 2, 4, 6} is not a face of complex 0"),
+        ],
+    )
+    def test_a_transformed_face_off_the_previous_complex_raises_alike(self, corrupt, message):
+        # the pendants fail the per-step edge check, so every transformed face
+        # is validated; the swap passes it and is caught by the F3 face's own check
+        with pytest.raises(ValueError) as expected:
+            k_rule_failures(corrupt())
+        with pytest.raises(ValueError) as got:
+            deep_failures(corrupt())
+        assert str(got.value) == str(expected.value) == message
+
     def test_pinned_failure_strings(self):
         assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
             "step 1, face [4], class F4: K=[] expected [8]",
@@ -475,3 +521,47 @@ class TestDeepFailures:
         assert deep_failures(pendant_at_the_start())["increment_identity"] == [
             "step 1: gamma increment [] != t*[1]"
         ]
+
+
+def oracle_failures_reference(seq):
+    """The face-set suite as it was before it skipped ``to_face_complex`` and ``is_flag``."""
+    failures = []
+    fc = seq.prefix(0).final.to_face_complex()
+    for j, step in enumerate(seq.steps, start=1):
+        fc = subdivide_face_general(fc, step.edge, step.new_vertex)
+        if fc != seq.prefix(j).final.to_face_complex():
+            failures.append(f"step {j}: face sets diverge from graph subdivision")
+        if not is_flag(fc):
+            failures.append(f"step {j}: face set is not flag")
+    return failures
+
+
+class TestOracleFailures:
+    """``oracle_failures`` against the body that rebuilt and re-checked every step."""
+
+    @given(st.integers(2, 5), st.integers(0, 7), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_reference_on_random_sequences(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        assert oracle_failures(seq) == oracle_failures_reference(seq) == []
+
+    def test_divergent_flag_face_sets(self):
+        # the pendant survives every step, so the face sets diverge but stay flag
+        expected = [f"step {j}: face sets diverge from graph subdivision" for j in (1, 2)]
+        assert oracle_failures(pendant_at_the_start()) == expected
+        assert oracle_failures_reference(pendant_at_the_start()) == expected
+
+    def test_a_hollow_triangle_diverges_and_is_not_flag(self, monkeypatch):
+        def hollow(fc, edge, s):
+            return FaceComplex.from_facets([(0, 1), (1, 2), (0, 2)])
+
+        monkeypatch.setattr(checks, "subdivide_face_general", hollow)
+        monkeypatch.setattr(sys.modules[__name__], "subdivide_face_general", hollow)
+        seq = random_sequence(3, 2, 5)
+        expected = [
+            f"step {j}: {what}"
+            for j in (1, 2)
+            for what in ("face sets diverge from graph subdivision", "face set is not flag")
+        ]
+        assert oracle_failures(seq) == expected
+        assert oracle_failures_reference(seq) == expected
