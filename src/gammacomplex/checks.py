@@ -5,30 +5,35 @@ of a sequence and returns a list of failure descriptions, empty when the
 identity holds everywhere; all comparisons are exact.
 
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
-lists from shared work.  It makes one depth-first clique walk per prefix
-of the sequence, in ``faces()`` order, carrying K(F + v) = K(F) & K(v) as a
-running intersection: the walk of step j feeds both the K and the W case
-rules, and the walk of the final complex builds one induced sequence per
-face for the link recursion, the phi image and the gamma restriction.  The
-increment and oracle suites are their ``*_failures`` functions.  The other
-five ``*_failures`` functions sweep one suite each, share no walk with
-``deep_failures``, and are the oracle it is tested against.
+lists.  The increment and oracle suites are their ``*_failures``
+functions.  The other five are decided by shared walks: one depth-first
+clique walk per prefix of the sequence, in ``faces()`` order, carrying
+K(F + v) = K(F) & K(v) as a running intersection.  The walk of step j
+decides both the K and the W case rules, and the walk of the final complex
+builds one induced sequence per face to decide the link recursion, the
+phi image and the gamma restriction.  A walk only says whether its suites
+hold.  A suite that fails, or whose walk's premise does not hold, gets its
+list from its own ``*_failures`` function, which also names the failing
+step and face.  Those five functions share no walk with ``deep_failures``
+and are the oracle it is tested against.
 
-Three lemmas let the shared walk skip work without sampling anything;
-each skipped check is implied by the ones that run:
+Three lemmas let the walks skip work without sampling anything; each
+skipped check is implied by the ones that run:
 
 - Singleton lemma (phi image).  For a nonempty face G of F's link,
   K(F + G) is the intersection of the K(F + g) and the link's K(G) is the
   intersection of its K(g), over the vertices g of G.  An injective phi maps
   an intersection onto the intersection of the images, so if phi is
   injective and the image holds for G empty and for every single vertex
-  of the link, it holds for every G.  Where it fails, the all-pairs walk
-  runs for that F alone, so the failure strings are the oracle's.
-- Edge inclusion (case rules).  If every vertex and edge of step j's
-  complex that avoids w_j is one of step j-1's, every face avoiding w_j is
-  a face of step j-1, so its transformed face (itself) needs no check.
-  This is checked once per step; where it fails, every transformed face is
-  validated as the oracle validates it.
+  of the link, it holds for every G.
+- Subdivision premise (case rules).  Let step j's complex be step j-1's
+  complex C with the edge ab subdivided by w.  A face avoiding w uses only
+  vertices and edges of C, so it is a face of C, its own transformed face.
+  An F2 face, say with a, lacks b, and its other vertices but w are
+  neighbors of w, so common neighbors of a and b in C: F - w + b is a face
+  of C.  In an F3 face every vertex but w is such a common neighbor, so
+  F - w + a + b is a face of C.  So no transformed face needs validation
+  once the premise is checked, once per step.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -40,6 +45,7 @@ from .complexes import (
     is_flag,
     is_isomorphic_under,
     link,
+    subdivide_edge,
     subdivide_face_general,
 )
 from .polynomials import gamma_of
@@ -203,74 +209,49 @@ def _meet(table):
     return lambda acc, v: table[v] if acc is None else acc & table[v]
 
 
-def _kept_away_from(before, after, w) -> bool:
-    """Every vertex and edge of ``after`` that avoids w is one of ``before``.
+def _case_rule_verdicts(seq) -> tuple[bool, bool]:
+    """Whether the K and the W case rules hold, from one walk over each ``prefix(j).final``.
 
-    Then every face of ``after`` avoiding w is a face of ``before``: a clique
-    whose vertices and edges are all in ``before`` is one of its cliques.
+    Both are False where the subdivision premise of the module docstring
+    fails at some step.  The walk of step j carries K(F) over the table of
+    step j and K(F - w) over the table of step j-1; the transformed face of
+    F2 and F3 is F - w plus ``other`` or a, b, folded in afterwards.
     """
-    old = before.vertices
-    return all(
-        v in old and after.neighbors(v) - {w} <= before.neighbors(v)
-        for v in after.vertices
-        if v != w
-    )
-
-
-def _case_rule_failures(seq, j, k_failures, w_failures):
-    """The K and W case rules at step j, from one walk over ``prefix(j).final``.
-
-    The walk carries K(F) over the table of step j and K(F - w) over the
-    table of step j-1.  w is the largest vertex, so the walk adds it last,
-    and the transformed face of F2 and F3 is F - w plus ``other`` or a, b,
-    folded in afterwards.  Transformed faces are validated once per step
-    where the lemma of ``_kept_away_from`` applies and per face otherwise.
-    """
-    (a, b), w = seq.steps[j - 1]
-    before, after = seq.prefix(j - 1), seq.prefix(j)
-    kept = _kept_away_from(before.final, after.final, w)
-    meet_after, meet_before = _meet(after.k_table), _meet(before.k_table)
-    # K(F - w) over step j-1 is carried only where every face avoiding w is a face there
-    walk = after.final.faces_with(
-        (None, None),
-        lambda acc, v: (
-            meet_after(acc[0], v),
-            acc[1] if v == w or not kept else meet_before(acc[1], v),
-        ),
-    )
-    every_w, every_w_before = frozenset(after.w_ids()), frozenset(before.w_ids())
-    for fs, (kf, kb) in walk:
-        cls = classify_at(seq, j, fs)
-        prev_face = _transformed(fs, cls, a, b, w)
-        if not kept:
-            kb = frozenset(k_set(before, prev_face))
-        elif w in fs:
-            if not before.final.is_face(prev_face):
-                k_set(before, prev_face)  # raises k_set's own ValueError
-            for x in prev_face - fs:
-                kb = meet_before(kb, x)
-        prev = every_w_before if kb is None else kb
-        expected = prev | {w} if cls is FaceClass.F4 else prev
-        actual = every_w if kf is None else kf
-        if actual != expected:
-            k_failures.append(
-                f"step {j}, face {sorted(fs)}, class {cls.value}: "
-                f"K={sorted(actual)} expected {sorted(expected)}"
-            )
-        prev = tuple(w for _, w in _link_seq(seq, j - 1, prev_face).steps)
-        if cls is FaceClass.F1:
-            other = b if a in fs else a
-            expected = tuple(w if x == other else x for x in prev)
-        elif cls is FaceClass.F4:
-            expected = prev + (w,)
-        else:
-            expected = prev
-        actual = tuple(w for _, w in _link_seq(seq, j, fs).steps)
-        if actual != expected:
-            w_failures.append(
-                f"step {j}, face {sorted(fs)}, class {cls.value}: "
-                f"W={list(actual)} expected {list(expected)}"
-            )
+    k_ok = w_ok = True
+    for j, ((a, b), w) in enumerate(seq.steps, start=1):
+        before, after = seq.prefix(j - 1), seq.prefix(j)
+        if not (
+            before.final.has_edge(a, b)
+            and w not in before.final.vertices
+            and after.final == subdivide_edge(before.final, (a, b), w)
+        ):
+            return False, False
+        meet_after, meet_before = _meet(after.k_table), _meet(before.k_table)
+        walk = after.final.faces_with(
+            (None, None),
+            lambda acc, v: (meet_after(acc[0], v), acc[1] if v == w else meet_before(acc[1], v)),
+        )
+        every_w, every_w_before = frozenset(after.w_ids()), frozenset(before.w_ids())
+        for fs, (kf, kb) in walk:
+            cls = classify_at(seq, j, fs)
+            prev_face = _transformed(fs, cls, a, b, w)
+            if k_ok:
+                for x in prev_face - fs:
+                    kb = meet_before(kb, x)
+                prev = every_w_before if kb is None else kb
+                expected = prev | {w} if cls is FaceClass.F4 else prev
+                k_ok = (every_w if kf is None else kf) == expected
+            if w_ok:
+                prev = tuple(w for _, w in _link_seq(seq, j - 1, prev_face).steps)
+                if cls is FaceClass.F1:
+                    other = b if a in fs else a
+                    expected = tuple(w if x == other else x for x in prev)
+                elif cls is FaceClass.F4:
+                    expected = prev + (w,)
+                else:
+                    expected = prev
+                w_ok = tuple(w for _, w in _link_seq(seq, j, fs).steps) == expected
+    return k_ok, w_ok
 
 
 def _link_k_table(ind):
@@ -284,9 +265,9 @@ def _link_k_table(ind):
 def _phi_singletons(seq, fs, ind, phi_f):
     """(G, K(F + G), K(G) in the link) for G empty and each single vertex of F's link.
 
-    F's link must be the induced ``result`` (``link_ok``).  Vertices come in
-    ``faces()`` order, so a K-entry outside phi's domain raises the same
-    ``KeyError`` as the all-pairs walk.
+    F's link must be the induced ``result``.  K(F + G) may hold an entry
+    outside phi's domain; the caller counts that as a failure, so that
+    ``phi_image_failures`` raises its own ``KeyError``.
     """
     yield frozenset(), frozenset(phi_f), ind.w_labels
     link_table = _link_k_table(ind)
@@ -296,85 +277,64 @@ def _phi_singletons(seq, fs, ind, phi_f):
         yield frozenset((g,)), meet_final(kf, g), link_table[g]
 
 
-def _phi_pairs(seq, fs, ind, result, phi_f, link_ok):
-    """(G, K(F + G), K(G) in the link) for every face G of F's induced ``result``."""
-    if not link_ok:
-        # G need not be a face of the link of F: validate as phi_image_failures does
-        for gs in result.faces():
-            yield gs, k_set(seq, fs | gs), ind.k_set_ambient(gs)
-        return
-    meet_final, meet_link = _meet(seq.k_table), _meet(_link_k_table(ind))
-    start = (frozenset(phi_f) if fs else None, None)
-    walk = result.faces_with(start, lambda acc, g: (meet_final(acc[0], g), meet_link(acc[1], g)))
-    for gs, (kfg, kg) in walk:
-        yield gs, phi_f if kfg is None else kfg, ind.w_labels if kg is None else kg
+def _final_verdicts(seq) -> tuple[bool, bool, bool]:
+    """Whether the link recursion, the phi image and the gamma restriction hold on every face.
 
-
-def _final_failures(seq, link_failures, phi_failures, gamma_failures):
-    """Link recursion, phi image and gamma restriction from one induced sequence per face.
-
-    The phi image of F is first checked on ``_phi_singletons``; the
-    all-pairs walk runs only for a face where that check fails, where phi
-    is not injective, or where the induced result is not the link.
+    One induced sequence per face of the final complex serves all three.
+    The phi image is decided by the singleton lemma, so it is also False
+    where the lemma's premises fail: a face's induced result is not its
+    link, or its phi is not injective.
     """
     final = seq.final
     gc = gamma_complex(seq)
+    link_ok = phi_ok = gamma_ok = True
     for fs in final.faces():
         ind = induced_sequence(seq, fs)
-        result = ind.result()
-        link_ok = result == link(final, fs)
-        if not link_ok:
-            link_failures.append(f"face {sorted(fs)}: induced result differs from link")
+        same_link = ind.result() == link(final, fs)
         phi_f = phi(seq, fs)
-        if not (
-            link_ok
+        link_ok = link_ok and same_link
+        phi_ok = (
+            phi_ok
+            and same_link
             and len(set(phi_f.values())) == len(phi_f)
             and all(
-                {phi_f[x] for x in kfg} == set(kg)
+                {phi_f.get(x) for x in kfg} == set(kg)
                 for _, kfg, kg in _phi_singletons(seq, fs, ind, phi_f)
             )
-        ):
-            for gs, kfg, kg in _phi_pairs(seq, fs, ind, result, phi_f, link_ok):
-                image = {phi_f[x] for x in kfg}
-                expected = set(kg)
-                if image != expected:
-                    phi_failures.append(
-                        f"F={sorted(fs)}, G={sorted(gs)}: phi image {sorted(image)} "
-                        f"!= link K-set {sorted(expected)}"
-                    )
-        target = ind.gamma_complex_ambient()
-        if not is_isomorphic_under(gc.induced(phi_f), target, phi_f):
-            gamma_failures.append(f"face {sorted(fs)}: restricted gamma complex mismatch")
+        )
+        gamma_ok = gamma_ok and is_isomorphic_under(
+            gc.induced(phi_f), ind.gamma_complex_ambient(), phi_f
+        )
+    return link_ok, phi_ok, gamma_ok
 
 
 def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
-    """The seven suites' failure lists, keyed as in ``deep_report``, from shared walks.
+    """The seven suites' failure lists, keyed as in ``deep_report``.
 
     Each list equals, string for string and in order, the list of the
-    matching ``*_failures`` function, and a transformed face off the
-    previous complex raises the same ``ValueError``.  The increment and
-    oracle suites are those functions themselves; the other five come from
-    one clique walk per prefix.  The walks check every face and every
-    pair (F, G) either directly or through the singleton and
-    edge-inclusion lemmas of the module docstring, never by sampling.
-    Faces are streamed, never collected.
+    matching ``*_failures`` function, because it is that list: the shared
+    walks of the module docstring only decide which suites hold, and a
+    suite they do not pass gets its list from its own function.  The walks
+    check every face and every pair (F, G), directly or through a lemma,
+    never by sampling, and stream faces rather than collect them.
+
+    The K and W lists are settled before the final walk, so a transformed
+    face off the previous complex raises the ``ValueError`` of
+    ``k_rule_failures``; the final walk would fail first, with a
+    ``KeyError`` from ``induced_sequence``.
     """
-    k_failures: list[str] = []
-    w_failures: list[str] = []
-    link_failures: list[str] = []
-    phi_failures: list[str] = []
-    gamma_failures: list[str] = []
     increment = increment_identity_failures(seq)
-    for j in range(1, seq.k + 1):
-        _case_rule_failures(seq, j, k_failures, w_failures)
-    _final_failures(seq, link_failures, phi_failures, gamma_failures)
+    k_ok, w_ok = _case_rule_verdicts(seq)
+    k_failures = [] if k_ok else k_rule_failures(seq)
+    w_failures = [] if w_ok else w_rule_failures(seq)
+    link_ok, phi_ok, gamma_ok = _final_verdicts(seq)
     return {
         "increment_identity": increment,
         "k_recursion": k_failures,
         "w_recursion": w_failures,
-        "link_recursion": link_failures,
-        "phi_image": phi_failures,
-        "gamma_restriction": gamma_failures,
+        "link_recursion": [] if link_ok else link_recursion_failures(seq),
+        "phi_image": [] if phi_ok else phi_image_failures(seq),
+        "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
         "oracle_equivalence": oracle_failures(seq),
     }
 

@@ -223,7 +223,7 @@ class FlagComplex:
     @classmethod
     def from_json_obj(cls, obj) -> "FlagComplex":
         vertices = [json_int(v, "vertex id") for v in obj["vertices"]]
-        edges = [tuple(json_int(v, "vertex id") for v in e) for e in obj["edges"]]
+        edges = [json_edge(e) for e in obj["edges"]]
         return cls(vertices, edges)
 
     @classmethod
@@ -307,6 +307,14 @@ def json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def json_edge(value) -> tuple[int, int]:
+    """An edge read from JSON: exactly two integer vertex ids."""
+    ids = tuple(json_int(v, "vertex id") for v in value)
+    if len(ids) != 2:
+        raise ValueError(f"an edge needs 2 vertex ids, {json.dumps(value)} has {len(ids)}")
+    return ids
 
 
 def antipode(v: int) -> int:

@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .complexes import FlagComplex, cross_polytope, json_int, link, subdivide_edge
+from .complexes import FlagComplex, cross_polytope, json_edge, json_int, link, subdivide_edge
 from .polynomials import f_from_counts, gamma_of
 
 __all__ = [
@@ -143,7 +143,7 @@ class SubdivisionSequence:
         seq = new_sequence(json_int(obj["d"], "d"))
         for i, step in enumerate(obj["steps"], start=1):
             try:
-                seq = extend(seq, tuple(json_int(v, "vertex id") for v in step["edge"]))
+                seq = extend(seq, json_edge(step["edge"]))
             except ValueError as exc:
                 raise ValueError(f"step {i}: {exc}") from None
         return seq

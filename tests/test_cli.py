@@ -41,6 +41,13 @@ DEEP_GOLDEN_D5 = (
     ', "k": 8, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 2, "w_recursion": true}\n'
 )
 
+# ``verify --deep --random D 0 1 1`` for D = 1 and 2, captured before the
+# shared walks stopped building failure strings.
+DEEP_GOLDEN_NO_STEPS = (
+    '{{"d": {d}, "equal": true, "f_gamma": [1], "gamma_restriction": true, "gamma_theta": [1], "increment_identity": true, "instance": 0'
+    ', "k": 0, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1, "w_recursion": true}}\n'
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -112,6 +119,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--deep", "--random", "4", "6", "1000", "3", "--format", fmt)
         assert code == 0
         assert out == DEEP_GOLDEN[fmt]
+
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_deep_sweep_without_steps_is_pinned(self, capsys, d):
+        # no step to walk: every case-rule premise holds over an empty range
+        code, out, _ = run(capsys, "verify", "--deep", "--random", d, "0", "1", "1")
+        assert code == 0
+        assert out == DEEP_GOLDEN_NO_STEPS.format(d=d)
 
     def test_deep_sweep_bytes_at_d5_are_pinned(self, capsys):
         code, out, _ = run(capsys, "verify", "--deep", "--random", "5", "8", "1", "2")
@@ -229,6 +243,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "missing field 'steps'" in err
+
+    def test_edge_of_three_vertices_is_invalid_input(self, capsys, tmp_path):
+        path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": [0, 2, 4]}]})
+        code, out, err = run(capsys, "verify", path)
+        assert (code, out) == (2, "")
+        assert err == "error: step 1: an edge needs 2 vertex ids, [0, 2, 4] has 3\n"
 
     def test_wrongly_typed_field_is_invalid_input(self, capsys, tmp_path):
         path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": 7}]})
@@ -428,6 +448,12 @@ class TestGamma:
         assert code == 2
         assert out == ""
         assert "vertex id" in err
+
+    def test_edge_of_three_vertices_in_edge_file_rejected(self, capsys, tmp_path):
+        path = write(tmp_path, "bad.json", {"vertices": [0, 1, 2], "edges": [[0, 1], [0, 1, 2]]})
+        code, out, err = run(capsys, "gamma", path)
+        assert (code, out) == (2, "")
+        assert err == "error: an edge needs 2 vertex ids, [0, 1, 2] has 3\n"
 
     def test_boolean_d_in_sequence_file_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "seq.json", {"d": True, "steps": []})

@@ -491,8 +491,8 @@ class TestDeepFailures:
         ],
     )
     def test_a_transformed_face_off_the_previous_complex_raises_alike(self, corrupt, message):
-        # the pendants fail the per-step edge check, so every transformed face
-        # is validated; the swap passes it and is caught by the F3 face's own check
+        # each breaks the subdivision premise at its step, so the K suite runs
+        # and validates every transformed face
         with pytest.raises(ValueError) as expected:
             k_rule_failures(corrupt())
         with pytest.raises(ValueError) as got:
@@ -521,6 +521,70 @@ class TestDeepFailures:
         assert deep_failures(pendant_at_the_start())["increment_identity"] == [
             "step 1: gamma increment [] != t*[1]"
         ]
+
+
+# The five suites whose verdicts come from the shared walks of ``deep_failures``.
+WALK_FED = ("k_recursion", "w_recursion", "link_recursion", "phi_image", "gamma_restriction")
+
+
+def deep_failures_spied(seq, called, refuse=False):
+    """``deep_failures(seq)``, appending to ``called`` the walk-fed suite functions it calls.
+
+    With ``refuse`` each of them raises instead of running.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for name in WALK_FED:
+            suite = SUITES[name]
+
+            def spy(arg, name=name, suite=suite):
+                called.append(name)
+                if refuse:
+                    raise AssertionError(f"{name} ran on a sequence its walk should pass")
+                return suite(arg)
+
+            mp.setattr(checks, suite.__name__, spy)
+        return deep_failures(seq)
+
+
+class TestDeepWalksDecide:
+    """The shared walks decide; a walk-fed suite function runs only where it must."""
+
+    @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_valid_sequences_call_no_suite(self, d, k, seed):
+        deep_failures_spied(random_sequence(d, k, seed), [], refuse=True)
+
+    def test_a_larger_valid_sequence_calls_no_suite(self):
+        deep_failures_spied(random_sequence(5, 8, 1), [], refuse=True)
+
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            # the pendant of prefix(0) breaks the subdivision premise at step 1,
+            # so both case rules come from their suites, which pass
+            (pendant_at_the_start, ["k_recursion", "w_recursion"]),
+            (k_entry_dropped, ["k_recursion"]),
+            (commuting_steps_reversed, ["w_recursion"]),
+            # the induced result of {w3} is not its link, which the singleton
+            # lemma needs, so the phi image comes from its suite, which passes
+            (link_pair_dropped, ["link_recursion", "phi_image"]),
+            (final_k_entry_moved, ["k_recursion", "phi_image"]),
+            (gamma_edge_added, ["gamma_restriction"]),
+        ],
+    )
+    def test_a_corrupted_sequence_calls_the_failing_suites(self, corrupt, expected):
+        called = []
+        deep_failures_spied(corrupt(), called)
+        assert called == expected
+
+    @pytest.mark.parametrize(
+        "corrupt", [pendant_added_at_step_2, pendant_moved_at_step_1, endpoint_swapped_at_step_1]
+    )
+    def test_a_broken_premise_raises_from_the_k_suite(self, corrupt):
+        called = []
+        with pytest.raises(ValueError, match="is not a face of complex"):
+            deep_failures_spied(corrupt(), called)
+        assert called == ["k_recursion"]
 
 
 def oracle_failures_reference(seq):
