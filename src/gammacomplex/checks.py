@@ -9,13 +9,24 @@ lists.  The increment and oracle suites are their ``*_failures``
 functions.  The other five are decided by shared walks: one depth-first
 clique walk per prefix of the sequence, in ``faces()`` order, carrying
 K(F + v) = K(F) & K(v) as a running intersection.  The walk of step j
-decides both the K and the W case rules, and the walk of the final complex
-builds one induced sequence per face to decide the link recursion, the
-phi image and the gamma restriction.  A walk only says whether its suites
-hold.  A suite that fails, or whose walk's premise does not hold, gets its
-list from its own ``*_failures`` function, which also names the failing
-step and face.  Those five functions share no walk with ``deep_failures``
-and are the oracle it is tested against.
+decides both the K and the W case rules.  The walk of the final complex
+also carries N(F), the common neighbors of F, and builds one induced
+sequence per face, from which it reads the other three suites with
+nothing rebuilt:
+
+- lk(F) is the subgraph induced on N(F), compared with the induced
+  result through its labels;
+- phi sends K(F), in increasing order, to the link's new vertices in
+  creation order, which the link's base numbers upwards, so phi into the
+  base's ids is order-preserving: a pair a < b of K(F) goes to a pair
+  that the base stores as (earlier, later) if it is a gamma edge, and the
+  gamma restriction is one membership test per pair.
+
+A walk only says whether its suites hold.  A suite that fails, or whose
+walk's premise does not hold, gets its list from its own ``*_failures``
+function, which also names the failing step and face.  Those five
+functions share no walk with ``deep_failures`` and are the oracle it is
+tested against.
 
 Three lemmas let the walks skip work without sampling anything; each
 skipped check is implied by the ones that run:
@@ -25,7 +36,8 @@ skipped check is implied by the ones that run:
   intersection of its K(g), over the vertices g of G.  An injective phi maps
   an intersection onto the intersection of the images, so if phi is
   injective and the image holds for G empty and for every single vertex
-  of the link, it holds for every G.
+  of the link, it holds for every G.  phi is injective wherever the
+  induced result is F's link, because the link's labels are then distinct.
 - Subdivision premise (case rules).  Let step j's complex be step j-1's
   complex C with the edge ab subdivided by w.  A face avoiding w uses only
   vertices and edges of C, so it is a face of C, its own transformed face.
@@ -40,6 +52,8 @@ skipped check is implied by the ones that run:
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .complexes import (
     is_flag,
@@ -57,6 +71,7 @@ from .subdivision import (
     induced_sequence,
     k_set,
     phi,
+    _face_class,
     _link_seq,
     w_set_at,
 )
@@ -205,7 +220,7 @@ def oracle_failures(seq: SubdivisionSequence) -> list[str]:
 
 
 def _meet(table):
-    """Step of the running intersection K(F + v) = K(F) & table[v]; None is the empty face's."""
+    """Step of a running intersection such as K(F + v) = K(F) & table[v]; None is the empty face's."""
     return lambda acc, v: table[v] if acc is None else acc & table[v]
 
 
@@ -215,7 +230,8 @@ def _case_rule_verdicts(seq) -> tuple[bool, bool]:
     Both are False where the subdivision premise of the module docstring
     fails at some step.  The walk of step j carries K(F) over the table of
     step j and K(F - w) over the table of step j-1; the transformed face of
-    F2 and F3 is F - w plus ``other`` or a, b, folded in afterwards.
+    F2 and F3 is F - w plus ``other`` or a, b, folded in afterwards.  Each
+    face is classified against w's neighbors, read once per step.
     """
     k_ok = w_ok = True
     for j, ((a, b), w) in enumerate(seq.steps, start=1):
@@ -232,8 +248,9 @@ def _case_rule_verdicts(seq) -> tuple[bool, bool]:
             lambda acc, v: (meet_after(acc[0], v), acc[1] if v == w else meet_before(acc[1], v)),
         )
         every_w, every_w_before = frozenset(after.w_ids()), frozenset(before.w_ids())
+        near_w = after.final.neighbors(w)
         for fs, (kf, kb) in walk:
-            cls = classify_at(seq, j, fs)
+            cls = _face_class(fs, a, b, w, near_w)
             prev_face = _transformed(fs, cls, a, b, w)
             if k_ok:
                 for x in prev_face - fs:
@@ -254,57 +271,105 @@ def _case_rule_verdicts(seq) -> tuple[bool, bool]:
     return k_ok, w_ok
 
 
-def _link_k_table(ind):
-    """The K-table of an induced sequence's base, in ambient labels."""
-    if ind.base is None:
-        return {}
-    label = ind.label_of
-    return {label[c]: frozenset(label[x] for x in ks) for c, ks in ind.base.k_table.items()}
+def _is_link(ind, nf, adj) -> bool:
+    """Whether the induced result, read through ``label_of``, is the subgraph induced on ``nf``.
 
-
-def _phi_singletons(seq, fs, ind, phi_f):
-    """(G, K(F + G), K(G) in the link) for G empty and each single vertex of F's link.
-
-    F's link must be the induced ``result``.  K(F + G) may hold an entry
-    outside phi's domain; the caller counts that as a failure, so that
-    ``phi_image_failures`` raises its own ``KeyError``.
+    ``adj`` is the final complex's adjacency and ``nf`` the common neighbors
+    of a face, so that subgraph is the face's link.  Equal sizes make
+    ``label_of`` a bijection from the base's vertices onto ``nf``.
     """
-    yield frozenset(), frozenset(phi_f), ind.w_labels
-    link_table = _link_k_table(ind)
-    meet_final = _meet(seq.k_table)
-    kf = frozenset(phi_f) if fs else None
-    for g in sorted(link_table):
-        yield frozenset((g,)), meet_final(kf, g), link_table[g]
+    if ind.base is None:
+        return not nf
+    base_adj, label = ind.base.final.adjacency(), ind.label_of
+    if not len(base_adj) == len(label) == len(nf):
+        return False
+    for c, ns in base_adj.items():
+        u = label[c]
+        if u not in nf or adj[u] & nf != {label[x] for x in ns}:
+            return False
+    return True
+
+
+def _phi_singletons(seq, kf, ind):
+    """(G, K(F + G), the link's K(G)) for G empty and each single vertex g of F's link.
+
+    ``kf`` is K(F) as the final walk carries it, None for the empty face.
+    K(F + g) is read from the final K-table in ambient labels, the link's
+    K(G) from the base's table in its canonical ids.  F's link must be the
+    induced result.  K(F + G) may hold an entry outside phi's domain; the
+    caller counts that as a failure, so that ``phi_image_failures`` raises
+    its own ``KeyError``.
+    """
+    base = ind.base
+    yield frozenset(), seq.w_ids() if kf is None else kf, frozenset(base.w_ids() if base else ())
+    if base is None:
+        return
+    table, link_table = seq.k_table, base.k_table
+    for c, g in ind.label_of.items():
+        yield frozenset((g,)), table[g] if kf is None else kf & table[g], link_table[c]
+
+
+def _same_restriction(gamma_adj, to_base, link_edges) -> bool:
+    """Whether the gamma complex restricted to K(F) is the link's, under phi.
+
+    ``to_base`` sends K(F), in increasing order, to the canonical ids of
+    their phi images, and ``link_edges`` are the link's gamma edges in
+    those ids.  phi is order-preserving and the base numbers its new
+    vertices upwards in creation order, so a < b in K(F) go to canonical
+    ids in the same order, and the base stores each gamma edge as
+    (earlier, later).  False where K(F) leaves the gamma complex's vertices.
+    """
+    return gamma_adj.keys() >= to_base.keys() and all(
+        (b in gamma_adj[a]) == ((ca, cb) in link_edges)
+        for (a, ca), (b, cb) in combinations(to_base.items(), 2)
+    )
 
 
 def _final_verdicts(seq) -> tuple[bool, bool, bool]:
     """Whether the link recursion, the phi image and the gamma restriction hold on every face.
 
-    One induced sequence per face of the final complex serves all three.
-    The phi image is decided by the singleton lemma, so it is also False
-    where the lemma's premises fail: a face's induced result is not its
-    link, or its phi is not injective.
+    One walk over the final complex carries K(F) and N(F) as running
+    intersections and builds one induced sequence per face; the module
+    docstring says how the three suites are read from it, with nothing
+    else rebuilt or re-validated per face.  The phi image is decided by
+    the singleton lemma, so it is also False where the induced result is
+    not F's link.
+
+    Where a fast comparison fails, the face is compared as the suite
+    functions compare it (``result`` with ``link``, ``is_isomorphic_under``),
+    so an invalid sequence raises what they raise, at the first face that
+    raises; a face with |K| != |W| raises ``phi``'s ``RuntimeError``.
     """
     final = seq.final
+    adj = final.adjacency()
     gc = gamma_complex(seq)
+    gamma_adj = gc.adjacency()
+    meet_k, meet_n = _meet(seq.k_table), _meet(adj)
+    walk = final.faces_with((None, None), lambda acc, v: (meet_k(acc[0], v), meet_n(acc[1], v)))
+    every_w, every_v = seq.w_ids(), final.vertices
     link_ok = phi_ok = gamma_ok = True
-    for fs in final.faces():
+    for fs, (kf, nf) in walk:
         ind = induced_sequence(seq, fs)
-        same_link = ind.result() == link(final, fs)
-        phi_f = phi(seq, fs)
+        same_link = _is_link(ind, every_v if nf is None else nf, adj) or (
+            ind.result() == link(final, fs)
+        )
+        ks = every_w if kf is None else sorted(kf)
+        if len(ks) != ind.step_count:
+            phi(seq, fs)  # raises, naming both sizes
+        base = ind.base
+        to_base = dict(zip(ks, base.w_ids())) if base else {}
         link_ok = link_ok and same_link
         phi_ok = (
             phi_ok
             and same_link
-            and len(set(phi_f.values())) == len(phi_f)
             and all(
-                {phi_f.get(x) for x in kfg} == set(kg)
-                for _, kfg, kg in _phi_singletons(seq, fs, ind, phi_f)
+                {to_base.get(x) for x in kfg} == kg
+                for _, kfg, kg in _phi_singletons(seq, kf, ind)
             )
         )
-        gamma_ok = gamma_ok and is_isomorphic_under(
-            gc.induced(phi_f), ind.gamma_complex_ambient(), phi_f
-        )
+        if gamma_ok and not _same_restriction(gamma_adj, to_base, base.gamma_edges if base else ()):
+            phi_f = dict(zip(ks, ind.w_labels))
+            gamma_ok = is_isomorphic_under(gc.induced(phi_f), ind.gamma_complex_ambient(), phi_f)
     return link_ok, phi_ok, gamma_ok
 
 
@@ -322,21 +387,30 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     face off the previous complex raises the ``ValueError`` of
     ``k_rule_failures``; the final walk would fail first, with a
     ``KeyError`` from ``induced_sequence``.
+
+    The walks fill ``seq``'s recipe memo for every face of every prefix
+    and keep the replayed prefixes; both are dropped on return, leaving the
+    memos as they were found, so their memory does not outlive the call.
     """
-    increment = increment_identity_failures(seq)
-    k_ok, w_ok = _case_rule_verdicts(seq)
-    k_failures = [] if k_ok else k_rule_failures(seq)
-    w_failures = [] if w_ok else w_rule_failures(seq)
-    link_ok, phi_ok, gamma_ok = _final_verdicts(seq)
-    return {
-        "increment_identity": increment,
-        "k_recursion": k_failures,
-        "w_recursion": w_failures,
-        "link_recursion": [] if link_ok else link_recursion_failures(seq),
-        "phi_image": [] if phi_ok else phi_image_failures(seq),
-        "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
-        "oracle_equivalence": oracle_failures(seq),
-    }
+    cache, prefixes = seq._cache, seq._prefixes
+    seq._cache = dict(cache)
+    try:
+        increment = increment_identity_failures(seq)
+        k_ok, w_ok = _case_rule_verdicts(seq)
+        k_failures = [] if k_ok else k_rule_failures(seq)
+        w_failures = [] if w_ok else w_rule_failures(seq)
+        link_ok, phi_ok, gamma_ok = _final_verdicts(seq)
+        return {
+            "increment_identity": increment,
+            "k_recursion": k_failures,
+            "w_recursion": w_failures,
+            "link_recursion": [] if link_ok else link_recursion_failures(seq),
+            "phi_image": [] if phi_ok else phi_image_failures(seq),
+            "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
+            "oracle_equivalence": oracle_failures(seq),
+        }
+    finally:
+        seq._cache, seq._prefixes = cache, prefixes
 
 
 def deep_report(seq: SubdivisionSequence) -> dict[str, bool]:

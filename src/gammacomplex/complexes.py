@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -48,7 +50,11 @@ class FlagComplex:
 
     def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable = ()):
         adj: dict = {v: set() for v in vertices}
-        for a, b in edges:
+        for edge in edges:
+            try:
+                a, b = edge
+            except ValueError:
+                raise edge_arity_error(edge) from None
             if a == b:
                 raise ValueError(f"loop edge at vertex {a!r}")
             if a not in adj or b not in adj:
@@ -70,6 +76,10 @@ class FlagComplex:
 
     def neighbors(self, v) -> frozenset:
         return self._adj[v]
+
+    def adjacency(self) -> Mapping:
+        """Read-only view of the graph: every vertex with its neighbor set."""
+        return MappingProxyType(self._adj)
 
     def has_edge(self, a, b) -> bool:
         return a in self._adj and b in self._adj[a]
@@ -317,15 +327,24 @@ def json_edge(value) -> tuple[int, int]:
     return ids
 
 
+def edge_arity_error(edge) -> ValueError:
+    """The error for an edge given with other than 2 vertices, naming what it got."""
+    ends = list(edge)
+    return ValueError(f"an edge needs 2 vertices, {ends} has {len(ends)}")
+
+
 def antipode(v: int) -> int:
     """Antipodal partner under the canonical cross-polytope id scheme."""
     return v ^ 1
 
 
+@cache
 def cross_polytope(d: int) -> FlagComplex:
     """Boundary complex of the d-dimensional cross polytope, on ids 0 .. 2d-1.
 
-    Vertex ``i`` is adjacent to every vertex except ``antipode(i)``.
+    Vertex ``i`` is adjacent to every vertex except ``antipode(i)``.  Built
+    once per d and shared: a ``FlagComplex`` is immutable, and every induced
+    sequence of ``--deep`` starts from one.
     """
     if d < 1:
         raise ValueError(f"cross polytope dimension must be >= 1, got {d}")
@@ -363,7 +382,11 @@ def subdivide_edge(c: FlagComplex, edge: Iterable[Vertex], s: Vertex) -> FlagCom
     only the entries of a, b, their common neighbors and s are replaced,
     and every other neighbor set is shared with ``c``.
     """
-    a, b = tuple(edge)
+    ends = tuple(edge)
+    try:
+        a, b = ends
+    except ValueError:
+        raise edge_arity_error(ends) from None
     if not c.has_edge(a, b):
         raise ValueError(f"({a!r}, {b!r}) is not an edge of the complex")
     if s in c._adj:

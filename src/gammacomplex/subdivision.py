@@ -24,7 +24,15 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .complexes import FlagComplex, cross_polytope, json_edge, json_int, link, subdivide_edge
+from .complexes import (
+    FlagComplex,
+    cross_polytope,
+    edge_arity_error,
+    json_edge,
+    json_int,
+    link,
+    subdivide_edge,
+)
 from .polynomials import f_from_counts, gamma_of
 
 __all__ = [
@@ -176,7 +184,11 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
     gamma edges; afterwards it is the set of gamma-complex neighbors of w
     below w.
     """
-    a, b = tuple(edge)
+    ends = tuple(edge)
+    try:
+        a, b = ends
+    except ValueError:
+        raise edge_arity_error(ends) from None
     cur = seq.final
     if not cur.has_edge(a, b):
         raise ValueError(f"({a}, {b}) is not an edge of the current complex")
@@ -247,13 +259,16 @@ def classify_at(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> FaceCla
     is the validating form for the final complex.
     """
     (a, b), w = seq.steps[j - 1]
+    return _face_class(fs, a, b, w, seq.prefix(j).final.neighbors(w))
+
+
+def _face_class(fs: frozenset[int], a: int, b: int, w: int, near_w: frozenset[int]) -> FaceClass:
+    """Position of ``fs`` relative to the step that subdivided ab by w, with neighbors ``near_w``."""
     if a in fs or b in fs:
         return FaceClass.F2 if w in fs else FaceClass.F1
     if w in fs:
         return FaceClass.F3
-    if fs <= seq.prefix(j).final.neighbors(w):
-        return FaceClass.F4
-    return FaceClass.F5
+    return FaceClass.F4 if fs <= near_w else FaceClass.F5
 
 
 def classify_face(seq: SubdivisionSequence, face: Iterable[int]) -> FaceClass:

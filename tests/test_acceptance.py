@@ -9,15 +9,18 @@ criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
 subdivision sequence, the time of one complex at d=12 with 13.9M faces,
 the time of the bridge on the power set n=8, the induced sequences that
-the deep suites build, and the (F, G) pairs that the phi image examines
-on a valid sequence, so a return to per-step rebuilding of the graph, to
-keeping a copy of every step's state, to counting faces one by one, to
-enumerating every nested set, to one face walk per deep suite, or to
-checking phi on every pair (F, G), fails here.
+the deep suites build, the (F, G) pairs that the phi image examines and
+the per-face calls of the deep walks on a valid sequence, and the memory
+``deep_report`` leaves behind, so a return to per-step rebuilding of the
+graph, to keeping a copy of every step's state, to counting faces one by
+one, to enumerating every nested set, to one face walk per deep suite, to
+checking phi on every pair (F, G), to rebuilding each face's link, phi or
+restricted Γ, or to keeping the deep memos, fails here.
 """
 
 import time
 import tracemalloc
+from gc import collect
 
 from gammacomplex import (
     find_flag_ordering,
@@ -338,6 +341,62 @@ def test_scale_guard_phi_singletons(monkeypatch):
         60.0,
         f"{singles} pairs of {all_pairs} for {len(faces)} faces; "
         f"phi_image_failures called {valid_calls} times on the valid sequence",
+    )
+
+
+def test_scale_guard_final_walk(monkeypatch):
+    # counts, not times: the final walk carries K(F) and the common
+    # neighbours of F, and reads the link, phi and the restricted gamma
+    # complex off the one induced sequence per face, so a passing run makes
+    # no per-face link, phi, isomorphism or classification call; the 8
+    # links are the increment suite's, one per step
+    start = time.perf_counter()
+    calls = dict.fromkeys(["link", "phi", "is_isomorphic_under", "classify_at", "induced_sequence"], 0)
+    for name in calls:
+        real = getattr(checks, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(checks, name, counting)
+    ok = all(deep_report(random_sequence(5, 8, 1)).values())
+    ok &= calls == {
+        "link": 8,
+        "phi": 0,
+        "is_isomorphic_under": 0,
+        "classify_at": 0,
+        "induced_sequence": 783,
+    }
+    _report(
+        "scale guard (per-face rebuilds in the deep walks, d=5, k=8)",
+        ok,
+        time.perf_counter() - start,
+        60.0,
+        ", ".join(f"{name} {n}" for name, n in calls.items()),
+    )
+
+
+def test_scale_guard_deep_memos_released():
+    # the walks fill the recipe memo for every face of every prefix (3.5 MB
+    # here, 28 MB at d=6, k=20) and replay every prefix; deep_report must
+    # not leave either behind on the sequence
+    start = time.perf_counter()
+    seq = random_sequence(5, 12, 1)
+    tracemalloc.start()
+    try:
+        ok = all(deep_report(seq).values())
+        collect()
+        retained_mb = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok &= seq._cache == {} and seq._prefixes is None
+    _report(
+        "scale guard (memory deep_report leaves behind, d=5, k=12)",
+        ok and retained_mb < 1.0,
+        time.perf_counter() - start,
+        30.0,
+        f"retained {retained_mb:.2f} MB, limit 1 MB",
     )
 
 

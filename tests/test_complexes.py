@@ -89,6 +89,16 @@ class TestCrossPolytope:
         with pytest.raises(ValueError):
             cross_polytope(0)
 
+    def test_one_shared_complex_per_dimension_stays_intact(self):
+        # every sequence and every induced sequence starts from the shared
+        # complex, so nothing built from it may change it
+        c = cross_polytope(4)
+        assert cross_polytope(4) is c
+        random_sequence(4, 6, 1)
+        subdivide_edge(c, (0, 2), 8)
+        fresh = FlagComplex(range(8), [(a, b) for a, b in combinations(range(8), 2) if b != a ^ 1])
+        assert c.adjacency() == fresh.adjacency()
+
 
 class TestCliqueCount:
     """``clique_count_by_size`` against the face walk and the face-set twin."""
@@ -250,6 +260,10 @@ class TestSubdivideEdge:
             subdivide_edge(c, (0, 1), 4)  # antipodes, not an edge
         with pytest.raises(ValueError):
             subdivide_edge(c, (0, 2), 3)  # vertex already present
+
+    def test_an_edge_of_three_vertices_is_named(self):
+        with pytest.raises(ValueError, match=r"^an edge needs 2 vertices, \[0, 2, 4\] has 3$"):
+            subdivide_edge(cross_polytope(3), (0, 2, 4), 9)
 
     def test_f_change_is_link_f_times_t_one_plus_t(self):
         from gammacomplex import IntPolynomial
@@ -415,6 +429,12 @@ class TestValidationAndJson:
             FlagComplex([0, 1], [(0, 2)])
         with pytest.raises(ValueError):
             FlagComplex([0, 1], [(0, 0)])
+
+    def test_flag_complex_names_an_edge_of_three_vertices(self):
+        with pytest.raises(ValueError, match=r"^an edge needs 2 vertices, \[0, 1, 2\] has 3$"):
+            FlagComplex([0, 1, 2], [(0, 1, 2)])
+        with pytest.raises(ValueError, match=r"^an edge needs 2 vertices, \[0\] has 1$"):
+            FlagComplex([0, 1], [(0, 1), (0,)])
 
     def test_flag_complex_json_round_trip(self):
         c = cross_polytope(3)

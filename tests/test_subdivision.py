@@ -106,6 +106,12 @@ class TestNewSequence:
         assert all(ks == frozenset() for ks in seq.k_table.values())
         assert gamma_complex(seq).vertices == frozenset()
 
+    def test_sequences_share_the_start_complex_not_the_k_table(self):
+        # the corrupted fixtures below write into a prefix's K-table
+        one, two = new_sequence(4), new_sequence(4)
+        assert one.final is two.final
+        assert one.k_table == two.k_table and one.k_table is not two.k_table
+
     def test_d1_has_no_edges(self):
         seq = new_sequence(1)
         assert seq.final.edges() == []
@@ -140,6 +146,10 @@ class TestExtend:
         seq = new_sequence(2)
         with pytest.raises(ValueError):
             extend(seq, (0, 1))
+
+    def test_an_edge_of_three_vertices_is_named(self):
+        with pytest.raises(ValueError, match=r"^an edge needs 2 vertices, \[0, 2, 4\] has 3$"):
+            extend(new_sequence(3), (0, 2, 4))
 
     def test_later_k_growth_adds_no_gamma_edges(self, example):
         # K(w1) ends as {9, 10} but the only gamma edge is the one recorded
@@ -446,6 +456,64 @@ def gamma_edge_added():
     return SubdivisionSequence(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges | {(9, 10)})
 
 
+def final_k_entry_off_the_gamma_complex():
+    """K(+e1) in the final table reads {-e3}, a vertex of the cross polytope, instead of {w2}."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    table = dict(seq.k_table)
+    table[0] = frozenset({5})
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+
+
+def final_k_entry_off_with_a_gamma_edge_toggled():
+    """K(-e1) in the final table reads {+e1}, and the gamma edge (w1, w2) is toggled."""
+    seq = random_sequence(3, 3, 0)
+    table = dict(seq.k_table)
+    assert len(table[1]) == 1
+    table[1] = frozenset({0})
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges ^ {(6, 7)})
+
+
+def final_k_entry_emptied():
+    """K(+e2) in the final table is empty, so |K| != |W| on {-e1, +e2}."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    table = dict(seq.k_table)
+    table[2] = frozenset()
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+
+
+def link_vertex_off_the_link():
+    """In the 6-cycle 0-5-4-2-1-3, the recipe of {w2} names 1 in place of 0.
+
+    Like 0, vertex 1 has no neighbor in the link {0, 4}, so only membership tells them apart.
+    """
+    seq = sequence_from_edges(2, [(0, 2), (0, 4)])
+    assert _link_seq(seq, 2, frozenset({5})) == _LinkSeq(((0, 4),), ())
+    seq._cache[(2, frozenset({5}))] = _LinkSeq(((1, 4),), ())
+    return seq
+
+
+def w_label_repeated_then_k_entry_emptied():
+    """``w_label_repeated`` applied to ``final_k_entry_emptied``."""
+    return w_label_repeated(final_k_entry_emptied())
+
+
+def link_vertex_renamed_then_k_entry_emptied():
+    """``final_k_entry_emptied``, and the recipe of {+e1} names -e1 in place of w1."""
+    seq = final_k_entry_emptied()
+    recipe = _link_seq(seq, 3, frozenset({0}))
+    assert recipe.pairs[0] == (8, 3)
+    seq._cache[(3, frozenset({0}))] = _LinkSeq(((1, 3),) + recipe.pairs[1:], recipe.steps)
+    return seq
+
+
+def w_label_repeated(seq=None):
+    """The empty face's recipe names w1 as the vertex of its third step too."""
+    seq = seq or sequence_from_edges(4, EXAMPLE_STEPS)
+    recipe = _link_seq(seq, 3, frozenset())
+    seq._cache[(3, frozenset())] = _LinkSeq(recipe.pairs, recipe.steps[:-1] + (((0, 9), 8),))
+    return seq
+
+
 class TestDeepFailures:
     """``deep_failures`` against the seven one-sweep suite functions."""
 
@@ -585,6 +653,66 @@ class TestDeepWalksDecide:
         with pytest.raises(ValueError, match="is not a face of complex"):
             deep_failures_spied(corrupt(), called)
         assert called == ["k_recursion"]
+
+
+class TestFinalWalkRaisesAlike:
+    """Where the final walk's fast comparisons fail, the error is the suite function's."""
+
+    @pytest.mark.parametrize(
+        "corrupt, suite, error, message",
+        [
+            (
+                final_k_entry_off_the_gamma_complex,
+                gamma_restriction_failures,
+                ValueError,
+                "induced subgraph on vertices outside the complex",
+            ),
+            (
+                final_k_entry_emptied,
+                phi_image_failures,
+                RuntimeError,
+                "internal inconsistency: |K|=0 but |W|=1 for {1, 2}",
+            ),
+            (
+                w_label_repeated,
+                link_recursion_failures,
+                ValueError,
+                "relabel mapping is not a bijection on the vertex set",
+            ),
+            # the link's sizes and adjacency match, but one vertex is off the link
+            (link_vertex_off_the_link, phi_image_failures, ValueError, "{1, 5} is not a face of complex 2"),
+            # gamma fails at the empty face, so only the phi image meets K(-e1) = {+e1},
+            # outside phi's domain
+            (final_k_entry_off_with_a_gamma_edge_toggled, phi_image_failures, KeyError, "0"),
+        ],
+    )
+    def test_a_corrupted_sequence_raises_the_suite_error(self, corrupt, suite, error, message):
+        with pytest.raises(error) as expected:
+            suite(corrupt())
+        with pytest.raises(error) as got:
+            deep_failures(corrupt())
+        assert str(got.value) == str(expected.value) == message
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            # the phi suite alone would stop earlier, at the renamed link of {+e1}
+            (
+                link_vertex_renamed_then_k_entry_emptied,
+                RuntimeError,
+                "internal inconsistency: |K|=0 but |W|=1 for {1, 2}",
+            ),
+            (
+                w_label_repeated_then_k_entry_emptied,
+                ValueError,
+                "relabel mapping is not a bijection on the vertex set",
+            ),
+        ],
+    )
+    def test_the_first_broken_face_raises(self, corrupt, error, message):
+        with pytest.raises(error) as got:
+            deep_failures(corrupt())
+        assert str(got.value) == message
 
 
 def oracle_failures_reference(seq):
