@@ -6,13 +6,13 @@ identity holds everywhere; all comparisons are exact.
 
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
 lists.  The increment and oracle suites are their ``*_failures``
-functions.  The other five are decided by shared walks: one depth-first
-clique walk per prefix of the sequence, in ``faces()`` order, carrying
-K(F + v) = K(F) & K(v) as a running intersection.  The walk of step j
-decides both the K and the W case rules.  The walk of the final complex
-also carries N(F), the common neighbors of F, and builds one induced
-sequence per face, from which it reads the other three suites with
-nothing rebuilt:
+functions.  The K and W case rules are decided per step, with no face
+visited, by the vertex and memo lemmas below.  The other three suites are
+decided by one depth-first clique walk over the final complex, in
+``faces()`` order, carrying K(F + v) = K(F) & K(v) and N(F), the common
+neighbors of F, as running intersections.  It builds one induced
+sequence per face, from which it reads the three suites with nothing
+rebuilt:
 
 - lk(F) is the subgraph induced on N(F), compared with the induced
   result through its labels;
@@ -22,13 +22,13 @@ nothing rebuilt:
   that the base stores as (earlier, later) if it is a gamma edge, and the
   gamma restriction is one membership test per pair.
 
-A walk only says whether its suites hold.  A suite that fails, or whose
-walk's premise does not hold, gets its list from its own ``*_failures``
+A check only says whether its suites hold.  A suite that fails, or whose
+premise does not hold, gets its list from its own ``*_failures``
 function, which also names the failing step and face.  Those five
 functions share no walk with ``deep_failures`` and are the oracle it is
 tested against.
 
-Three lemmas let the walks skip work without sampling anything; each
+Five lemmas let the checks skip work without sampling anything; each
 skipped check is implied by the ones that run:
 
 - Singleton lemma (phi image).  For a nonempty face G of F's link,
@@ -46,6 +46,24 @@ skipped check is implied by the ones that run:
   of C.  In an F3 face every vertex but w is such a common neighbor, so
   F - w + a + b is a face of C.  So no transformed face needs validation
   once the premise is checked, once per step.
+- Vertex lemma (K rules).  Given the premise at step j, suppose that
+  w = 2d + j - 1, so that K of the empty face, the w ids, gains exactly
+  w; that w is in no K_{j-1}(v); that K_j(w) = K_{j-1}(a) & K_{j-1}(b);
+  and that every other vertex v of step j-1 keeps K_{j-1}(v), plus w
+  exactly when v is a common neighbor of a and b.  As K(F) is the
+  intersection of the K(v) over the vertices v of F, and K_j(w) stands in
+  for the a and b that F's transformed face adds, K_j(F) and K_{j-1} of
+  the transformed face agree up to w.  The rules want w in K_j(F) exactly
+  for F4, and so it is.  F1: K(a) did not gain w.  F2 and F3: K(w) lacks
+  w.  F4: every vertex gained w.  F5: some vertex did not gain w.
+- Memo lemma (W rules).  ``_link_seq`` builds the recipe of (j, F) from
+  the recipe of F's transformed face at j-1 by the W rule itself,
+  classifying F against the same N(w): F1 renames ``other`` to w, F4
+  appends w, and the other classes copy.  So every recipe it computes
+  satisfies the W rule, and the rule can fail only at an entry that was
+  in the memo before the check began.  Only those are checked, and only
+  where j >= 1 and F is a face of step j's complex, the entries that
+  ``w_rule_failures`` visits.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -71,8 +89,6 @@ from .subdivision import (
     induced_sequence,
     k_set,
     phi,
-    _face_class,
-    _link_seq,
     w_set_at,
 )
 
@@ -132,21 +148,29 @@ def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     return failures
 
 
+def _expected_w(seq, j, fs):
+    """Class of a face of ``prefix(j).final`` and the W-set the W case rule of step j gives it.
+
+    F1 renames ``other`` to w in W of the transformed face, F4 appends w,
+    and the other classes copy it.
+    """
+    (a, b), w = seq.steps[j - 1]
+    cls = classify_at(seq, j, fs)
+    prev = w_set_at(seq, j - 1, _transformed(fs, cls, a, b, w))
+    if cls is FaceClass.F1:
+        other = b if a in fs else a
+        return cls, tuple(w if x == other else x for x in prev)
+    if cls is FaceClass.F4:
+        return cls, prev + (w,)
+    return cls, prev
+
+
 def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for W (with orderings) of every face of every complex."""
     failures = []
     for j in range(1, seq.k + 1):
-        (a, b), w = seq.steps[j - 1]
         for fs in seq.prefix(j).final.faces():
-            cls = classify_at(seq, j, fs)
-            prev = w_set_at(seq, j - 1, _transformed(fs, cls, a, b, w))
-            if cls is FaceClass.F1:
-                other = b if a in fs else a
-                expected = tuple(w if x == other else x for x in prev)
-            elif cls is FaceClass.F4:
-                expected = prev + (w,)
-            else:
-                expected = prev
+            cls, expected = _expected_w(seq, j, fs)
             actual = w_set_at(seq, j, fs)
             if actual != expected:
                 failures.append(
@@ -224,16 +248,17 @@ def _meet(table):
     return lambda acc, v: table[v] if acc is None else acc & table[v]
 
 
-def _case_rule_verdicts(seq) -> tuple[bool, bool]:
-    """Whether the K and the W case rules hold, from one walk over each ``prefix(j).final``.
+def _case_rule_verdicts(seq, seeded) -> tuple[bool, bool]:
+    """Whether the K and the W case rules hold, by the vertex and memo lemmas, with no face walked.
 
     Both are False where the subdivision premise of the module docstring
-    fails at some step.  The walk of step j carries K(F) over the table of
-    step j and K(F - w) over the table of step j-1; the transformed face of
-    F2 and F3 is F - w plus ``other`` or a, b, folded in afterwards.  Each
-    face is classified against w's neighbors, read once per step.
+    fails at some step.  The K rules are read off each step's K-table
+    update, one comparison per vertex; a missing entry counts as a failure,
+    so that ``k_rule_failures`` raises its own ``KeyError``.  The W rules
+    are checked only on the entries of ``seeded``, the recipe memo as
+    ``deep_failures`` found it, that ``w_rule_failures`` visits.
     """
-    k_ok = w_ok = True
+    k_ok = True
     for j, ((a, b), w) in enumerate(seq.steps, start=1):
         before, after = seq.prefix(j - 1), seq.prefix(j)
         if not (
@@ -242,32 +267,22 @@ def _case_rule_verdicts(seq) -> tuple[bool, bool]:
             and after.final == subdivide_edge(before.final, (a, b), w)
         ):
             return False, False
-        meet_after, meet_before = _meet(after.k_table), _meet(before.k_table)
-        walk = after.final.faces_with(
-            (None, None),
-            lambda acc, v: (meet_after(acc[0], v), acc[1] if v == w else meet_before(acc[1], v)),
+        kb, ka = before.k_table, after.k_table
+        common = before.final.common_neighbors((a, b))
+        k_ok = k_ok and (
+            w == seq.w_id(j)
+            and kb.keys() >= before.final.vertices
+            and ka.get(w) == kb[a] & kb[b]
+            and all(
+                w not in kb[v] and ka.get(v) == (kb[v] | {w} if v in common else kb[v])
+                for v in before.final.vertices
+            )
         )
-        every_w, every_w_before = frozenset(after.w_ids()), frozenset(before.w_ids())
-        near_w = after.final.neighbors(w)
-        for fs, (kf, kb) in walk:
-            cls = _face_class(fs, a, b, w, near_w)
-            prev_face = _transformed(fs, cls, a, b, w)
-            if k_ok:
-                for x in prev_face - fs:
-                    kb = meet_before(kb, x)
-                prev = every_w_before if kb is None else kb
-                expected = prev | {w} if cls is FaceClass.F4 else prev
-                k_ok = (every_w if kf is None else kf) == expected
-            if w_ok:
-                prev = tuple(w for _, w in _link_seq(seq, j - 1, prev_face).steps)
-                if cls is FaceClass.F1:
-                    other = b if a in fs else a
-                    expected = tuple(w if x == other else x for x in prev)
-                elif cls is FaceClass.F4:
-                    expected = prev + (w,)
-                else:
-                    expected = prev
-                w_ok = tuple(w for _, w in _link_seq(seq, j, fs).steps) == expected
+    w_ok = all(
+        w_set_at(seq, j, fs) == _expected_w(seq, j, fs)[1]
+        for j, fs in seeded
+        if 1 <= j <= seq.k and seq.prefix(j).final.is_face(fs)
+    )
     return k_ok, w_ok
 
 
@@ -377,26 +392,28 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     """The seven suites' failure lists, keyed as in ``deep_report``.
 
     Each list equals, string for string and in order, the list of the
-    matching ``*_failures`` function, because it is that list: the shared
-    walks of the module docstring only decide which suites hold, and a
-    suite they do not pass gets its list from its own function.  The walks
-    check every face and every pair (F, G), directly or through a lemma,
-    never by sampling, and stream faces rather than collect them.
+    matching ``*_failures`` function, because it is that list: the checks
+    of the module docstring only decide which suites hold, and a suite they
+    do not pass gets its list from its own function.  They cover every face
+    of every step and every pair (F, G), directly or through a lemma, never
+    by sampling, and the final walk streams faces rather than collect them.
 
     The K and W lists are settled before the final walk, so a transformed
     face off the previous complex raises the ``ValueError`` of
     ``k_rule_failures``; the final walk would fail first, with a
     ``KeyError`` from ``induced_sequence``.
 
-    The walks fill ``seq``'s recipe memo for every face of every prefix
-    and keep the replayed prefixes; both are dropped on return, leaving the
-    memos as they were found, so their memory does not outlive the call.
+    Every prefix is replayed, and the final walk fills ``seq``'s recipe
+    memo with the recipes that the final complex's faces reach.  Both are
+    dropped on return, leaving the memos as they were found, so their
+    memory does not outlive the call.  The W rules are checked on the memo
+    as it was found.
     """
     cache, prefixes = seq._cache, seq._prefixes
     seq._cache = dict(cache)
     try:
         increment = increment_identity_failures(seq)
-        k_ok, w_ok = _case_rule_verdicts(seq)
+        k_ok, w_ok = _case_rule_verdicts(seq, cache)
         k_failures = [] if k_ok else k_rule_failures(seq)
         w_failures = [] if w_ok else w_rule_failures(seq)
         link_ok, phi_ok, gamma_ok = _final_verdicts(seq)

@@ -121,7 +121,10 @@ class FlagComplex:
                 if nxt:
                     yield from grow(cur, nxt)
 
-        yield from grow((), order)
+        try:
+            yield from grow((), order)
+        finally:
+            del grow  # grow refers to itself through its closure cell: break that cycle
 
     def faces_with(self, start, step) -> Iterator[tuple[frozenset, object]]:
         """Every clique in ``faces()`` order, each paired with a value folded along the walk.
@@ -144,7 +147,10 @@ class FlagComplex:
                 if nxt:
                     yield from grow(cur, val, nxt)
 
-        yield from grow(frozenset(), start, sorted(adj, key=_vkey))
+        try:
+            yield from grow(frozenset(), start, sorted(adj, key=_vkey))
+        finally:
+            del grow  # break the same cycle as in faces()
 
     def clique_count_by_size(self) -> Counter:
         """Number of cliques of each size, without visiting the cliques one by one.

@@ -9,13 +9,15 @@ criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
 subdivision sequence, the time of one complex at d=12 with 13.9M faces,
 the time of the bridge on the power set n=8, the induced sequences that
-the deep suites build, the (F, G) pairs that the phi image examines and
-the per-face calls of the deep walks on a valid sequence, and the memory
-``deep_report`` leaves behind, so a return to per-step rebuilding of the
-graph, to keeping a copy of every step's state, to counting faces one by
-one, to enumerating every nested set, to one face walk per deep suite, to
-checking phi on every pair (F, G), to rebuilding each face's link, phi or
-restricted Γ, or to keeping the deep memos, fails here.
+the deep suites build, the (F, G) pairs that the phi image examines, the
+clique walks of the case rules and the per-face calls of the deep walks
+on a valid sequence, and the memory ``deep_report`` leaves behind, so a
+return to per-step rebuilding of the graph, to keeping a copy of every
+step's state, to counting faces one by one, to enumerating every nested
+set, to one face walk per deep suite, to one clique walk per prefix for
+the case rules, to checking phi on every pair (F, G), to rebuilding each
+face's link, phi or restricted Γ, or to keeping the deep memos, fails
+here.
 """
 
 import time
@@ -23,6 +25,7 @@ import tracemalloc
 from gc import collect
 
 from gammacomplex import (
+    FlagComplex,
     find_flag_ordering,
     gamma_complex,
     gamma_of,
@@ -377,10 +380,33 @@ def test_scale_guard_final_walk(monkeypatch):
     )
 
 
+def test_scale_guard_case_rules_walk_no_prefix(monkeypatch):
+    # a count, not a time: the K case rules are read off each step's K-table
+    # update and the W case rules off the recipes already in the memo, so a
+    # passing run walks the cliques of the final complex once, for the final
+    # walk, and of no prefix
+    start = time.perf_counter()
+    walks, real = [0], FlagComplex.faces_with
+
+    def counting(*args):
+        walks[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(FlagComplex, "faces_with", counting)
+    ok = all(deep_report(random_sequence(5, 8, 1)).values()) and walks[0] == 1
+    _report(
+        "scale guard (clique walks of the deep case rules, d=5, k=8)",
+        ok,
+        time.perf_counter() - start,
+        60.0,
+        f"faces_with called {walks[0]} times",
+    )
+
+
 def test_scale_guard_deep_memos_released():
-    # the walks fill the recipe memo for every face of every prefix (3.5 MB
-    # here, 28 MB at d=6, k=20) and replay every prefix; deep_report must
-    # not leave either behind on the sequence
+    # the final walk fills the recipe memo with every recipe its faces reach
+    # and replays every prefix; deep_report must not leave either behind on
+    # the sequence
     start = time.perf_counter()
     seq = random_sequence(5, 12, 1)
     tracemalloc.start()

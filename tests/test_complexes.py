@@ -2,8 +2,8 @@
 
 import gc
 import json
-from collections import Counter
-from itertools import combinations
+from collections import Counter, deque
+from itertools import combinations, islice
 from math import comb
 from random import Random
 
@@ -138,14 +138,27 @@ class TestCliqueCount:
         assert dict(renamed.clique_count_by_size()) == counts
 
     def test_leaves_no_reference_cycle(self):
-        # garbage left for the cyclic collector would hold the memo until
-        # the collector happens to run
+        # garbage left for the cyclic collector would hold the memo, or a
+        # walk's carried values, until the collector happens to run
         c = random_sequence(10, 16, 100).final
+        small = random_sequence(6, 20, 1).final
+
+        def count(n, v):
+            return n + 1
+
+        runs = {
+            "clique_count_by_size": c.clique_count_by_size,
+            "faces, exhausted": lambda: deque(small.faces(), maxlen=0),
+            "faces, abandoned": lambda: next(islice(small.faces(), 5, None)),
+            "faces_with, exhausted": lambda: deque(small.faces_with(0, count), maxlen=0),
+            "faces_with, abandoned": lambda: next(islice(small.faces_with(0, count), 5, None)),
+        }
         gc.collect()
         gc.disable()
         try:
-            c.clique_count_by_size()
-            assert gc.collect() == 0
+            for name, run in runs.items():
+                run()
+                assert gc.collect() == 0, name
         finally:
             gc.enable()
 

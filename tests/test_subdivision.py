@@ -27,11 +27,12 @@ from gammacomplex import (
     new_sequence,
     phi,
     random_sequence,
+    subdivide_edge,
     subdivide_face_general,
     verify_f_equals_gamma,
     w_set,
 )
-from gammacomplex import checks
+from gammacomplex import checks, subdivision
 from gammacomplex.checks import (
     deep_failures,
     deep_report,
@@ -43,7 +44,13 @@ from gammacomplex.checks import (
     phi_image_failures,
     w_rule_failures,
 )
-from gammacomplex.subdivision import SubdivisionSequence, _link_seq, _LinkSeq, k_set_at
+from gammacomplex.subdivision import (
+    SubdivisionSequence,
+    SubdivisionStep,
+    _link_seq,
+    _LinkSeq,
+    k_set_at,
+)
 from helpers import final_k_entry_moved, sequence_from_edges
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
@@ -506,6 +513,43 @@ def link_vertex_renamed_then_k_entry_emptied():
     return seq
 
 
+def w_in_a_start_k_entry():
+    """K_0(-e1) and K_1(-e1) both hold w1.
+
+    -e1 is no neighbor of w1 and keeps its K, K(w1) = K_0(+e1) & K_0(+e2) and
+    every common neighbor gains w1, so only "w1 is in no K_0 entry" fails.
+    """
+    seq = sequence_from_edges(4, [(0, 2)])
+    seq.prefix(0).k_table[1] = seq.k_table[1] = frozenset({8})
+    return seq
+
+
+def new_vertex_off_its_id():
+    """The one step of d=3 creates 7, not 2d = 6; the complex and every K-set agree with 7.
+
+    So K of the empty face, the w ids (6,), does not gain the new vertex.
+    """
+    start = new_sequence(3).final
+    table = {v: frozenset({7} if v in (4, 5) else ()) for v in range(6)}
+    table[7] = frozenset()
+    steps = (SubdivisionStep((0, 2), 7),)
+    return SubdivisionSequence(3, steps, subdivide_edge(start, (0, 2), 7), table, frozenset())
+
+
+def new_vertex_k_entry_emptied():
+    """K(w2) reads empty, not K_1(+e3) & K_1(+e4) = {w1}, from step 2 on; w3's K agrees."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq.prefix(2).k_table[9] = seq.k_table[9] = frozenset()
+    return seq
+
+
+def k_entry_missing():
+    """The starting table has no entry for +e3."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    del seq.prefix(0).k_table[4]
+    return seq
+
+
 def w_label_repeated(seq=None):
     """The empty face's recipe names w1 as the vertex of its third step too."""
     seq = seq or sequence_from_edges(4, EXAMPLE_STEPS)
@@ -652,6 +696,69 @@ class TestDeepWalksDecide:
         called = []
         with pytest.raises(ValueError, match="is not a face of complex"):
             deep_failures_spied(corrupt(), called)
+        assert called == ["k_recursion"]
+
+
+    @pytest.mark.parametrize(
+        "corrupt, first_k_failure, error, message",
+        [
+            (
+                w_in_a_start_k_entry,
+                "step 1, face [1, 4], class F5: K=[8] expected []",
+                RuntimeError,
+                "internal inconsistency: |K|=1 but |W|=0 for {1}",
+            ),
+            (
+                new_vertex_off_its_id,
+                "step 1, face [], class F4: K=[6] expected [7]",
+                ValueError,
+                "induced subgraph on vertices outside the complex",
+            ),
+            (
+                new_vertex_k_entry_emptied,
+                "step 2, face [4, 9], class F2: K=[] expected [8]",
+                RuntimeError,
+                "internal inconsistency: |K|=0 but |W|=1 for {9, 4}",
+            ),
+            # the K suite raises, on its own and inside deep_failures
+            (k_entry_missing, None, KeyError, "4"),
+        ],
+    )
+    def test_a_broken_k_update_is_caught_before_the_final_walk(
+        self, corrupt, first_k_failure, error, message
+    ):
+        if first_k_failure:
+            assert k_rule_failures(corrupt())[0] == first_k_failure
+        called = []
+        with pytest.raises(error) as got:
+            deep_failures_spied(corrupt(), called)
+        assert str(got.value) == message
+        assert called == ["k_recursion"]
+
+    def test_a_seeded_recipe_the_w_suite_never_visits_is_not_checked(self):
+        # {+e1, -e1} is no face of prefix(1), and there is no step 4
+        seq = sequence_from_edges(4, EXAMPLE_STEPS)
+        bogus = _LinkSeq(((2, 3),), (((4, 6), 99),))
+        seq._cache[(1, frozenset({0, 1}))] = seq._cache[(4, frozenset())] = bogus
+        assert w_rule_failures(seq) == []
+        assert not any(deep_failures_spied(seq, [], refuse=True).values())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_an_extend_that_skips_a_common_neighbor_is_caught(self, seed, monkeypatch):
+        real = subdivision.extend
+
+        def faulty(seq, edge):
+            out = real(seq, edge)
+            v = min(seq.final.common_neighbors(tuple(edge)))
+            out.k_table[v] = seq.k_table[v]
+            return out
+
+        monkeypatch.setattr(subdivision, "extend", faulty)
+        seq = random_sequence(4, 5, seed)
+        assert k_rule_failures(seq)
+        called = []
+        with pytest.raises(RuntimeError, match="internal inconsistency"):
+            deep_failures_spied(seq, called)
         assert called == ["k_recursion"]
 
 
