@@ -5,14 +5,18 @@ of a sequence and returns a list of failure descriptions, empty when the
 identity holds everywhere; all comparisons are exact.
 
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
-lists.  The increment and oracle suites are their ``*_failures``
-functions.  The K and W case rules are decided per step, with no face
-visited, by the vertex and memo lemmas below.  The other three suites are
-decided by one depth-first clique walk over the final complex, in
-``faces()`` order, carrying K(F + v) = K(F) & K(v) and N(F), the common
-neighbors of F, as running intersections.  It builds one induced
-sequence per face, from which it reads the three suites with nothing
-rebuilt:
+lists.  The increment suite is its ``*_failures`` function.  One forward
+pass over the steps decides the K and W case rules and the face-set
+oracle, and carries the induced-sequence recipe of every face from the
+cross polytope to the final complex.  Step j changes only the faces
+around the subdivided edge ab, built on the cliques tau of lk(ab) in
+step j-1's complex, so the pass touches those faces and no other, by the
+lemmas below.  The other three suites are decided by one depth-first
+clique walk over the final complex, in ``faces()`` order, carrying
+K(F + v) = K(F) & K(v) and N(F), the common neighbors of F, as running
+intersections.  It builds one induced sequence per face, from the
+recipes the forward pass left in the memo, and reads the three suites
+from it with nothing rebuilt:
 
 - lk(F) is the subgraph induced on N(F), compared with the induced
   result through its labels;
@@ -24,11 +28,11 @@ rebuilt:
 
 A check only says whether its suites hold.  A suite that fails, or whose
 premise does not hold, gets its list from its own ``*_failures``
-function, which also names the failing step and face.  Those five
-functions share no walk with ``deep_failures`` and are the oracle it is
-tested against.
+function, which also names the failing step and face.  Those functions
+share no walk with ``deep_failures`` and are the oracle it is tested
+against.
 
-Five lemmas let the checks skip work without sampling anything; each
+Seven lemmas let the checks skip work without sampling anything; each
 skipped check is implied by the ones that run:
 
 - Singleton lemma (phi image).  For a nonempty face G of F's link,
@@ -59,11 +63,47 @@ skipped check is implied by the ones that run:
 - Memo lemma (W rules).  ``_link_seq`` builds the recipe of (j, F) from
   the recipe of F's transformed face at j-1 by the W rule itself,
   classifying F against the same N(w): F1 renames ``other`` to w, F4
-  appends w, and the other classes copy.  So every recipe it computes
-  satisfies the W rule, and the rule can fail only at an entry that was
-  in the memo before the check began.  Only those are checked, and only
-  where j >= 1 and F is a face of step j's complex, the entries that
-  ``w_rule_failures`` visits.
+  appends w, and the other classes copy.  The forward pass builds the
+  recipes of step j from those of step j-1 by the same rule
+  (``subdivision._advance_recipes``), on the faces built on a clique tau
+  of lk(ab), and by the rename lemma the rule copies every other recipe.
+  So every recipe either computes satisfies the W rule, and the rule can
+  fail only at an entry that was in the memo before the check began.
+  Only those are checked, and only where j >= 1 and F is a face of step
+  j's complex, the entries that ``w_rule_failures`` visits.  The pass
+  warms the memo with the final layer, at the keys the memo does not
+  hold, only where no such entry is a face of its prefix below the last
+  layer, the start complex is the cross polytope, and the premise and the
+  delta lemma's comparisons hold at every step.  The recursion of
+  ``_link_seq`` would then build the same final layer, so every verdict
+  and every failure list is the same as with a cold memo.
+- Rename lemma (recipes).  Where every step subdivides an edge of the
+  previous complex, from the cross polytope on, the vertices of the recipe of a face F of step j,
+  its pairs' and its steps' new vertices, are the vertices of F's link,
+  N_j(F).  By induction on j.  At j = 0 the pairs avoiding F are the
+  vertices off F and off F's antipodes, N_0(F).  At step j: an F5 face
+  keeps its recipe and its neighbors, as only a and b lose a neighbor and
+  w is not one.  An F4 face tau gains w in both.  An F1 face F with a
+  loses b and gains w as a neighbor exactly when F - a lies in N(a) & N(b),
+  that is when F = tau + a, which is the rename of b to w; otherwise b is
+  not in N_{j-1}(F) and the rename changes nothing.  An F2 face tau + a + w
+  has the neighbors of tau + a + b, the common neighbors of a and b that
+  are joined to tau.  An F3 face tau + w has those and a and b, the pair
+  that F3 adds.  So the W rule changes only the recipes of the faces
+  built on some tau.
+- Delta lemma (face sets).  Let the face set S of step j-1 be the clique
+  set of the graph G_{j-1}, and let w not be one of its vertices.
+  Subdividing ab in S drops the faces D that hold a and b and adds the
+  faces C that hold w, so S_j is S less D plus C, with D inside S and C
+  disjoint from it.  The cliques of G_j are those of G_{j-1} less the
+  set X of those that use a vertex or an edge missing from G_j, plus the
+  set Y of those that use a vertex or an edge missing from G_{j-1}, with
+  X inside and Y outside the cliques of G_{j-1}.  Comparing the parts
+  inside and outside the cliques of G_{j-1}, S_j is the clique set of
+  G_j exactly when D = X and C = Y.  Step 0's face set is the clique set
+  of G_0 by construction, so checking D = X and C = Y at every step shows
+  the face sets equal the graphs' cliques throughout, which is all
+  ``oracle_failures`` checks.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -74,6 +114,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .complexes import (
+    cross_polytope,
     is_flag,
     is_isomorphic_under,
     link,
@@ -84,6 +125,9 @@ from .polynomials import gamma_of
 from .subdivision import (
     FaceClass,
     SubdivisionSequence,
+    _advance_recipes,
+    _LinkSeq,
+    _start_recipe,
     classify_at,
     gamma_complex,
     induced_sequence,
@@ -248,25 +292,154 @@ def _meet(table):
     return lambda acc, v: table[v] if acc is None else acc & table[v]
 
 
-def _case_rule_verdicts(seq, seeded) -> tuple[bool, bool]:
-    """Whether the K and the W case rules hold, by the vertex and memo lemmas, with no face walked.
+class _Numbering:
+    """Vertices numbered in the order they are first met, and vertex sets as int masks of those numbers."""
 
-    Both are False where the subdivision premise of the module docstring
-    fails at some step.  The K rules are read off each step's K-table
-    update, one comparison per vertex; a missing entry counts as a failure,
-    so that ``k_rule_failures`` raises its own ``KeyError``.  The W rules
-    are checked only on the entries of ``seeded``, the recipe memo as
-    ``deep_failures`` found it, that ``w_rule_failures`` visits.
+    __slots__ = ("pos", "order")
+
+    def __init__(self):
+        self.pos, self.order = {}, []
+
+    def bit(self, v) -> int:
+        i = self.pos.get(v)
+        if i is None:
+            i = self.pos[v] = len(self.order)
+            self.order.append(v)
+        return 1 << i
+
+    def mask(self, vertices) -> int:
+        m = 0
+        for v in vertices:
+            m |= self.bit(v)
+        return m
+
+    def vertex_sets(self, masks) -> dict:
+        """Each of ``masks``, a downward closed family, sent to its set of vertices."""
+        single = {1 << i: frozenset((v,)) for i, v in enumerate(self.order)}
+        out = {0: frozenset()}
+        for m in sorted(masks):
+            if m:
+                low = m & -m
+                out[m] = out[m ^ low] | single[low]
+        return out
+
+
+def _cliques_through(adj, base, num) -> list[int]:
+    """Every clique of the graph ``adj`` that holds the nonempty clique ``base``, once each, as masks."""
+    it = iter(base)
+    cand = set(adj[next(it)])
+    for v in it:
+        cand &= adj[v]
+    nbr = {num.bit(v): num.mask(adj[v] & cand) for v in cand}
+    out, todo = [], [(num.mask(base), num.mask(cand))]
+    while todo:
+        clique, rest = todo.pop()
+        out.append(clique)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            todo.append((clique | low, rest & nbr[low]))
+    return out
+
+
+def _clique_delta(adj, other, num) -> set[int]:
+    """The cliques of the graph ``adj`` that use a vertex or an edge missing from the graph ``other``.
+
+    Both graphs are adjacency mappings.  The missing vertices and edges are
+    found by comparing the two, entry by entry; an entry that ``other``
+    shares with ``adj`` is the same neighbor set.
     """
-    k_ok = True
-    for j, ((a, b), w) in enumerate(seq.steps, start=1):
+    out, edges = set(), set()
+    for v, ns in adj.items():
+        if v not in other:
+            out.update(_cliques_through(adj, (v,), num))
+        elif ns is not other[v]:
+            edges.update(frozenset((u, v)) for u in ns - other[v] if u in other)
+    for edge in edges:
+        out.update(_cliques_through(adj, edge, num))
+    return out
+
+
+def _face_set_follows(faces, index, prev, cur, step, num) -> bool:
+    """Subdivide ab by w in the explicit face set, in place; whether it follows the graphs (delta lemma).
+
+    ``faces`` is the face set of step j-1, as masks, and ``index`` sends
+    the bit of each of its vertices to the faces that hold it.  The dropped
+    and the coned faces are those of ``subdivide_face_general``, read off
+    the index; they are compared with the clique deltas of ``prev`` and
+    ``cur``, the adjacency of steps j-1 and j.  False, with the face set
+    left behind, where a delta differs.  The face set must be the clique
+    set of ``prev``, in which the premise makes ab an edge and w new, so
+    ab is a face and w no vertex of it, as ``subdivide_face_general``
+    requires.
+    """
+    (a, b), w = step
+    ba, bb, bw = num.bit(a), num.bit(b), num.bit(w)
+    ab = ba | bb
+    dropped = index[ba] & index[bb]
+    coned = {f | bw for g in dropped for f in (g ^ ab, g ^ ba, g ^ bb) if f in faces}
+    if dropped != _clique_delta(prev, cur, num) or coned != _clique_delta(cur, prev, num):
+        return False
+    faces -= dropped
+    faces |= coned
+    index[bw] = set()
+    for changed, update in ((dropped, set.discard), (coned, set.add)):
+        for f in changed:
+            m = f
+            while m:
+                low = m & -m
+                update(index[low], f)
+                m ^= low
+    return True
+
+
+def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
+    """Whether the K case rules, the W case rules and the face-set oracle hold, in one pass over the steps.
+
+    Each step checks the subdivision premise of the module docstring first;
+    where it fails, all three are False.  The K rules are read off each
+    step's K-table update by the vertex lemma, one comparison per vertex; a
+    missing entry counts as a failure, so that ``k_rule_failures`` raises
+    its own ``KeyError``.  The W rules are checked only on the entries of
+    ``seeded``, the recipe memo as ``deep_failures`` found it, that
+    ``w_rule_failures`` visits (the memo lemma).  The face set is replayed
+    on masks and compared by the delta lemma.
+
+    Where the start complex is the cross polytope, no seeded entry is a
+    face of its prefix below the last layer, and the premise and the delta
+    lemma's comparisons hold at every step, the recipes are carried from
+    the cross polytope's by the W rule on the changed faces only
+    (``_advance_recipes``), and the final layer warms ``seq``'s memo at
+    each key it does not hold.  By the rename lemma those are the recipes
+    ``_link_seq`` would build.  The premise is checked with
+    ``subdivide_edge``; the face sets, which follow the graphs by the rule
+    of ``subdivide_face_general``, show that each step is an edge
+    subdivision as the rename lemma needs, whatever ``subdivide_edge`` does.
+    """
+    k, num = seq.k, _Numbering()
+    start = seq.prefix(0).final
+    recipes = {}
+    index = {num.bit(v): set() for v in start.vertices}
+    for fs in start.faces():
+        m = num.mask(fs)
+        recipes[m] = _start_recipe(seq.d, fs)
+        for v in fs:
+            index[num.bit(v)].add(m)
+    faces = set(recipes)
+    if start != cross_polytope(seq.d) or any(
+        0 <= j < k and seq.prefix(j).final.is_face(fs) for j, fs in seeded
+    ):
+        recipes = None
+    k_ok = faces_ok = True
+    for j, step in enumerate(seq.steps, start=1):
+        (a, b), w = step
         before, after = seq.prefix(j - 1), seq.prefix(j)
         if not (
             before.final.has_edge(a, b)
             and w not in before.final.vertices
             and after.final == subdivide_edge(before.final, (a, b), w)
         ):
-            return False, False
+            return False, False, False
         kb, ka = before.k_table, after.k_table
         common = before.final.common_neighbors((a, b))
         k_ok = k_ok and (
@@ -278,12 +451,24 @@ def _case_rule_verdicts(seq, seeded) -> tuple[bool, bool]:
                 for v in before.final.vertices
             )
         )
+        prev, cur = before.final.adjacency(), after.final.adjacency()
+        faces_ok = faces_ok and _face_set_follows(faces, index, prev, cur, step, num)
+        if not faces_ok:
+            recipes = None
+        if recipes is not None:
+            bits = num.bit(a), num.bit(b), num.bit(w)
+            _advance_recipes(recipes, _cliques_through(prev, (a, b), num), step, bits)
+    faces = index = None  # so that no collection while the memo is warmed traverses them
     w_ok = all(
         w_set_at(seq, j, fs) == _expected_w(seq, j, fs)[1]
         for j, fs in seeded
-        if 1 <= j <= seq.k and seq.prefix(j).final.is_face(fs)
+        if 1 <= j <= k and seq.prefix(j).final.is_face(fs)
     )
-    return k_ok, w_ok
+    if recipes is not None:
+        memo, vertex_sets = seq._cache, num.vertex_sets(recipes)
+        for m, recipe in recipes.items():
+            memo.setdefault((k, vertex_sets[m]), _LinkSeq(*recipe))
+    return k_ok, w_ok, faces_ok
 
 
 def _is_link(ind, nf, adj) -> bool:
@@ -403,17 +588,19 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     ``k_rule_failures``; the final walk would fail first, with a
     ``KeyError`` from ``induced_sequence``.
 
-    Every prefix is replayed, and the final walk fills ``seq``'s recipe
-    memo with the recipes that the final complex's faces reach.  Both are
-    dropped on return, leaving the memos as they were found, so their
-    memory does not outlive the call.  The W rules are checked on the memo
-    as it was found.
+    Every prefix is replayed, and the forward pass warms ``seq``'s recipe
+    memo with the recipes of the final complex's faces only, so that the
+    final walk never recurses; where the memo lemma does not let it, the
+    final walk fills the memo as ``_link_seq`` recurses.  Both are dropped
+    on return, leaving the memos as they were found, so their memory does
+    not outlive the call.  The W rules are checked on the memo as it was
+    found.
     """
     cache, prefixes = seq._cache, seq._prefixes
     seq._cache = dict(cache)
     try:
         increment = increment_identity_failures(seq)
-        k_ok, w_ok = _case_rule_verdicts(seq, cache)
+        k_ok, w_ok, faces_ok = _forward_pass(seq, cache)
         k_failures = [] if k_ok else k_rule_failures(seq)
         w_failures = [] if w_ok else w_rule_failures(seq)
         link_ok, phi_ok, gamma_ok = _final_verdicts(seq)
@@ -424,7 +611,7 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
             "link_recursion": [] if link_ok else link_recursion_failures(seq),
             "phi_image": [] if phi_ok else phi_image_failures(seq),
             "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
-            "oracle_equivalence": oracle_failures(seq),
+            "oracle_equivalence": [] if faces_ok else oracle_failures(seq),
         }
     finally:
         seq._cache, seq._prefixes = cache, prefixes

@@ -81,13 +81,23 @@ class _LinkSeq(NamedTuple):
     steps: tuple[tuple[tuple[int, int], int], ...]
 
 
-def _rename(ls: _LinkSeq, old: int, new: int) -> _LinkSeq:
+def _rename(recipe: tuple, old: int, new: int) -> tuple:
+    """The pairs and the steps of a recipe with ``old`` renamed to ``new``, as a plain tuple.
+
+    A plain tuple of ints and tuples is one the cyclic garbage collector
+    stops tracking, which matters where many recipes stay alive.
+    """
+
     def sub(x):
         return new if x == old else x
 
-    return _LinkSeq(
-        tuple((sub(u), sub(v)) for u, v in ls.pairs),
-        tuple(((sub(a), sub(b)), sub(w)) for (a, b), w in ls.steps),
+    pairs, steps = recipe
+    return (
+        tuple(p if old not in p else (sub(p[0]), sub(p[1])) for p in pairs),
+        tuple(
+            s if old not in s[0] and old != s[1] else ((sub(s[0][0]), sub(s[0][1])), sub(s[1]))
+            for s in steps
+        ),
     )
 
 
@@ -281,6 +291,43 @@ def classify_face(seq: SubdivisionSequence, face: Iterable[int]) -> FaceClass:
     return classify_at(seq, seq.k, fs)
 
 
+def _start_recipe(d: int, fs: frozenset[int]) -> _LinkSeq:
+    """Recipe of a face of the cross polytope on d pairs: the pairs that avoid it, and no step."""
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(d) if 2 * i not in fs and 2 * i + 1 not in fs)
+    return _LinkSeq(pairs, ())
+
+
+def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int, int, int]) -> None:
+    """Turn the recipes of step j-1's faces into step j's, in place; ``step`` subdivides ab by w.
+
+    Faces are int masks over some numbering of the vertices, and ``bits``
+    are the masks of a, b and w.  ``layer`` maps every face of step j-1 to
+    the recipe ``_link_seq`` gives it, as a ``_LinkSeq`` or a plain tuple
+    (pairs, steps), the form this writes; ``spanned`` are the faces that
+    hold a and b: tau + a + b for each clique tau of lk(ab).  The W rule of
+    ``_link_seq`` changes only the faces built on some tau.  tau + a + b is
+    dropped; tau + a + w and tau + b + w copy its recipe (F2), and tau + w
+    copies it with the pair (a, b) added (F3); tau gains the step
+    ((a, b), w) (F4); tau + a renames b to w and tau + b renames a to w
+    (F1).  Every other face keeps its recipe: an F5 face copies it, and an
+    F1 face with a that is not tau + a has no b in its recipe, by the
+    rename lemma of ``checks``.
+    """
+    (a, b), w = step
+    ba, bb, bw = bits
+    pair, appended = ((a, b),), (((a, b), w),)
+    for g in spanned:
+        recipe = layer.pop(g)
+        ga, gb = g ^ bb, g ^ ba
+        tau = ga ^ ba
+        layer[ga | bw] = layer[gb | bw] = recipe
+        layer[tau | bw] = (recipe[0] + pair, recipe[1])
+        kept = layer[tau]
+        layer[tau] = (kept[0], kept[1] + appended)
+        layer[ga] = _rename(layer[ga], b, w)
+        layer[gb] = _rename(layer[gb], a, w)
+
+
 def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> _LinkSeq:
     """Induced sequence recipe for a face of the j-th complex (recursion on j)."""
     key = (j, fs)
@@ -288,18 +335,13 @@ def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> _LinkSeq:
     if cached is not None:
         return cached
     if j == 0:
-        pairs = tuple(
-            (2 * i, 2 * i + 1)
-            for i in range(seq.d)
-            if 2 * i not in fs and 2 * i + 1 not in fs
-        )
-        out = _LinkSeq(pairs, ())
+        out = _start_recipe(seq.d, fs)
     else:
         (a, b), w = seq.steps[j - 1]
         cls = classify_at(seq, j, fs)
         if cls is FaceClass.F1:
             other = b if a in fs else a
-            out = _rename(_link_seq(seq, j - 1, fs), other, w)
+            out = _LinkSeq(*_rename(_link_seq(seq, j - 1, fs), other, w))
         elif cls is FaceClass.F2:
             other = b if a in fs else a
             out = _link_seq(seq, j - 1, fs - {w} | {other})

@@ -11,12 +11,15 @@ subdivision sequence, the time of one complex at d=12 with 13.9M faces,
 the time of the bridge on the power set n=8, the induced sequences that
 the deep suites build, the (F, G) pairs that the phi image examines, the
 clique walks of the case rules and the per-face calls of the deep walks
-on a valid sequence, and the memory ``deep_report`` leaves behind, so a
-return to per-step rebuilding of the graph, to keeping a copy of every
-step's state, to counting faces one by one, to enumerating every nested
-set, to one face walk per deep suite, to one clique walk per prefix for
-the case rules, to checking phi on every pair (F, G), to rebuilding each
-face's link, phi or restricted Γ, or to keeping the deep memos, fails
+on a valid sequence, the face-set replays and the prefix recipes of the
+deep forward pass, the memory ``deep_report`` leaves behind and its peak,
+and the time of ``deep_report`` on one long sequence, so a return to
+per-step rebuilding of the graph, to keeping a copy of every step's
+state, to counting faces one by one, to enumerating every nested set, to
+one face walk per deep suite, to one clique walk per prefix for the case
+rules, to checking phi on every pair (F, G), to rebuilding each face's
+link, phi or restricted Γ, to keeping the deep memos, to rebuilding each
+step's face set or to a recipe for every face of every prefix, fails
 here.
 """
 
@@ -37,7 +40,7 @@ from gammacomplex import (
     verify_f_equals_gamma,
     verify_ordering_equivalence,
 )
-from gammacomplex import checks
+from gammacomplex import checks, subdivision
 from gammacomplex.checks import (
     deep_report,
     gamma_restriction_failures,
@@ -404,9 +407,9 @@ def test_scale_guard_case_rules_walk_no_prefix(monkeypatch):
 
 
 def test_scale_guard_deep_memos_released():
-    # the final walk fills the recipe memo with every recipe its faces reach
-    # and replays every prefix; deep_report must not leave either behind on
-    # the sequence
+    # the forward pass warms the recipe memo with the final complex's
+    # recipes and every prefix is replayed; deep_report must not leave
+    # either behind on the sequence
     start = time.perf_counter()
     seq = random_sequence(5, 12, 1)
     tracemalloc.start()
@@ -423,6 +426,84 @@ def test_scale_guard_deep_memos_released():
         time.perf_counter() - start,
         30.0,
         f"retained {retained_mb:.2f} MB, limit 1 MB",
+    )
+
+
+def test_scale_guard_deep_forward_pass(monkeypatch):
+    # counts, not times: the face sets and the recipes are carried from step
+    # to step, so a passing run replays no face set and builds no recipe of a
+    # prefix; the memo holds the 783 recipes of the final complex's faces,
+    # each read once by the final walk
+    start = time.perf_counter()
+    calls = dict.fromkeys(["oracle_failures", "subdivide_face_general"], 0)
+    for name in calls:
+        real = getattr(checks, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(checks, name, counting)
+    seq = random_sequence(5, 8, 1)
+    layers, memo = [], []
+    real_link_seq, real_walk = subdivision._link_seq, checks._final_verdicts
+
+    def counting_link_seq(s, j, fs):
+        layers.append(j)
+        return real_link_seq(s, j, fs)
+
+    def walk(s):
+        out = real_walk(s)
+        memo.extend(s._cache)
+        return out
+
+    monkeypatch.setattr(subdivision, "_link_seq", counting_link_seq)
+    monkeypatch.setattr(checks, "_final_verdicts", walk)
+    ok = all(deep_report(seq).values())
+    ok &= calls == {"oracle_failures": 0, "subdivide_face_general": 0}
+    ok &= layers == [8] * 783 and len(memo) == 783 and {j for j, _ in memo} == {8}
+    _report(
+        "scale guard (face sets and recipes carried per step, d=5, k=8)",
+        ok,
+        time.perf_counter() - start,
+        60.0,
+        f"{calls}; _link_seq called {len(layers)} times, "
+        f"{sum(j < 8 for j in layers)} below the last layer; memo {len(memo)} entries",
+    )
+
+
+def test_scale_guard_deep_forward_pass_memory():
+    # the recipe memo holds the final layer only, not every face of every
+    # prefix (25.1 MB before the forward pass)
+    start = time.perf_counter()
+    seq = random_sequence(5, 60, 1)
+    tracemalloc.start()
+    try:
+        ok = all(deep_report(seq).values())
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    _report(
+        "scale guard (traced peak memory of deep_report, d=5, k=60)",
+        ok and peak_mb < 12.0,
+        time.perf_counter() - start,
+        60.0,
+        f"peak {peak_mb:.1f} MB, limit 12 MB",
+    )
+
+
+def test_scale_guard_deep_long_sequence():
+    # one forward pass, O(lk(ab)) per step; rebuilding every prefix's face
+    # set and recipes took 12 s
+    start = time.perf_counter()
+    seq = random_sequence(5, 150, 1)
+    report = deep_report(seq)
+    _report(
+        "scale guard (deep_report on one long sequence, d=5, k=150)",
+        all(report.values()),
+        time.perf_counter() - start,
+        6.0,
+        f"{sum(report.values())} of {len(report)} suites hold",
     )
 
 

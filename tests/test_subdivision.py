@@ -32,7 +32,8 @@ from gammacomplex import (
     verify_f_equals_gamma,
     w_set,
 )
-from gammacomplex import checks, subdivision
+import gammacomplex
+from gammacomplex import checks, complexes, subdivision
 from gammacomplex.checks import (
     deep_failures,
     deep_report,
@@ -558,6 +559,16 @@ def w_label_repeated(seq=None):
     return seq
 
 
+# Ways to seed a recipe: as ``_link_seq`` builds it, or off by one change.
+CORRUPTIONS = [
+    lambda r: r,
+    lambda r: _LinkSeq(r.pairs[:-1], r.steps),
+    lambda r: _LinkSeq(r.pairs, r.steps[::-1]),
+    lambda r: _LinkSeq(r.pairs, r.steps[:-1]),
+    lambda r: _LinkSeq(tuple((v, u) for u, v in r.pairs), r.steps),
+]
+
+
 class TestDeepFailures:
     """``deep_failures`` against the seven one-sweep suite functions."""
 
@@ -610,6 +621,36 @@ class TestDeepFailures:
         with pytest.raises(ValueError) as got:
             deep_failures(corrupt())
         assert str(got.value) == str(expected.value) == message
+
+    @given(
+        st.integers(2, 5),
+        st.integers(0, 6),
+        st.integers(0, 10**6),
+        st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.sampled_from(CORRUPTIONS)), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_suites_with_seeded_recipes(self, d, k, seed, seeds):
+        # recipes seeded at any layer, honest or corrupted, either let the
+        # memo be warmed or keep it cold; the result, or the error, is that
+        # of the suites
+        seq = random_sequence(d, k, seed)
+        for at, pick, corruption in seeds:
+            j = round(at * k)
+            faces = sorted(seq.prefix(j).final.faces(), key=sorted)
+            fs = faces[int(pick * (len(faces) - 1))]
+            seq._cache[(j, fs)] = corruption(_link_seq(random_sequence(d, k, seed), j, fs))
+        try:
+            got = deep_failures(seq)
+        except (KeyError, RuntimeError, ValueError) as exc:
+            raised = []
+            for suite in SUITES.values():
+                try:
+                    suite(seq)
+                except (KeyError, RuntimeError, ValueError) as other:
+                    raised.append((type(other), str(other)))
+            assert (type(exc), str(exc)) in raised
+        else:
+            assert got == {name: suite(seq) for name, suite in SUITES.items()}
 
     def test_pinned_failure_strings(self):
         assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
@@ -760,6 +801,118 @@ class TestDeepWalksDecide:
         with pytest.raises(RuntimeError, match="internal inconsistency"):
             deep_failures_spied(seq, called)
         assert called == ["k_recursion"]
+
+
+class TestForwardPass:
+    """The recipes and the face set that ``checks._forward_pass`` carries from step to step."""
+
+    @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_every_warmed_recipe_is_the_recursions(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        assert checks._forward_pass(seq, {}) == (True, True, True)
+        fresh = random_sequence(d, k, seed)
+        assert set(seq._cache) == {(k, fs) for fs in seq.final.faces()}
+        for (j, fs), recipe in seq._cache.items():
+            assert recipe == _link_seq(fresh, j, fs), sorted(fs)
+
+    def test_a_seeded_recipe_is_kept(self):
+        seq = sequence_from_edges(4, EXAMPLE_STEPS)
+        seeded = {(3, frozenset({0})): _LinkSeq(((2, 3),), ())}
+        seq._cache.update(seeded)
+        # the W rule fails there, and checking it fills the layers below
+        assert checks._forward_pass(seq, dict(seeded)) == (True, False, True)
+        assert seq._cache[3, frozenset({0})] == _LinkSeq(((2, 3),), ())
+        assert {key for key in seq._cache if key[0] == 3} == {(3, fs) for fs in seq.final.faces()}
+
+    @pytest.mark.parametrize("key", [(0, frozenset({0, 2})), (2, frozenset())])
+    def test_a_seeded_face_below_the_last_layer_leaves_the_memo_cold(self, key):
+        seq = sequence_from_edges(4, EXAMPLE_STEPS)
+        seeded = {key: _link_seq(sequence_from_edges(4, EXAMPLE_STEPS), *key)}
+        seq._cache.update(seeded)
+        assert checks._forward_pass(seq, dict(seeded)) == (True, True, True)
+        assert seq._cache[key] == seeded[key]
+        assert not any(j == 3 for j, _ in seq._cache)
+
+    def test_a_seeded_non_face_below_the_last_layer_is_ignored(self):
+        seq = sequence_from_edges(4, EXAMPLE_STEPS)
+        seeded = {(1, frozenset({0, 2})): _LinkSeq((), ())}
+        seq._cache.update(seeded)
+        checks._forward_pass(seq, dict(seeded))
+        assert len(seq._cache) == 1 + sum(seq.final.clique_count_by_size().values())
+
+    @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_valid_sequences_never_call_the_face_set_oracle(self, d, k, seed):
+        called = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "oracle_failures", lambda seq: called.append(seq) or [])
+            assert deep_failures(random_sequence(d, k, seed))["oracle_equivalence"] == []
+        assert called == []
+
+    def test_a_diverging_face_set_calls_the_oracle(self, monkeypatch):
+        called, real = [], checks.oracle_failures
+        monkeypatch.setattr(checks, "oracle_failures", lambda seq: called.append(seq) or real(seq))
+        assert deep_failures(pendant_at_the_start())["oracle_equivalence"] == [
+            f"step {j}: face sets diverge from graph subdivision" for j in (1, 2)
+        ]
+        assert len(called) == 1
+
+    @staticmethod
+    def patch_subdivide_edge(monkeypatch, drop):
+        """Make every module's ``subdivide_edge`` also drop the edge ``drop(c, edge, s)``."""
+        real = subdivide_edge
+
+        def faulty(c, edge, s):
+            out = real(c, edge, s)
+            gone = drop(c, edge, s)
+            return FlagComplex(out.vertices, [e for e in out.edges() if e != gone])
+
+        for module in (gammacomplex, complexes, subdivision, checks):
+            monkeypatch.setattr(module, "subdivide_edge", faulty)
+
+    def test_a_graph_rule_that_drops_a_common_neighbor_is_caught(self, monkeypatch):
+        # the premise compares each step with subdivide_edge, so it holds
+        # here; the face set is replayed without it and diverges
+        self.patch_subdivide_edge(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
+        seq = random_sequence(4, 5, 1)
+        assert checks._forward_pass(seq, {})[2] is False
+        assert seq._cache == {}
+        assert oracle_failures(seq)[0] == "step 1: face sets diverge from graph subdivision"
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            # the cliques gained lack those on (+e2, w1): the coned faces differ
+            lambda c, edge, s: (min(c.common_neighbors(edge)), s),
+            # the cliques lost gain those on (-e1, -e4), away from the edge: the dropped faces differ
+            lambda c, edge, s: (1, 7),
+        ],
+        ids=["coned", "dropped"],
+    )
+    def test_each_delta_is_compared(self, drop, monkeypatch):
+        self.patch_subdivide_edge(monkeypatch, drop)
+        seq = random_sequence(4, 1, 1)
+        assert seq.steps[0] == ((0, 6), 8)
+        assert not seq.final.has_edge(*drop(seq.prefix(0).final, (0, 6), 8))
+        assert checks._forward_pass(seq, {}) == (True, True, False)
+
+    def test_a_start_off_the_cross_polytope_leaves_the_memo_cold(self):
+        # every complex carries the pendant 99 at +e1, so each step is an
+        # edge subdivision; but the start recipe of {+e1, 99} holds +e2 although
+        # {+e1, +e2, 99} is no face, and step 1 renames it
+        seq = sequence_from_edges(2, [(0, 2)])
+        square = seq.prefix(0).final
+        start = FlagComplex(list(square.vertices) + [99], square.edges() + [(0, 99)])
+        seq.prefix(0).final = start
+        seq.prefix(0).k_table[99] = frozenset()
+        (a, b), w = seq.steps[0]
+        final = subdivide_edge(start, (a, b), w)
+        moved = SubdivisionSequence(2, seq.steps, final, {**seq.k_table, 99: frozenset()}, seq.gamma_edges)
+        moved._prefixes = seq._prefixes
+        assert checks._forward_pass(moved, {}) == (True, True, True)
+        assert moved._cache == {}
+        assert _link_seq(moved, 1, frozenset({0, 99})).pairs == ((4, 3),)
 
 
 class TestFinalWalkRaisesAlike:
