@@ -4,6 +4,12 @@ Each ``*_failures`` function sweeps one identity over all faces (or steps)
 of a sequence and returns a list of failure descriptions, empty when the
 identity holds everywhere; all comparisons are exact.
 
+History is read forward: every per-step walker, here and in
+``deep_failures``, walks consecutive pairs of ``seq.states()``, which
+replays the steps and keeps nothing, so two states are alive at a time.
+Faces are classified against N_j(w_j), the neighbors that ``extend``
+recorded for the new vertex of step j, as ``_link_seq`` classifies them.
+
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
 lists.  The increment suite is its ``*_failures`` function.  One forward
 pass over the steps decides the K and W case rules and the face-set
@@ -49,7 +55,9 @@ skipped check is implied by the ones that run:
   neighbors of w, so common neighbors of a and b in C: F - w + b is a face
   of C.  In an F3 face every vertex but w is such a common neighbor, so
   F - w + a + b is a face of C.  So no transformed face needs validation
-  once the premise is checked, once per step.
+  once the premise is checked, once per step.  The premise also asks
+  that the recorded N_j(w) be w's neighbors in step j's complex, so
+  that a face's class is the same read from either.
 - Vertex lemma (K rules).  Given the premise at step j, suppose that
   w = 2d + j - 1, so that K of the empty face, the w ids, gains exactly
   w; that w is in no K_{j-1}(v); that K_j(w) = K_{j-1}(a) & K_{j-1}(b);
@@ -62,8 +70,8 @@ skipped check is implied by the ones that run:
   w.  F4: every vertex gained w.  F5: some vertex did not gain w.
 - Memo lemma (W rules).  ``_link_seq`` builds the recipe of (j, F) from
   the recipe of F's transformed face at j-1 by the W rule itself,
-  classifying F against the same N(w): F1 renames ``other`` to w, F4
-  appends w, and the other classes copy.  The forward pass builds the
+  classifying F against the same recorded N_j(w): F1 renames ``other``
+  to w, F4 appends w, and the other classes copy.  The forward pass builds the
   recipes of step j from those of step j-1 by the same rule
   (``subdivision._advance_recipes``), on the faces built on a clique tau
   of lk(ab), and by the rename lemma the rule copies every other recipe.
@@ -126,14 +134,14 @@ from .subdivision import (
     FaceClass,
     SubdivisionSequence,
     _advance_recipes,
+    _face_class,
     _LinkSeq,
     _start_recipe,
-    classify_at,
+    _w_set_of,
     gamma_complex,
     induced_sequence,
     k_set,
     phi,
-    w_set_at,
 )
 
 __all__ = [
@@ -152,15 +160,16 @@ __all__ = [
 def increment_identity_failures(seq: SubdivisionSequence) -> list[str]:
     """gamma(step j) - gamma(step j-1) == t * gamma(link of the subdivided edge)."""
     failures = []
-    after = gamma_of(seq.prefix(0).final, seq.d).gamma
-    for j, step in enumerate(seq.steps, start=1):
-        before, after = after, gamma_of(seq.prefix(j).final, seq.d).gamma
-        lk = gamma_of(link(seq.prefix(j - 1).final, step.edge), seq.d - 2).gamma
-        if after - before != lk.shift(1):
-            failures.append(
-                f"step {j}: gamma increment {(after - before).to_list()} != "
-                f"t*{lk.to_list()}"
-            )
+    states = seq.states()
+    before = next(states)
+    gamma_after = gamma_of(before.final, seq.d).gamma
+    for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
+        gamma_before, gamma_after = gamma_after, gamma_of(after.final, seq.d).gamma
+        lk = gamma_of(link(before.final, step.edge), seq.d - 2).gamma
+        increment = gamma_after - gamma_before
+        if increment != lk.shift(1):
+            failures.append(f"step {j}: gamma increment {increment.to_list()} != t*{lk.to_list()}")
+        before = after
     return failures
 
 
@@ -176,11 +185,11 @@ def _transformed(fs, cls, a, b, w):
 def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for K of every face of every complex in the sequence."""
     failures = []
-    for j in range(1, seq.k + 1):
-        (a, b), w = seq.steps[j - 1]
-        before, after = seq.prefix(j - 1), seq.prefix(j)
+    states = seq.states()
+    before = next(states)
+    for j, (((a, b), w), after) in enumerate(zip(seq.steps, states), start=1):
         for fs in after.final.faces():
-            cls = classify_at(seq, j, fs)
+            cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
             prev = set(k_set(before, _transformed(fs, cls, a, b, w)))
             expected = prev | {w} if cls is FaceClass.F4 else prev
             actual = set(k_set(after, fs))
@@ -189,18 +198,20 @@ def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
                     f"step {j}, face {sorted(fs)}, class {cls.value}: "
                     f"K={sorted(actual)} expected {sorted(expected)}"
                 )
+        before = after
     return failures
 
 
-def _expected_w(seq, j, fs):
-    """Class of a face of ``prefix(j).final`` and the W-set the W case rule of step j gives it.
+def _expected_w(seq, j, fs, before):
+    """Class of a face of state j's complex and the W-set the W case rule of step j gives it.
 
-    F1 renames ``other`` to w in W of the transformed face, F4 appends w,
-    and the other classes copy it.
+    ``before`` is state j-1 of ``seq.states()``.  F1 renames ``other`` to
+    w in W of the transformed face, F4 appends w, and the other classes
+    copy it.
     """
     (a, b), w = seq.steps[j - 1]
-    cls = classify_at(seq, j, fs)
-    prev = w_set_at(seq, j - 1, _transformed(fs, cls, a, b, w))
+    cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
+    prev = _w_set_of(seq, j - 1, before, _transformed(fs, cls, a, b, w))
     if cls is FaceClass.F1:
         other = b if a in fs else a
         return cls, tuple(w if x == other else x for x in prev)
@@ -212,15 +223,18 @@ def _expected_w(seq, j, fs):
 def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for W (with orderings) of every face of every complex."""
     failures = []
-    for j in range(1, seq.k + 1):
-        for fs in seq.prefix(j).final.faces():
-            cls, expected = _expected_w(seq, j, fs)
-            actual = w_set_at(seq, j, fs)
+    states = seq.states()
+    before = next(states)
+    for j, after in enumerate(states, start=1):
+        for fs in after.final.faces():
+            cls, expected = _expected_w(seq, j, fs, before)
+            actual = _w_set_of(seq, j, after, fs)
             if actual != expected:
                 failures.append(
                     f"step {j}, face {sorted(fs)}, class {cls.value}: "
                     f"W={list(actual)} expected {list(expected)}"
                 )
+        before = after
     return failures
 
 
@@ -276,10 +290,11 @@ def oracle_failures(seq: SubdivisionSequence) -> list[str]:
     only at a step where the two diverge.
     """
     failures = []
-    fc = seq.prefix(0).final.to_face_complex()
-    for j, step in enumerate(seq.steps, start=1):
+    states = seq.states()
+    fc = next(states).final.to_face_complex()
+    for j, (step, state) in enumerate(zip(seq.steps, states), start=1):
         fc = subdivide_face_general(fc, step.edge, step.new_vertex)
-        graph = seq.prefix(j).final
+        graph = state.final
         if fc.vertices != graph.vertices or fc.faces != frozenset(graph.faces()):
             failures.append(f"step {j}: face sets diverge from graph subdivision")
             if not is_flag(fc):
@@ -396,14 +411,16 @@ def _face_set_follows(faces, index, prev, cur, step, num) -> bool:
 def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
     """Whether the K case rules, the W case rules and the face-set oracle hold, in one pass over the steps.
 
-    Each step checks the subdivision premise of the module docstring first;
-    where it fails, all three are False.  The K rules are read off each
-    step's K-table update by the vertex lemma, one comparison per vertex; a
-    missing entry counts as a failure, so that ``k_rule_failures`` raises
-    its own ``KeyError``.  The W rules are checked only on the entries of
-    ``seeded``, the recipe memo as ``deep_failures`` found it, that
-    ``w_rule_failures`` visits (the memo lemma).  The face set is replayed
-    on masks and compared by the delta lemma.
+    The pass walks consecutive pairs of ``seq.states()``, so two states
+    are alive at a time.  Each step checks the subdivision premise of the
+    module docstring first; where it fails, all three are False.  The K
+    rules are read off each step's K-table update by the vertex lemma, one
+    comparison per vertex; a missing entry counts as a failure, so that
+    ``k_rule_failures`` raises its own ``KeyError``.  The W rules are
+    checked only on the entries of ``seeded``, the recipe memo as
+    ``deep_failures`` found it, that ``w_rule_failures`` visits (the memo
+    lemma), at the step whose complex holds them.  The face set is
+    replayed on masks and compared by the delta lemma.
 
     Where the start complex is the cross polytope, no seeded entry is a
     face of its prefix below the last layer, and the premise and the delta
@@ -417,7 +434,12 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
     subdivision as the rename lemma needs, whatever ``subdivide_edge`` does.
     """
     k, num = seq.k, _Numbering()
-    start = seq.prefix(0).final
+    layers = {}
+    for j, fs in seeded:
+        layers.setdefault(j, []).append(fs)
+    states = seq.states()
+    before = next(states)
+    start = before.final
     recipes = {}
     index = {num.bit(v): set() for v in start.vertices}
     for fs in start.faces():
@@ -426,18 +448,16 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
         for v in fs:
             index[num.bit(v)].add(m)
     faces = set(recipes)
-    if start != cross_polytope(seq.d) or any(
-        0 <= j < k and seq.prefix(j).final.is_face(fs) for j, fs in seeded
-    ):
+    if start != cross_polytope(seq.d) or (k and any(map(start.is_face, layers.get(0, ())))):
         recipes = None
-    k_ok = faces_ok = True
-    for j, step in enumerate(seq.steps, start=1):
+    k_ok = w_ok = faces_ok = True
+    for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
-        before, after = seq.prefix(j - 1), seq.prefix(j)
         if not (
             before.final.has_edge(a, b)
             and w not in before.final.vertices
             and after.final == subdivide_edge(before.final, (a, b), w)
+            and seq.w_neighbors[j - 1] == after.final.neighbors(w)
         ):
             return False, False, False
         kb, ka = before.k_table, after.k_table
@@ -451,19 +471,19 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
                 for v in before.final.vertices
             )
         )
+        visited = [fs for fs in layers.get(j, ()) if after.final.is_face(fs)]
+        w_ok = w_ok and all(
+            _w_set_of(seq, j, after, fs) == _expected_w(seq, j, fs, before)[1] for fs in visited
+        )
         prev, cur = before.final.adjacency(), after.final.adjacency()
         faces_ok = faces_ok and _face_set_follows(faces, index, prev, cur, step, num)
-        if not faces_ok:
+        if not faces_ok or (j < k and visited):
             recipes = None
         if recipes is not None:
             bits = num.bit(a), num.bit(b), num.bit(w)
             _advance_recipes(recipes, _cliques_through(prev, (a, b), num), step, bits)
+        before = after
     faces = index = None  # so that no collection while the memo is warmed traverses them
-    w_ok = all(
-        w_set_at(seq, j, fs) == _expected_w(seq, j, fs)[1]
-        for j, fs in seeded
-        if 1 <= j <= k and seq.prefix(j).final.is_face(fs)
-    )
     if recipes is not None:
         memo, vertex_sets = seq._cache, num.vertex_sets(recipes)
         for m, recipe in recipes.items():
@@ -588,15 +608,15 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     ``k_rule_failures``; the final walk would fail first, with a
     ``KeyError`` from ``induced_sequence``.
 
-    Every prefix is replayed, and the forward pass warms ``seq``'s recipe
-    memo with the recipes of the final complex's faces only, so that the
-    final walk never recurses; where the memo lemma does not let it, the
-    final walk fills the memo as ``_link_seq`` recurses.  Both are dropped
-    on return, leaving the memos as they were found, so their memory does
-    not outlive the call.  The W rules are checked on the memo as it was
-    found.
+    The forward pass warms ``seq``'s recipe memo with the recipes of the
+    final complex's faces only, so that the final walk never recurses;
+    where the memo lemma does not let it, the final walk fills the memo as
+    ``_link_seq`` recurses.  The memo is restored on return, as it was
+    found, so its memory does not outlive the call; history is replayed by
+    each walker and nothing of it is kept.  The W rules are checked on the
+    memo as it was found.
     """
-    cache, prefixes = seq._cache, seq._prefixes
+    cache = seq._cache
     seq._cache = dict(cache)
     try:
         increment = increment_identity_failures(seq)
@@ -614,7 +634,7 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
             "oracle_equivalence": [] if faces_ok else oracle_failures(seq),
         }
     finally:
-        seq._cache, seq._prefixes = cache, prefixes
+        seq._cache = cache
 
 
 def deep_report(seq: SubdivisionSequence) -> dict[str, bool]:

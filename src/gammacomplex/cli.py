@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import traceback
+from itertools import islice
 
 from .checks import deep_report
 from .complexes import FaceComplex, FlagComplex
@@ -106,9 +107,9 @@ def _table_row(report: dict) -> str:
 def cmd_example(args, out: _Output) -> int:
     seq = build_example_sequence()
     names = lambda v: example_vertex_name(seq.d, v)
-    for j in range(1, seq.k + 1):
+    for j, state in enumerate(islice(seq.states(), 1, None), start=1):
         out.emit(f"K after step {j}:")
-        table = seq.prefix(j).k_table
+        table = state.k_table
         for v in sorted(table):
             if v <= 2 * seq.d + j - 1:
                 ks = ", ".join(names(x) for x in sorted(table[v]))
@@ -149,6 +150,8 @@ def _verify_instances(args):
 def cmd_verify(args, out: _Output) -> int:
     if args.random is None and args.seq_file is None:
         raise ValueError("provide a sequence file or --random D K SEED TRIALS")
+    if args.random is not None and args.seq_file is not None:
+        raise ValueError("provide a sequence file or --random D K SEED TRIALS, not both")
     if args.random is not None and args.random[3] < 1:
         raise ValueError(f"TRIALS must be at least 1, got {args.random[3]}")
     all_ok = True

@@ -22,7 +22,8 @@ import json
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .complexes import (
     FlagComplex,
@@ -45,7 +46,6 @@ __all__ = [
     "random_sequence",
     "k_set",
     "classify_face",
-    "classify_at",
     "induced_sequence",
     "w_set",
     "phi",
@@ -105,38 +105,49 @@ class SubdivisionSequence:
     """Cross-polytope boundary plus an ordered list of edge subdivisions.
 
     Instances are immutable; ``extend`` returns a new sequence.  Only the
-    step log and the last state (complex, K-table, gamma edges) are stored;
-    ``prefix(j)`` rebuilds the state after step j by replaying ``extend``.
+    step log, the last state (complex, K-table, gamma edges) and each new
+    vertex's neighbors at its creation, N_j(w_j) in ``w_neighbors``, are
+    stored.  History is replayed, never kept: ``states`` rebuilds the
+    states after steps 0..k-1 by ``extend``, one at a time.
     """
 
-    __slots__ = ("d", "steps", "final", "k_table", "gamma_edges", "_cache", "_prefixes")
+    __slots__ = ("d", "steps", "final", "k_table", "gamma_edges", "w_neighbors", "_cache")
 
-    def __init__(self, d, steps, final, k_table, gamma_edges):
+    def __init__(self, d, steps, final, k_table, gamma_edges, w_neighbors):
         self.d = d
         self.steps = steps
         self.final = final
         self.k_table = k_table
         self.gamma_edges = gamma_edges
+        self.w_neighbors = w_neighbors
         self._cache: dict = {}
-        self._prefixes: list[SubdivisionSequence] | None = None
 
     @property
     def k(self) -> int:
         return len(self.steps)
 
+    def states(self) -> Iterator["SubdivisionSequence"]:
+        """The sequences of the first 0, 1, .., k steps, replayed by ``extend`` and then ``self``.
+
+        Nothing is kept: each state is built from the one before, so a
+        reader that walks consecutive pairs holds two states at a time.
+        """
+        if self.steps:
+            state = new_sequence(self.d)
+            yield state
+            for step in self.steps[:-1]:
+                state = extend(state, step.edge)
+                yield state
+        yield self
+
     def prefix(self, j: int) -> "SubdivisionSequence":
-        """Sequence of the first j steps; ``self`` when j == k, else replayed once and kept."""
+        """Sequence of the first j steps: ``self`` when j == k, else state j of ``states``."""
         k = len(self.steps)
         if j == k:
             return self
         if not 0 <= j < k:
             raise ValueError(f"prefix length {j} out of range 0..{k}")
-        if self._prefixes is None:
-            prefixes = [new_sequence(self.d)]
-            for step in self.steps[:-1]:
-                prefixes.append(extend(prefixes[-1], step.edge))
-            self._prefixes = prefixes
-        return self._prefixes[j]
+        return next(islice(self.states(), j, None))
 
     def w_id(self, i: int) -> int:
         """Vertex id of the i-th subdivision vertex, i starting at 1."""
@@ -181,6 +192,7 @@ def new_sequence(d: int) -> SubdivisionSequence:
         final=start,
         k_table=table,
         gamma_edges=frozenset(),
+        w_neighbors=(),
     )
 
 
@@ -208,12 +220,14 @@ def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence
     for v in cur.common_neighbors((a, b)):
         table[v] = table[v] | {w}
     table[w] = kw
+    final = subdivide_edge(cur, (a, b), w)
     return SubdivisionSequence(
         d=seq.d,
         steps=seq.steps + (SubdivisionStep((a, b), w),),
-        final=subdivide_edge(cur, (a, b), w),
+        final=final,
         k_table=table,
         gamma_edges=seq.gamma_edges | {(x, w) for x in kw},
+        w_neighbors=seq.w_neighbors + (final.neighbors(w),),
     )
 
 
@@ -262,16 +276,6 @@ def k_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def classify_at(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> FaceClass:
-    """Position of a face of ``prefix(j).final`` relative to step j, for 1 <= j <= k.
-
-    Unchecked: ``fs`` must be a face of ``prefix(j).final``; ``classify_face``
-    is the validating form for the final complex.
-    """
-    (a, b), w = seq.steps[j - 1]
-    return _face_class(fs, a, b, w, seq.prefix(j).final.neighbors(w))
-
-
 def _face_class(fs: frozenset[int], a: int, b: int, w: int, near_w: frozenset[int]) -> FaceClass:
     """Position of ``fs`` relative to the step that subdivided ab by w, with neighbors ``near_w``."""
     if a in fs or b in fs:
@@ -288,7 +292,8 @@ def classify_face(seq: SubdivisionSequence, face: Iterable[int]) -> FaceClass:
     fs = frozenset(face)
     if not seq.final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of the final complex")
-    return classify_at(seq, seq.k, fs)
+    (a, b), w = seq.steps[-1]
+    return _face_class(fs, a, b, w, seq.w_neighbors[-1])
 
 
 def _start_recipe(d: int, fs: frozenset[int]) -> _LinkSeq:
@@ -338,7 +343,7 @@ def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> _LinkSeq:
         out = _start_recipe(seq.d, fs)
     else:
         (a, b), w = seq.steps[j - 1]
-        cls = classify_at(seq, j, fs)
+        cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
         if cls is FaceClass.F1:
             other = b if a in fs else a
             out = _LinkSeq(*_rename(_link_seq(seq, j - 1, fs), other, w))
@@ -435,7 +440,12 @@ def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSe
 
 def w_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int, ...]:
     fs = frozenset(face)
-    if not seq.prefix(j).final.is_face(fs):
+    return _w_set_of(seq, j, seq.prefix(j), fs)
+
+
+def _w_set_of(seq, j, state, fs) -> tuple[int, ...]:
+    """W of a face of ``state``, which is ``seq.prefix(j)``, for readers that walk ``states``."""
+    if not state.final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
     return tuple(w for _, w in _link_seq(seq, j, fs).steps)
 

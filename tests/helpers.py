@@ -78,4 +78,22 @@ def final_k_entry_moved():
     table = dict(seq.k_table)
     assert table[2] == frozenset({6})
     table[2] = frozenset({9})
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
+
+
+class KeptHistory(SubdivisionSequence):
+    """``seq`` with its states 0..k-1 replayed once and kept, so that a test can corrupt them.
+
+    ``history`` is that list; ``states``, and so every reader of history,
+    yields it and then the sequence itself.
+    """
+
+    __slots__ = ("history",)
+
+    def __init__(self, seq, history=None):
+        super().__init__(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges, seq.w_neighbors)
+        self.history = list(seq.states())[:-1] if history is None else history
+
+    def states(self):
+        yield from self.history
+        yield self

@@ -12,15 +12,15 @@ the time of the bridge on the power set n=8, the induced sequences that
 the deep suites build, the (F, G) pairs that the phi image examines, the
 clique walks of the case rules and the per-face calls of the deep walks
 on a valid sequence, the face-set replays and the prefix recipes of the
-deep forward pass, the memory ``deep_report`` leaves behind and its peak,
-and the time of ``deep_report`` on one long sequence, so a return to
-per-step rebuilding of the graph, to keeping a copy of every step's
-state, to counting faces one by one, to enumerating every nested set, to
-one face walk per deep suite, to one clique walk per prefix for the case
-rules, to checking phi on every pair (F, G), to rebuilding each face's
-link, phi or restricted Γ, to keeping the deep memos, to rebuilding each
-step's face set or to a recipe for every face of every prefix, fails
-here.
+deep forward pass, the memory ``deep_report`` and four history reads
+leave behind, the peak of ``deep_report`` and its time on one long
+sequence, so a return to per-step rebuilding of the graph, to keeping a
+copy of every step's state, to counting faces one by one, to enumerating
+every nested set, to one face walk per deep suite, to one clique walk per
+prefix for the case rules, to checking phi on every pair (F, G), to
+rebuilding each face's link, phi or restricted Γ, to keeping the deep
+memos or the replayed prefixes, to rebuilding each step's face set or to
+a recipe for every face of every prefix, fails here.
 """
 
 import time
@@ -354,10 +354,10 @@ def test_scale_guard_final_walk(monkeypatch):
     # counts, not times: the final walk carries K(F) and the common
     # neighbours of F, and reads the link, phi and the restricted gamma
     # complex off the one induced sequence per face, so a passing run makes
-    # no per-face link, phi, isomorphism or classification call; the 8
+    # no per-face link, phi or isomorphism call; the 8
     # links are the increment suite's, one per step
     start = time.perf_counter()
-    calls = dict.fromkeys(["link", "phi", "is_isomorphic_under", "classify_at", "induced_sequence"], 0)
+    calls = dict.fromkeys(["link", "phi", "is_isomorphic_under", "induced_sequence"], 0)
     for name in calls:
         real = getattr(checks, name)
 
@@ -371,7 +371,6 @@ def test_scale_guard_final_walk(monkeypatch):
         "link": 8,
         "phi": 0,
         "is_isomorphic_under": 0,
-        "classify_at": 0,
         "induced_sequence": 783,
     }
     _report(
@@ -408,8 +407,7 @@ def test_scale_guard_case_rules_walk_no_prefix(monkeypatch):
 
 def test_scale_guard_deep_memos_released():
     # the forward pass warms the recipe memo with the final complex's
-    # recipes and every prefix is replayed; deep_report must not leave
-    # either behind on the sequence
+    # recipes; deep_report must not leave it behind on the sequence
     start = time.perf_counter()
     seq = random_sequence(5, 12, 1)
     tracemalloc.start()
@@ -419,13 +417,38 @@ def test_scale_guard_deep_memos_released():
         retained_mb = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
-    ok &= seq._cache == {} and seq._prefixes is None
+    ok &= seq._cache == {}
     _report(
         "scale guard (memory deep_report leaves behind, d=5, k=12)",
         ok and retained_mb < 1.0,
         time.perf_counter() - start,
         30.0,
         f"retained {retained_mb:.2f} MB, limit 1 MB",
+    )
+
+
+def test_scale_guard_history_reads_memory():
+    # history is replayed, never kept: four reads of it leave the sequence
+    # holding only the recipes that w_set_at memoizes for the empty face
+    # (25.0 MB live when the first read kept every prefix)
+    start = time.perf_counter()
+    seq = random_sequence(5, 400, 1)
+    tracemalloc.start()
+    try:
+        lengths = seq.prefix(0).k, seq.prefix(200).k
+        ks = subdivision.k_set_at(seq, 100, ())
+        ws = subdivision.w_set_at(seq, 300, ())
+        collect()
+        live_mb = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    ok = lengths == (0, 200) and ks == seq.w_ids()[:100] and ws == seq.w_ids()[:300]
+    _report(
+        "scale guard (memory four history reads leave behind, d=5, k=400)",
+        ok and live_mb < 2.0,
+        time.perf_counter() - start,
+        30.0,
+        f"live {live_mb:.2f} MB, limit 2 MB",
     )
 
 

@@ -207,6 +207,16 @@ class TestVerify:
         assert out == ""
         assert "TRIALS must be at least 1" in err
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_a_file_with_random_rejected(self, capsys, tmp_path, exists):
+        path = str(tmp_path / "seq.json")
+        if exists:
+            path = write(tmp_path, "seq.json", {"d": 3, "steps": []})
+        code, out, err = run(capsys, "verify", path, "--random", "3", "2", "1", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: provide a sequence file or --random D K SEED TRIALS, not both\n"
+
     def test_negative_step_count_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--random", "4", "-5", "1", "1")
         assert code == 2

@@ -52,7 +52,7 @@ from gammacomplex.subdivision import (
     _LinkSeq,
     k_set_at,
 )
-from helpers import final_k_entry_moved, sequence_from_edges
+from helpers import KeptHistory, final_k_entry_moved, sequence_from_edges
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
 
@@ -171,15 +171,20 @@ class TestPrefix:
     @settings(max_examples=40, deadline=None)
     def test_matches_the_fold_of_extend(self, d, k, seed):
         seq = random_sequence(d, k, seed)
+        states = list(seq.states())
+        assert len(states) == k + 1 and states[-1] is seq
         expected = new_sequence(d)
         for j in range(k + 1):
             if j:
                 expected = extend(expected, seq.steps[j - 1].edge)
-            got = seq.prefix(j)
-            assert got.steps == expected.steps == seq.steps[:j]
-            assert got.final == expected.final
-            assert got.k_table == expected.k_table
-            assert got.gamma_edges == expected.gamma_edges
+                w = seq.steps[j - 1].new_vertex
+                assert seq.w_neighbors[j - 1] == states[j].final.neighbors(w)
+            for got in (seq.prefix(j), states[j]):
+                assert got.steps == expected.steps == seq.steps[:j]
+                assert got.final == expected.final
+                assert got.k_table == expected.k_table
+                assert got.gamma_edges == expected.gamma_edges
+                assert got.w_neighbors == seq.w_neighbors[:j]
 
     def test_full_length_is_the_sequence_itself(self, example):
         assert example.prefix(example.k) is example
@@ -393,7 +398,7 @@ class TestDeepChecks:
 
 def pendant_at_the_start():
     """prefix(0) gains a vertex hanging off +e1: gamma stays defined, the increment breaks."""
-    seq = sequence_from_edges(2, [(0, 2), (0, 4)])
+    seq = KeptHistory(sequence_from_edges(2, [(0, 2), (0, 4)]))
     start = seq.prefix(0)
     start.final = FlagComplex(list(start.final.vertices) + [99], start.final.edges() + [(0, 99)])
     return seq
@@ -401,7 +406,7 @@ def pendant_at_the_start():
 
 def k_entry_dropped():
     """K(+e3) after step 1 should be {w1}."""
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
     seq.prefix(1).k_table[4] = frozenset()
     return seq
 
@@ -428,7 +433,7 @@ def link_pair_dropped():
 
 def pendant_added_at_step_2():
     """prefix(2) gains the vertex 99 and the edge (0, 99), neither of them in prefix(1)."""
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
     after = seq.prefix(2)
     after.final = FlagComplex(list(after.final.vertices) + [99], after.final.edges() + [(0, 99)])
     after.k_table[99] = frozenset()
@@ -440,7 +445,7 @@ def pendant_moved_at_step_1():
 
     Every vertex of prefix(1) but w1 is one of prefix(0); the edge (0, 99) is not.
     """
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
     for j, v in ((0, 2), (1, 0)):
         state = seq.prefix(j)
         state.final = FlagComplex(list(state.final.vertices) + [99], state.final.edges() + [(v, 99)])
@@ -453,7 +458,7 @@ def endpoint_swapped_at_step_1():
 
     But {-e1, +e3, +e4, w1} is now an F3 face whose transformed face is not in prefix(0).
     """
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
     state = seq.prefix(1)
     state.final = state.final.relabel({v: {0: 1, 1: 0}.get(v, v) for v in state.final.vertices})
     return seq
@@ -461,7 +466,9 @@ def endpoint_swapped_at_step_1():
 
 def gamma_edge_added():
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges | {(9, 10)})
+    return SubdivisionSequence(
+        seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges | {(9, 10)}, seq.w_neighbors
+    )
 
 
 def final_k_entry_off_the_gamma_complex():
@@ -469,7 +476,7 @@ def final_k_entry_off_the_gamma_complex():
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
     table = dict(seq.k_table)
     table[0] = frozenset({5})
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
 
 
 def final_k_entry_off_with_a_gamma_edge_toggled():
@@ -478,7 +485,9 @@ def final_k_entry_off_with_a_gamma_edge_toggled():
     table = dict(seq.k_table)
     assert len(table[1]) == 1
     table[1] = frozenset({0})
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges ^ {(6, 7)})
+    return SubdivisionSequence(
+        seq.d, seq.steps, seq.final, table, seq.gamma_edges ^ {(6, 7)}, seq.w_neighbors
+    )
 
 
 def final_k_entry_emptied():
@@ -486,7 +495,7 @@ def final_k_entry_emptied():
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
     table = dict(seq.k_table)
     table[2] = frozenset()
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges)
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
 
 
 def link_vertex_off_the_link():
@@ -520,7 +529,7 @@ def w_in_a_start_k_entry():
     -e1 is no neighbor of w1 and keeps its K, K(w1) = K_0(+e1) & K_0(+e2) and
     every common neighbor gains w1, so only "w1 is in no K_0 entry" fails.
     """
-    seq = sequence_from_edges(4, [(0, 2)])
+    seq = KeptHistory(sequence_from_edges(4, [(0, 2)]))
     seq.prefix(0).k_table[1] = seq.k_table[1] = frozenset({8})
     return seq
 
@@ -534,19 +543,20 @@ def new_vertex_off_its_id():
     table = {v: frozenset({7} if v in (4, 5) else ()) for v in range(6)}
     table[7] = frozenset()
     steps = (SubdivisionStep((0, 2), 7),)
-    return SubdivisionSequence(3, steps, subdivide_edge(start, (0, 2), 7), table, frozenset())
+    final = subdivide_edge(start, (0, 2), 7)
+    return SubdivisionSequence(3, steps, final, table, frozenset(), (final.neighbors(7),))
 
 
 def new_vertex_k_entry_emptied():
     """K(w2) reads empty, not K_1(+e3) & K_1(+e4) = {w1}, from step 2 on; w3's K agrees."""
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
     seq.prefix(2).k_table[9] = seq.k_table[9] = frozenset()
     return seq
 
 
 def k_entry_missing():
     """The starting table has no entry for +e3."""
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    seq = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
     del seq.prefix(0).k_table[4]
     return seq
 
@@ -639,6 +649,11 @@ class TestDeepFailures:
             faces = sorted(seq.prefix(j).final.faces(), key=sorted)
             fs = faces[int(pick * (len(faces) - 1))]
             seq._cache[(j, fs)] = corruption(_link_seq(random_sequence(d, k, seed), j, fs))
+        self.assert_same_or_raised_alike(seq)
+
+    @staticmethod
+    def assert_same_or_raised_alike(seq):
+        """The result of ``deep_failures`` is the suites', or the error it raises is one a suite raises."""
         try:
             got = deep_failures(seq)
         except (KeyError, RuntimeError, ValueError) as exc:
@@ -651,6 +666,21 @@ class TestDeepFailures:
             assert (type(exc), str(exc)) in raised
         else:
             assert got == {name: suite(seq) for name, suite in SUITES.items()}
+
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10**6), st.floats(0, 1), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_suites_with_a_recorded_neighborhood_changed(self, d, k, seed, at, pick):
+        # one N_j(w_j) loses or gains a vertex of step j's complex, so the
+        # recorded neighborhoods and the replayed complexes disagree there
+        seq = random_sequence(d, k, seed)
+        j = round(at * (k - 1))
+        w = seq.steps[j].new_vertex
+        vertices = sorted(seq.prefix(j + 1).final.vertices - {w})
+        v = vertices[pick % len(vertices)]
+        near = list(seq.w_neighbors)
+        near[j] = near[j] ^ {v}
+        changed = SubdivisionSequence(d, seq.steps, seq.final, seq.k_table, seq.gamma_edges, tuple(near))
+        self.assert_same_or_raised_alike(changed)
 
     def test_pinned_failure_strings(self):
         assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
@@ -901,15 +931,19 @@ class TestForwardPass:
         # every complex carries the pendant 99 at +e1, so each step is an
         # edge subdivision; but the start recipe of {+e1, 99} holds +e2 although
         # {+e1, +e2, 99} is no face, and step 1 renames it
-        seq = sequence_from_edges(2, [(0, 2)])
+        seq = KeptHistory(sequence_from_edges(2, [(0, 2)]))
         square = seq.prefix(0).final
         start = FlagComplex(list(square.vertices) + [99], square.edges() + [(0, 99)])
         seq.prefix(0).final = start
         seq.prefix(0).k_table[99] = frozenset()
         (a, b), w = seq.steps[0]
         final = subdivide_edge(start, (a, b), w)
-        moved = SubdivisionSequence(2, seq.steps, final, {**seq.k_table, 99: frozenset()}, seq.gamma_edges)
-        moved._prefixes = seq._prefixes
+        moved = KeptHistory(
+            SubdivisionSequence(
+                2, seq.steps, final, {**seq.k_table, 99: frozenset()}, seq.gamma_edges, seq.w_neighbors
+            ),
+            seq.history,
+        )
         assert checks._forward_pass(moved, {}) == (True, True, True)
         assert moved._cache == {}
         assert _link_seq(moved, 1, frozenset({0, 99})).pairs == ((4, 3),)
