@@ -11,18 +11,24 @@ Faces are classified against N_j(w_j), the neighbors that ``extend``
 recorded for the new vertex of step j, as ``_link_seq`` classifies them.
 
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
-lists.  The increment suite is its ``*_failures`` function.  One forward
-pass over the steps decides the K and W case rules and the face-set
-oracle, and carries the induced-sequence recipe of every face from the
-cross polytope to the final complex.  Step j changes only the faces
-around the subdivided edge ab, built on the cliques tau of lk(ab) in
-step j-1's complex, so the pass touches those faces and no other, by the
-lemmas below.  The other three suites are decided by one depth-first
-clique walk over the final complex, in ``faces()`` order, carrying
+lists.  One forward pass over the steps decides the increment identity,
+the K and W case rules and the face-set oracle, and carries the
+induced-sequence recipe of every face from the cross polytope to the
+final complex.  Step j changes only the faces around the subdivided edge
+ab, built on the cliques tau of lk(ab) in step j-1's complex, so the pass
+touches those faces and no other, by the lemmas below.  It counts the
+cliques of the start complex alone: the f-vector of each later complex,
+and that of lk(ab), are read off the clique deltas of the step (the
+delta lemma), so no later state's cliques are counted and no link is
+built.  The other three suites are decided by one depth-first clique
+walk over the final complex, in ``faces()`` order, carrying
 K(F + v) = K(F) & K(v) and N(F), the common neighbors of F, as running
-intersections.  It builds one induced sequence per face, from the
-recipes the forward pass left in the memo, and reads the three suites
-from it with nothing rebuilt:
+intersections.  It gets one induced sequence per face, from the recipes
+the forward pass left in the memo, and reads the three suites from it
+with nothing rebuilt.  A recipe is translated into canonical ids per
+face, but its base sequence, which the translation's shape (the number
+of pairs and the steps' edges in those ids) fixes, is built once per
+shape and walk and shared by every face of that shape:
 
 - lk(F) is the subgraph induced on N(F), compared with the induced
   result through its labels;
@@ -111,7 +117,13 @@ skipped check is implied by the ones that run:
   G_j exactly when D = X and C = Y.  Step 0's face set is the clique set
   of G_0 by construction, so checking D = X and C = Y at every step shows
   the face sets equal the graphs' cliques throughout, which is all
-  ``oracle_failures`` checks.
+  ``oracle_failures`` checks.  The same split gives the f-vectors, with
+  no equality needed: f(G_j) is f(G_{j-1}) less the size count of X plus
+  that of Y.  Where ab is an edge of G_{j-1} and G_j is G_{j-1} with ab
+  subdivided by w, X holds the cliques tau + a + b for the cliques tau of
+  lk(ab), so f(lk ab) is the size count of X shifted down by 2.  So the
+  increment identity is checked on gammas that ``report_from_f`` gives,
+  from f(G_0) counted once and these two deltas per step.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -119,6 +131,7 @@ skipped check is implied by the ones that run:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .complexes import (
@@ -129,12 +142,13 @@ from .complexes import (
     subdivide_edge,
     subdivide_face_general,
 )
-from .polynomials import gamma_of
+from .polynomials import f_from_counts, gamma_of, report_from_f
 from .subdivision import (
     FaceClass,
     SubdivisionSequence,
     _advance_recipes,
     _face_class,
+    _induced,
     _LinkSeq,
     _start_recipe,
     _w_set_of,
@@ -375,25 +389,25 @@ def _clique_delta(adj, other, num) -> set[int]:
     return out
 
 
-def _face_set_follows(faces, index, prev, cur, step, num) -> bool:
+def _face_set_follows(faces, index, lost, gained, step, num) -> bool:
     """Subdivide ab by w in the explicit face set, in place; whether it follows the graphs (delta lemma).
 
     ``faces`` is the face set of step j-1, as masks, and ``index`` sends
     the bit of each of its vertices to the faces that hold it.  The dropped
     and the coned faces are those of ``subdivide_face_general``, read off
-    the index; they are compared with the clique deltas of ``prev`` and
-    ``cur``, the adjacency of steps j-1 and j.  False, with the face set
+    the index; they are compared with ``lost`` and ``gained``, the clique
+    deltas of the graphs of steps j-1 and j.  False, with the face set
     left behind, where a delta differs.  The face set must be the clique
-    set of ``prev``, in which the premise makes ab an edge and w new, so
-    ab is a face and w no vertex of it, as ``subdivide_face_general``
-    requires.
+    set of step j-1's graph, in which the premise makes ab an edge and w
+    new, so ab is a face and w no vertex of it, as
+    ``subdivide_face_general`` requires.
     """
     (a, b), w = step
     ba, bb, bw = num.bit(a), num.bit(b), num.bit(w)
     ab = ba | bb
     dropped = index[ba] & index[bb]
     coned = {f | bw for g in dropped for f in (g ^ ab, g ^ ba, g ^ bb) if f in faces}
-    if dropped != _clique_delta(prev, cur, num) or coned != _clique_delta(cur, prev, num):
+    if dropped != lost or coned != gained:
         return False
     faces -= dropped
     faces |= coned
@@ -408,12 +422,41 @@ def _face_set_follows(faces, index, prev, cur, step, num) -> bool:
     return True
 
 
-def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
-    """Whether the K case rules, the W case rules and the face-set oracle hold, in one pass over the steps.
+def _sizes(masks) -> Counter:
+    """Number of the vertex sets ``masks`` of each size."""
+    return Counter(m.bit_count() for m in masks)
+
+
+def _increment_step(carried, lost, gained, d):
+    """f and gamma of step j from step j-1's, or None where the increment identity is not shown there.
+
+    ``carried`` is (f, gamma) of step j-1, with f a size count that is
+    updated in place, and ``lost`` and ``gained`` are the step's clique
+    deltas: f_j is f_{j-1} less the sizes of ``lost`` plus those of
+    ``gained`` (delta lemma).  ``lost`` holds the cliques through ab,
+    tau + a + b for each clique tau of lk(ab), so f(lk ab) is their size
+    count less 2.  The gammas come from ``report_from_f``, as in
+    ``gamma_of``; None also where a transform raises.
+    """
+    f, gamma = carried
+    lost_sizes = _sizes(lost)
+    f.update(_sizes(gained))
+    f.subtract(lost_sizes)
+    link_f = {size - 2: n for size, n in lost_sizes.items()}
+    try:
+        after = report_from_f(f_from_counts(f), d).gamma
+        link_gamma = report_from_f(f_from_counts(link_f), d - 2).gamma
+    except ValueError:
+        return None
+    return (f, after) if after - gamma == link_gamma.shift(1) else None
+
+
+def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
+    """Whether the increment identity, the K and W case rules and the face-set oracle hold, in one pass.
 
     The pass walks consecutive pairs of ``seq.states()``, so two states
     are alive at a time.  Each step checks the subdivision premise of the
-    module docstring first; where it fails, all three are False.  The K
+    module docstring first; where it fails, all four are False.  The K
     rules are read off each step's K-table update by the vertex lemma, one
     comparison per vertex; a missing entry counts as a failure, so that
     ``k_rule_failures`` raises its own ``KeyError``.  The W rules are
@@ -432,8 +475,14 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
     ``subdivide_edge``; the face sets, which follow the graphs by the rule
     of ``subdivide_face_general``, show that each step is an edge
     subdivision as the rename lemma needs, whatever ``subdivide_edge`` does.
+
+    The increment identity holds where f and gamma of the start come from
+    ``gamma_of``, as in ``increment_identity_failures``, and at every step
+    the premise and the delta lemma's comparisons hold and the gammas that
+    ``_increment_step`` carries satisfy it.  Otherwise it is False, which
+    says only that ``increment_identity_failures`` must decide.
     """
-    k, num = seq.k, _Numbering()
+    k, d, num = seq.k, seq.d, _Numbering()
     layers = {}
     for j, fs in seeded:
         layers.setdefault(j, []).append(fs)
@@ -444,11 +493,16 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
     index = {num.bit(v): set() for v in start.vertices}
     for fs in start.faces():
         m = num.mask(fs)
-        recipes[m] = _start_recipe(seq.d, fs)
+        recipes[m] = _start_recipe(d, fs)
         for v in fs:
             index[num.bit(v)].add(m)
     faces = set(recipes)
-    if start != cross_polytope(seq.d) or (k and any(map(start.is_face, layers.get(0, ())))):
+    try:
+        report = gamma_of(start, d)
+        increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
+    except ValueError:
+        increment = None
+    if start != cross_polytope(d) or (k and any(map(start.is_face, layers.get(0, ())))):
         recipes = None
     k_ok = w_ok = faces_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
@@ -459,7 +513,7 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
             and after.final == subdivide_edge(before.final, (a, b), w)
             and seq.w_neighbors[j - 1] == after.final.neighbors(w)
         ):
-            return False, False, False
+            return False, False, False, False
         kb, ka = before.k_table, after.k_table
         common = before.final.common_neighbors((a, b))
         k_ok = k_ok and (
@@ -475,20 +529,26 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool]:
         w_ok = w_ok and all(
             _w_set_of(seq, j, after, fs) == _expected_w(seq, j, fs, before)[1] for fs in visited
         )
-        prev, cur = before.final.adjacency(), after.final.adjacency()
-        faces_ok = faces_ok and _face_set_follows(faces, index, prev, cur, step, num)
+        if faces_ok:
+            prev, cur = before.final.adjacency(), after.final.adjacency()
+            lost, gained = _clique_delta(prev, cur, num), _clique_delta(cur, prev, num)
+            faces_ok = _face_set_follows(faces, index, lost, gained, step, num)
+        if not faces_ok:
+            increment = None
+        elif increment is not None:
+            increment = _increment_step(increment, lost, gained, d)
         if not faces_ok or (j < k and visited):
             recipes = None
         if recipes is not None:
-            bits = num.bit(a), num.bit(b), num.bit(w)
-            _advance_recipes(recipes, _cliques_through(prev, (a, b), num), step, bits)
+            # the cliques lost are the faces that held a and b
+            _advance_recipes(recipes, lost, step, (num.bit(a), num.bit(b), num.bit(w)))
         before = after
     faces = index = None  # so that no collection while the memo is warmed traverses them
     if recipes is not None:
         memo, vertex_sets = seq._cache, num.vertex_sets(recipes)
         for m, recipe in recipes.items():
             memo.setdefault((k, vertex_sets[m]), _LinkSeq(*recipe))
-    return k_ok, w_ok, faces_ok
+    return increment is not None, k_ok, w_ok, faces_ok
 
 
 def _is_link(ind, nf, adj) -> bool:
@@ -549,9 +609,10 @@ def _final_verdicts(seq) -> tuple[bool, bool, bool]:
     """Whether the link recursion, the phi image and the gamma restriction hold on every face.
 
     One walk over the final complex carries K(F) and N(F) as running
-    intersections and builds one induced sequence per face; the module
-    docstring says how the three suites are read from it, with nothing
-    else rebuilt or re-validated per face.  The phi image is decided by
+    intersections and gets one induced sequence per face, whose base is
+    built once per shape and shared; the module docstring says how the
+    three suites are read from it, with nothing else rebuilt or
+    re-validated per face.  The phi image is decided by
     the singleton lemma, so it is also False where the induced result is
     not F's link.
 
@@ -567,9 +628,10 @@ def _final_verdicts(seq) -> tuple[bool, bool, bool]:
     meet_k, meet_n = _meet(seq.k_table), _meet(adj)
     walk = final.faces_with((None, None), lambda acc, v: (meet_k(acc[0], v), meet_n(acc[1], v)))
     every_w, every_v = seq.w_ids(), final.vertices
+    bases = {}
     link_ok = phi_ok = gamma_ok = True
     for fs, (kf, nf) in walk:
-        ind = induced_sequence(seq, fs)
+        ind = _induced(seq, seq.k, fs, bases)
         same_link = _is_link(ind, every_v if nf is None else nf, adj) or (
             ind.result() == link(final, fs)
         )
@@ -603,24 +665,31 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     of every step and every pair (F, G), directly or through a lemma, never
     by sampling, and the final walk streams faces rather than collect them.
 
+    The increment identity is decided by the forward pass, which builds no
+    link and counts the cliques of the start complex alone; where the pass
+    cannot decide it (the premise or a delta comparison fails, or a
+    transform raises), ``increment_identity_failures`` runs, first of the
+    suite functions, and gives its list or raises its error.
+
     The K and W lists are settled before the final walk, so a transformed
     face off the previous complex raises the ``ValueError`` of
     ``k_rule_failures``; the final walk would fail first, with a
-    ``KeyError`` from ``induced_sequence``.
+    ``KeyError`` from the induced sequence of a face.
 
     The forward pass warms ``seq``'s recipe memo with the recipes of the
     final complex's faces only, so that the final walk never recurses;
     where the memo lemma does not let it, the final walk fills the memo as
     ``_link_seq`` recurses.  The memo is restored on return, as it was
-    found, so its memory does not outlive the call; history is replayed by
-    each walker and nothing of it is kept.  The W rules are checked on the
-    memo as it was found.
+    found, so its memory does not outlive the call.  On a valid sequence
+    history is replayed once, by the forward pass, and nothing of it is
+    kept; a suite function that runs replays it again.  The W rules are
+    checked on the memo as it was found.
     """
     cache = seq._cache
     seq._cache = dict(cache)
     try:
-        increment = increment_identity_failures(seq)
-        k_ok, w_ok, faces_ok = _forward_pass(seq, cache)
+        increment_ok, k_ok, w_ok, faces_ok = _forward_pass(seq, cache)
+        increment = [] if increment_ok else increment_identity_failures(seq)
         k_failures = [] if k_ok else k_rule_failures(seq)
         w_failures = [] if w_ok else w_rule_failures(seq)
         link_ok, phi_ok, gamma_ok = _final_verdicts(seq)

@@ -170,7 +170,12 @@ class SubdivisionSequence:
     @classmethod
     def from_json_obj(cls, obj) -> "SubdivisionSequence":
         seq = new_sequence(json_int(obj["d"], "d"))
-        for i, step in enumerate(obj["steps"], start=1):
+        steps = obj["steps"]
+        if not isinstance(steps, list):
+            raise ValueError(f"steps must be an array, got {json.dumps(steps)}")
+        for i, step in enumerate(steps, start=1):
+            if not isinstance(step, dict):
+                raise ValueError(f"step {i} must be an object, got {json.dumps(step)}")
             try:
                 seq = extend(seq, json_edge(step["edge"]))
             except ValueError as exc:
@@ -405,33 +410,61 @@ class InducedSequence:
         )
 
 
+def _translate(recipe: _LinkSeq) -> tuple:
+    """A recipe in canonical ids: (shape, w_labels, label_of, canonical_of).
+
+    The base is the cross polytope on the recipe's pairs, the i-th pair
+    numbered 2i and 2i + 1, subdivided along the recipe's steps; the new
+    vertex of step i gets 2n + i, the id ``extend`` gives it.  The shape,
+    (n, the steps' edges in canonical ids), is None for the empty link;
+    ``extend`` is deterministic, so the shape fixes the base.
+    """
+    pairs, steps = recipe
+    if not pairs:
+        if steps:
+            raise RuntimeError("internal inconsistency: steps recorded on an empty link")
+        return None, (), {}, {}
+    canonical_of: dict[int, int] = {}
+    for i, (u, v) in enumerate(pairs):
+        canonical_of[u] = 2 * i
+        canonical_of[v] = 2 * i + 1
+    edges = []
+    for new_id, ((u, v), w) in enumerate(steps, start=2 * len(pairs)):
+        edges.append((canonical_of[u], canonical_of[v]))
+        canonical_of[w] = new_id
+    label_of = {c: amb for amb, c in canonical_of.items()}
+    return (len(pairs), tuple(edges)), tuple(w for _, w in steps), label_of, canonical_of
+
+
+def _build_base(shape: tuple) -> SubdivisionSequence:
+    """The base sequence of a shape from ``_translate``."""
+    n, edges = shape
+    base = new_sequence(n)
+    for edge in edges:
+        base = extend(base, edge)
+    return base
+
+
+def _induced(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict) -> InducedSequence:
+    """Induced sequence for a face of the j-th complex, taken to be one.
+
+    ``bases`` maps shapes to their built bases: a shape it holds is not
+    built again, and one it lacks is built and added.
+    """
+    shape, w_labels, label_of, canonical_of = _translate(_link_seq(seq, j, fs))
+    if shape is not None and shape not in bases:
+        bases[shape] = _build_base(shape)
+    return InducedSequence(
+        base=bases.get(shape), w_labels=w_labels, label_of=label_of, canonical_of=canonical_of
+    )
+
+
 def induced_sequence_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> InducedSequence:
     """Induced sequence for a face of the j-th complex."""
     fs = frozenset(face)
     if not seq.prefix(j).final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
-    recipe = _link_seq(seq, j, fs)
-    if not recipe.pairs:
-        if recipe.steps:
-            raise RuntimeError("internal inconsistency: steps recorded on an empty link")
-        return InducedSequence(base=None, w_labels=(), label_of={}, canonical_of={})
-    canonical_of: dict[int, int] = {}
-    for i, (u, v) in enumerate(recipe.pairs):
-        canonical_of[u] = 2 * i
-        canonical_of[v] = 2 * i + 1
-    base = new_sequence(len(recipe.pairs))
-    w_labels = []
-    for (u, v), w in recipe.steps:
-        base = extend(base, (canonical_of[u], canonical_of[v]))
-        canonical_of[w] = base.steps[-1].new_vertex
-        w_labels.append(w)
-    label_of = {c: amb for amb, c in canonical_of.items()}
-    return InducedSequence(
-        base=base,
-        w_labels=tuple(w_labels),
-        label_of=label_of,
-        canonical_of=canonical_of,
-    )
+    return _induced(seq, j, fs, {})
 
 
 def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSequence:

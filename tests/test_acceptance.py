@@ -8,19 +8,22 @@ Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
 subdivision sequence, the time of one complex at d=12 with 13.9M faces,
-the time of the bridge on the power set n=8, the induced sequences that
-the deep suites build, the (F, G) pairs that the phi image examines, the
-clique walks of the case rules and the per-face calls of the deep walks
-on a valid sequence, the face-set replays and the prefix recipes of the
-deep forward pass, the memory ``deep_report`` and four history reads
-leave behind, the peak of ``deep_report`` and its time on one long
-sequence, so a return to per-step rebuilding of the graph, to keeping a
-copy of every step's state, to counting faces one by one, to enumerating
-every nested set, to one face walk per deep suite, to one clique walk per
-prefix for the case rules, to checking phi on every pair (F, G), to
-rebuilding each face's link, phi or restricted Γ, to keeping the deep
-memos or the replayed prefixes, to rebuilding each step's face set or to
-a recipe for every face of every prefix, fails here.
+the time of the bridge on the power set n=8, the induced sequences and
+the bases that the deep suites build, the (F, G) pairs that the phi image
+examines, the clique walks of the case rules and the per-face calls of
+the deep walks on a valid sequence, the face-set replays and the prefix
+recipes of the deep forward pass, the clique counts, links and history
+replays of the increment identity, the memory ``deep_report`` and four
+history reads leave behind, the peak of ``deep_report`` and its time on
+one long sequence, so a return to per-step rebuilding of the graph, to
+keeping a copy of every step's state, to counting faces one by one, to
+enumerating every nested set, to one face walk per deep suite, to one
+clique walk per prefix for the case rules, to checking phi on every pair
+(F, G), to rebuilding each face's link, phi or restricted Γ, to one base
+per face, to keeping the deep memos or the replayed prefixes, to
+rebuilding each step's face set, to a recipe for every face of every
+prefix or to counting every state's cliques for the increment identity,
+fails here.
 """
 
 import time
@@ -283,32 +286,49 @@ def test_scale_guard_power_set_bridge():
     )
 
 
+def _count_induced(monkeypatch):
+    """Record each recipe translation's shape and each base build, in ``subdivision``."""
+    shapes, builds = [], []
+    translate, build = subdivision._translate, subdivision._build_base
+
+    def counting_translate(recipe):
+        out = translate(recipe)
+        shapes.append(out[0])
+        return out
+
+    def counting_build(shape):
+        builds.append(shape)
+        return build(shape)
+
+    monkeypatch.setattr(subdivision, "_translate", counting_translate)
+    monkeypatch.setattr(subdivision, "_build_base", counting_build)
+    return shapes, builds
+
+
 def test_scale_guard_deep_suites(monkeypatch):
-    # a count, not a time: one induced sequence per face of the final
+    # a count, not a time: one recipe translation per face of the final
     # complex, shared by the link, phi and restriction suites (one sweep
-    # per suite built three)
+    # per suite built three), and one base per distinct shape (one per
+    # face built 783 here)
     start = time.perf_counter()
-    built = []
-    real = checks.induced_sequence
-
-    def counting(seq, face):
-        built.append(face)
-        return real(seq, face)
-
-    monkeypatch.setattr(checks, "induced_sequence", counting)
+    shapes, builds = _count_induced(monkeypatch)
     seq = random_sequence(5, 8, 1)
     faces = sum(seq.final.clique_count_by_size().values())
     report = deep_report(seq)
+    distinct = {shape for shape in shapes if shape is not None}
     monkeypatch.undo()
     big_start = time.perf_counter()
     big = deep_report(random_sequence(6, 20, 1))
     big_s = time.perf_counter() - big_start
+    ok = all(report.values()) and all(big.values()) and len(shapes) == faces
+    ok &= sorted(builds) == sorted(distinct)
     _report(
         "scale guard (induced sequences built by the deep suites, d=5, k=8)",
-        all(report.values()) and all(big.values()) and len(built) == faces,
+        ok,
         time.perf_counter() - start,
         60.0,
-        f"{len(built)} induced sequences for {faces} faces; d=6, k=20 took {big_s:.2f}s",
+        f"{len(shapes)} translations for {faces} faces, {len(builds)} bases for "
+        f"{len(distinct)} shapes; d=6, k=20 took {big_s:.2f}s",
     )
 
 
@@ -354,9 +374,11 @@ def test_scale_guard_final_walk(monkeypatch):
     # counts, not times: the final walk carries K(F) and the common
     # neighbours of F, and reads the link, phi and the restricted gamma
     # complex off the one induced sequence per face, so a passing run makes
-    # no per-face link, phi or isomorphism call; the 8
-    # links are the increment suite's, one per step
+    # no per-face link, phi or isomorphism call; the increment identity is
+    # decided in the forward pass, which calls no link either (the increment
+    # suite made 8, one per step)
     start = time.perf_counter()
+    shapes, builds = _count_induced(monkeypatch)
     calls = dict.fromkeys(["link", "phi", "is_isomorphic_under", "induced_sequence"], 0)
     for name in calls:
         real = getattr(checks, name)
@@ -367,14 +389,53 @@ def test_scale_guard_final_walk(monkeypatch):
 
         monkeypatch.setattr(checks, name, counting)
     ok = all(deep_report(random_sequence(5, 8, 1)).values())
+    calls.update(translations=len(shapes), bases=len(builds))
     ok &= calls == {
-        "link": 8,
+        "link": 0,
         "phi": 0,
         "is_isomorphic_under": 0,
-        "induced_sequence": 783,
+        "induced_sequence": 0,
+        "translations": 783,
+        "bases": 67,
     }
+    ok &= len(builds) == len({shape for shape in shapes if shape is not None})
     _report(
         "scale guard (per-face rebuilds in the deep walks, d=5, k=8)",
+        ok,
+        time.perf_counter() - start,
+        60.0,
+        ", ".join(f"{name} {n}" for name, n in calls.items()),
+    )
+
+
+def test_scale_guard_increment_in_forward_pass(monkeypatch):
+    # counts, not times: the forward pass carries f from the start's
+    # clique count through the clique deltas of each step, so a passing run
+    # counts the cliques of no later state, builds no link of ab and
+    # replays history once (the increment suite counted all 9 states,
+    # built 8 links and replayed history a second time)
+    start = time.perf_counter()
+    calls = dict.fromkeys(["increment_identity_failures", "link", "gamma_of", "states"], 0)
+
+    def counting(real, name):
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return count
+
+    for name in ("increment_identity_failures", "link", "gamma_of"):
+        monkeypatch.setattr(checks, name, counting(getattr(checks, name), name))
+    monkeypatch.setattr(subdivision, "gamma_of", counting(subdivision.gamma_of, "gamma_of"))
+    monkeypatch.setattr(
+        subdivision.SubdivisionSequence,
+        "states",
+        counting(subdivision.SubdivisionSequence.states, "states"),
+    )
+    ok = all(deep_report(random_sequence(5, 8, 1)).values())
+    ok &= calls == {"increment_identity_failures": 0, "link": 0, "gamma_of": 1, "states": 1}
+    _report(
+        "scale guard (increment identity in the forward pass, d=5, k=8)",
         ok,
         time.perf_counter() - start,
         60.0,

@@ -260,6 +260,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: step 1: an edge needs 2 vertex ids, [0, 2, 4] has 3\n"
 
+    @pytest.mark.parametrize("command", ["verify", "gamma"])
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            # an object of steps read as no step at all, or failed on its keys
+            ({}, "steps must be an array, got {}"),
+            ({"edge": [0, 2]}, 'steps must be an array, got {"edge": [0, 2]}'),
+            ("[0, 2]", 'steps must be an array, got "[0, 2]"'),
+            ([{"edge": [0, 2]}, [4, 6]], "step 2 must be an object, got [4, 6]"),
+        ],
+    )
+    def test_steps_of_the_wrong_type_are_invalid_input(self, capsys, tmp_path, command, steps, message):
+        path = write(tmp_path, "seq.json", {"d": 3, "steps": steps})
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_wrongly_typed_field_is_invalid_input(self, capsys, tmp_path):
         path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": 7}]})
         code, _, err = run(capsys, "verify", path)

@@ -840,7 +840,7 @@ class TestForwardPass:
     @settings(max_examples=20, deadline=None)
     def test_every_warmed_recipe_is_the_recursions(self, d, k, seed):
         seq = random_sequence(d, k, seed)
-        assert checks._forward_pass(seq, {}) == (True, True, True)
+        assert checks._forward_pass(seq, {}) == (True, True, True, True)
         fresh = random_sequence(d, k, seed)
         assert set(seq._cache) == {(k, fs) for fs in seq.final.faces()}
         for (j, fs), recipe in seq._cache.items():
@@ -851,7 +851,7 @@ class TestForwardPass:
         seeded = {(3, frozenset({0})): _LinkSeq(((2, 3),), ())}
         seq._cache.update(seeded)
         # the W rule fails there, and checking it fills the layers below
-        assert checks._forward_pass(seq, dict(seeded)) == (True, False, True)
+        assert checks._forward_pass(seq, dict(seeded)) == (True, True, False, True)
         assert seq._cache[3, frozenset({0})] == _LinkSeq(((2, 3),), ())
         assert {key for key in seq._cache if key[0] == 3} == {(3, fs) for fs in seq.final.faces()}
 
@@ -860,7 +860,7 @@ class TestForwardPass:
         seq = sequence_from_edges(4, EXAMPLE_STEPS)
         seeded = {key: _link_seq(sequence_from_edges(4, EXAMPLE_STEPS), *key)}
         seq._cache.update(seeded)
-        assert checks._forward_pass(seq, dict(seeded)) == (True, True, True)
+        assert checks._forward_pass(seq, dict(seeded)) == (True, True, True, True)
         assert seq._cache[key] == seeded[key]
         assert not any(j == 3 for j, _ in seq._cache)
 
@@ -906,7 +906,7 @@ class TestForwardPass:
         # here; the face set is replayed without it and diverges
         self.patch_subdivide_edge(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
         seq = random_sequence(4, 5, 1)
-        assert checks._forward_pass(seq, {})[2] is False
+        assert checks._forward_pass(seq, {})[3] is False
         assert seq._cache == {}
         assert oracle_failures(seq)[0] == "step 1: face sets diverge from graph subdivision"
 
@@ -925,7 +925,8 @@ class TestForwardPass:
         seq = random_sequence(4, 1, 1)
         assert seq.steps[0] == ((0, 6), 8)
         assert not seq.final.has_edge(*drop(seq.prefix(0).final, (0, 6), 8))
-        assert checks._forward_pass(seq, {}) == (True, True, False)
+        # the increment identity is left undecided where the face sets diverge
+        assert checks._forward_pass(seq, {}) == (False, True, True, False)
 
     def test_a_start_off_the_cross_polytope_leaves_the_memo_cold(self):
         # every complex carries the pendant 99 at +e1, so each step is an
@@ -944,9 +945,137 @@ class TestForwardPass:
             ),
             seq.history,
         )
-        assert checks._forward_pass(moved, {}) == (True, True, True)
+        assert checks._forward_pass(moved, {}) == (True, True, True, True)
+        assert increment_identity_failures(moved) == []
         assert moved._cache == {}
         assert _link_seq(moved, 1, frozenset({0, 99})).pairs == ((4, 3),)
+
+
+def toggled(c, at, pick):
+    """``c`` with one pair of its vertices, chosen by ``at`` and ``pick``, joined or parted."""
+    vertices = sorted(c.vertices)
+    u = vertices[int(at * (len(vertices) - 1))]
+    v = [x for x in vertices if x != u][pick % (len(vertices) - 1)]
+    edges = set(c.edges())
+    edges ^= {tuple(sorted((u, v)))}
+    return FlagComplex(vertices, edges)
+
+
+class TestIncrementVerdict:
+    """The increment identity as ``checks._forward_pass`` decides it, against its suite."""
+
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 12),
+        st.integers(0, 10**6),
+        st.sampled_from(["none", "history", "final", "subdivide_edge"]),
+        st.floats(0, 1),
+        st.floats(0, 1),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_verdict_holds_exactly_where_the_suite_passes(self, d, k, seed, corrupt, step, at, pick):
+        # the pass leaves the identity to its suite where the premise or the
+        # delta lemma fails, so there the verdict is False whatever the suite
+        # says; elsewhere it is True exactly where the suite returns []
+        with pytest.MonkeyPatch.context() as mp:
+            if corrupt == "subdivide_edge":
+                TestForwardPass.patch_subdivide_edge(
+                    mp, lambda c, edge, s: (min(c.common_neighbors(edge), default=edge[0]), s)
+                )
+            seq = random_sequence(d, k, seed)
+            if corrupt == "history" and k:
+                seq = KeptHistory(seq)
+                state = seq.history[int(step * (k - 1))]
+                state.final = toggled(state.final, at, pick)
+            elif corrupt == "final":
+                seq = SubdivisionSequence(
+                    d, seq.steps, toggled(seq.final, at, pick), seq.k_table, seq.gamma_edges, seq.w_neighbors
+                )
+            increment_ok, _, _, faces_ok = checks._forward_pass(seq, {})
+            seq._cache = {}
+            try:
+                passes = increment_identity_failures(seq) == []
+            except ValueError:
+                passes = False
+            assert increment_ok == (faces_ok and passes)
+            if corrupt == "none":
+                assert increment_ok
+            TestDeepFailures.assert_same_or_raised_alike(seq)
+
+    def test_a_failing_step_is_left_to_the_suite(self):
+        seq = pendant_at_the_start()
+        assert checks._forward_pass(seq, {})[0] is False
+        assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
+
+
+def induced_reference(seq, fs):
+    """(base, w_labels, label_of, canonical_of) of a face of the final complex, built as before bases were shared.
+
+    One ``extend`` per recipe step from a fresh cross polytope, each new
+    vertex's canonical id read off the base.
+    """
+    recipe = _link_seq(seq, seq.k, fs)
+    if not recipe.pairs:
+        return None, (), {}, {}
+    canonical_of = {}
+    for i, (u, v) in enumerate(recipe.pairs):
+        canonical_of[u], canonical_of[v] = 2 * i, 2 * i + 1
+    base = new_sequence(len(recipe.pairs))
+    for (u, v), w in recipe.steps:
+        base = extend(base, (canonical_of[u], canonical_of[v]))
+        canonical_of[w] = base.steps[-1].new_vertex
+    label_of = {c: amb for amb, c in canonical_of.items()}
+    return base, tuple(w for _, w in recipe.steps), label_of, canonical_of
+
+
+class TestSharedBases:
+    """The final walk builds one base per shape, and its induced sequences are ``induced_sequence``'s."""
+
+    @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_every_face_gets_the_induced_sequence(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        walked, shapes, builds = [], [], []
+        induced, translate, build = subdivision._induced, subdivision._translate, subdivision._build_base
+
+        def walking(*args):
+            walked.append((args[2], induced(*args)))
+            return walked[-1][1]
+
+        def translating(recipe):
+            out = translate(recipe)
+            shapes.append(out[0])
+            return out
+
+        def building(shape):
+            builds.append(shape)
+            return build(shape)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_induced", walking)
+            mp.setattr(subdivision, "_translate", translating)
+            mp.setattr(subdivision, "_build_base", building)
+            assert all(deep_report(seq).values())
+        assert sorted(builds) == sorted({shape for shape in shapes if shape is not None})
+        assert [fs for fs, _ in walked] == list(seq.final.faces())
+        for fs, got in walked:
+            expected = induced_sequence(seq, fs)
+            reference = induced_reference(seq, fs)
+            for ind in (got, expected):
+                assert (ind.w_labels, ind.label_of, ind.canonical_of) == reference[1:]
+                if reference[0] is None:
+                    assert ind.base is None
+                    continue
+                for field in ("d", "steps", "final", "k_table", "gamma_edges", "w_neighbors"):
+                    assert getattr(ind.base, field) == getattr(reference[0], field), (sorted(fs), field)
+
+    def test_faces_of_one_shape_share_their_base(self):
+        seq = random_sequence(5, 8, 1)
+        bases = {}
+        got = [subdivision._induced(seq, seq.k, fs, bases) for fs in seq.final.faces()]
+        assert len(got) == 783 and len(bases) == 67
+        assert len({id(ind.base) for ind in got if ind.base is not None}) == 67
 
 
 class TestFinalWalkRaisesAlike:
