@@ -21,9 +21,9 @@ from .complexes import FaceComplex, FlagComplex
 from .nestohedra import (
     BuildingSet,
     FlagOrdering,
+    _every_member_splits,
     find_decomposition,
     find_flag_ordering,
-    is_flag_building_set,
     validate_building_set,
     validate_ordering,
     verify_ordering_equivalence,
@@ -176,7 +176,7 @@ def cmd_nestohedron(args, out: _Output) -> int:
         raise ValueError("input is not a building set")
     if not bs.is_connected():
         raise ValueError("building set is not connected")
-    if not is_flag_building_set(bs):
+    if not _every_member_splits(bs):
         raise ValueError("not a flag building set")
     if args.ordering is not None:
         ordering = _read_json(args.ordering, lambda obj: FlagOrdering.from_json_obj(bs, obj))

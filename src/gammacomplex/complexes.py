@@ -43,6 +43,48 @@ def _vkey(v):
     return (0, v)
 
 
+def _count_order(adj: Mapping) -> list:
+    """The vertex numbering of ``clique_count_by_size``, taken from the graph.
+
+    Repeatedly removes a vertex of largest degree in the remaining graph,
+    the largest in ``_vkey`` order among ties, and numbers the vertices in
+    the reverse of that removal order, so the first removed comes last.  It
+    depends on the graph alone, not on how it was built.
+
+    Degree buckets are int bitmasks over the ``_vkey`` positions, filed
+    lazily: a vertex stays in the bucket of a degree it once had, and is
+    moved down to its current degree only when it reaches the top bucket.
+    A vertex whose current degree is the top one is a largest, since no
+    degree exceeds its bucket, and scanning the top bucket from its high
+    bit finds the largest of them.  Every pop removes a vertex or moves
+    one down by at least one lost neighbour, so after the sort the cost
+    is O(n + m) mask operations.
+    """
+    vs = sorted(adj, key=_vkey)
+    bits = {v: 1 << i for i, v in enumerate(vs)}
+    nbr = [sum(map(bits.__getitem__, adj[v])) for v in vs]
+    buckets = [0] * len(vs)
+    for i, v in enumerate(vs):
+        buckets[len(adj[v])] |= 1 << i
+    alive = (1 << len(vs)) - 1
+    top = len(vs) - 1
+    removed = []
+    while alive:
+        while not buckets[top]:
+            top -= 1
+        i = buckets[top].bit_length() - 1
+        bit = 1 << i
+        buckets[top] ^= bit
+        degree = (nbr[i] & alive).bit_count()
+        if degree < top:
+            buckets[degree] |= bit
+        else:
+            alive ^= bit
+            removed.append(vs[i])
+    removed.reverse()
+    return removed
+
+
 class FlagComplex:
     """Immutable undirected graph whose cliques (including the empty set) are the faces."""
 
@@ -155,7 +197,7 @@ class FlagComplex:
     def clique_count_by_size(self) -> Counter:
         """Number of cliques of each size, without visiting the cliques one by one.
 
-        With the vertices numbered in ``_vkey`` order and every vertex set
+        With the vertices numbered in ``_count_order`` and every vertex set
         held as an int bitmask, the clique polynomial of an induced subgraph
         M is f(M) = 1 + t * sum over v in M of f(M_{>v} & N(v)), where M_{>v}
         is the part of M after v.  f is memoized on the mask, so a
@@ -163,16 +205,24 @@ class FlagComplex:
         recursion only steps into neighbourhoods, so its depth is at most
         the clique number.
 
+        The count is exact in any numbering, because every clique has
+        exactly one first vertex v and is v plus a clique of v's later
+        neighbours; the numbering only decides which masks the memo meets.
+        ``_count_order`` numbers vertices of large degree last, so the
+        later neighbourhoods, and with them the masks, stay small: at d=16,
+        k=30 the memo holds 19,692 masks instead of the 308,426 that the
+        ``_vkey`` numbering, cross-polytope ids first, gives.
+
         A polynomial is one packed int with coefficient i in bits
         [i*width, (i+1)*width): adding is ``+`` and multiplying by t is
-        ``<< width``.  Every clique has a first vertex v and is v plus a set
-        of later neighbours of v, so no coefficient exceeds
-        1 + sum_v 2**|later neighbours of v| (2**n for K_n), and a field of
-        that bound's bit length never carries into the next.
+        ``<< width``.  By the same first-vertex argument no coefficient
+        exceeds 1 + sum_v 2**|later neighbours of v| (2**n for K_n), taken
+        over the numbering in use, and a field of that bound's bit length
+        never carries into the next.
         """
-        order = sorted(self._adj, key=_vkey)
-        index = {v: i for i, v in enumerate(order)}
-        nbr = [sum(1 << index[u] for u in self._adj[v]) for v in order]
+        order = _count_order(self._adj)
+        bits = {v: 1 << i for i, v in enumerate(order)}
+        nbr = [sum(map(bits.__getitem__, self._adj[v])) for v in order]
         bound = 1 + sum(1 << (m >> (i + 1)).bit_count() for i, m in enumerate(nbr))
         width = bound.bit_length()
         memo: dict = {}

@@ -131,9 +131,12 @@ def is_flag_building_set(b: BuildingSet) -> bool:
     """Every non-singleton member is a disjoint union of two members."""
     if not validate_building_set(b):
         raise ValueError("not a valid building set")
-    return all(
-        len(e) == 1 or _splits(e, b.elements) for e in b.elements
-    )
+    return _every_member_splits(b)
+
+
+def _every_member_splits(b: BuildingSet) -> bool:
+    """``is_flag_building_set`` for a ``b`` the caller has already validated."""
+    return all(len(e) == 1 or _splits(e, b.elements) for e in b.elements)
 
 
 def find_decomposition(b: BuildingSet) -> frozenset[Subset]:
@@ -257,7 +260,7 @@ def validate_ordering(o: FlagOrdering) -> None:
     """Raise unless the ordering enumerates the building set with flag prefixes."""
     b = o.building_set
     dec = BuildingSet(b.n, frozenset(o.decomposition))
-    if not (validate_building_set(dec) and dec.is_connected() and is_flag_building_set(dec)):
+    if not (validate_building_set(dec) and dec.is_connected() and _every_member_splits(dec)):
         raise ValueError("decomposition is not a connected flag building set")
     if len(o.decomposition) != 2 * b.n - 1:
         raise ValueError("decomposition is not minimal")

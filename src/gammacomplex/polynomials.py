@@ -8,6 +8,7 @@ complex does not know the dimension it is meant to have, the caller does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -131,15 +132,25 @@ def gamma_from_h(h: IntPolynomial, d: int) -> IntPolynomial:
     """
     if not is_symmetric(h, d):
         raise ValueError(f"h={h.to_list()} is not symmetric for d={d}; gamma is undefined")
-    residue = h
+    residue = list(h.coeffs) + [0] * (d + 1 - len(h.coeffs))
     gamma = []
-    for i in range(d // 2 + 1):
-        gi = residue.coeff(i)
+    for i, row in enumerate(_gamma_basis(d)):
+        gi = residue[i]
         gamma.append(gi)
-        residue = residue - (gi * IntPolynomial.binomial_power(d - 2 * i).shift(i))
-    if residue:
-        raise RuntimeError(f"internal inconsistency: residue {residue.to_list()} after gamma extraction")
+        if gi:
+            for r, c in enumerate(row, i):
+                residue[r] -= gi * c
+    if any(residue):
+        raise RuntimeError(
+            f"internal inconsistency: residue {IntPolynomial(residue).to_list()} after gamma extraction"
+        )
     return IntPolynomial(gamma)
+
+
+@cache
+def _gamma_basis(d: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the coefficients of (1+t)^(d-2i), i = 0 .. floor(d/2); built once per d."""
+    return tuple(IntPolynomial.binomial_power(d - 2 * i).coeffs for i in range(d // 2 + 1))
 
 
 @dataclass(frozen=True)

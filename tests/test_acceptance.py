@@ -7,23 +7,24 @@ exact integer equality; there are no numeric tolerances anywhere.
 Every gamma vector computed by the sweeps is collected and the final
 criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
-subdivision sequence, the time of one complex at d=12 with 13.9M faces,
-the time of the bridge on the power set n=8, the induced sequences and
-the bases that the deep suites build, the (F, G) pairs that the phi image
-examines, the clique walks of the case rules and the per-face calls of
-the deep walks on a valid sequence, the face-set replays and the prefix
-recipes of the deep forward pass, the clique counts, links and history
-replays of the increment identity, the memory ``deep_report`` and four
-history reads leave behind, the peak of ``deep_report`` and its time on
-one long sequence, so a return to per-step rebuilding of the graph, to
-keeping a copy of every step's state, to counting faces one by one, to
-enumerating every nested set, to one face walk per deep suite, to one
-clique walk per prefix for the case rules, to checking phi on every pair
-(F, G), to rebuilding each face's link, phi or restricted Γ, to one base
-per face, to keeping the deep memos or the replayed prefixes, to
-rebuilding each step's face set, to a recipe for every face of every
-prefix or to counting every state's cliques for the increment identity,
-fails here.
+subdivision sequence, the time of one complex at d=12 with 13.9M faces
+and of one at d=16 with 1.5G faces, the time of the bridge on the power
+set n=8, the induced sequences and the bases that the deep suites build,
+the (F, G) pairs that the phi image examines, the clique walks of the
+case rules and the per-face calls of the deep walks on a valid sequence,
+the face-set replays and the prefix recipes of the deep forward pass,
+the clique counts, links and history replays of the increment identity,
+the memory ``deep_report`` and four history reads leave behind, the peak
+of ``deep_report`` and its time on one long sequence, so a return to
+per-step rebuilding of the graph, to keeping a copy of every step's
+state, to counting faces one by one, to numbering the vertices by id for
+the clique count, to enumerating every nested set, to one face walk per
+deep suite, to one clique walk per prefix for the case rules, to
+checking phi on every pair (F, G), to rebuilding each face's link, phi
+or restricted Γ, to one base per face, to keeping the deep memos or the
+replayed prefixes, to rebuilding each step's face set, to a recipe for
+every face of every prefix or to counting every state's cliques for the
+increment identity, fails here.
 """
 
 import time
@@ -267,6 +268,29 @@ def test_scale_guard_wide_d():
         time.perf_counter() - start,
         10.0,
         f"f_gamma={report['f_gamma']}, gamma_theta={report['gamma_theta']}",
+    )
+
+
+def test_scale_guard_wide_d_numbering():
+    # the clique count numbers the vertices by the graph, high degree last;
+    # numbered by id, cross-polytope ids first, this took 2.3-2.7 s, and the
+    # counts below were taken that way
+    final = random_sequence(16, 30, 1).final
+    start = time.perf_counter()
+    report = gamma_of(final, 16)
+    elapsed = time.perf_counter() - start
+    _GAMMAS.append(report.gamma.to_list())
+    _report(
+        "scale guard (clique count of one final complex, d=16, k=30)",
+        report.f.to_list() == [
+            1, 62, 1614, 24008, 232047, 1562756, 7649488, 27939267, 77342122,
+            163466647, 263773515, 322406317, 293287685, 192320709, 85872707,
+            23359328, 2919916,
+        ]
+        and report.gamma.to_list() == [1, 30, 264, 904, 1223, 640, 110, 3],
+        elapsed,
+        1.2,
+        f"f has {sum(report.f.coeffs):,} faces, gamma={report.gamma.to_list()}",
     )
 
 

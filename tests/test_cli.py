@@ -355,6 +355,33 @@ class TestNestohedron:
         code, _, err = run(capsys, "nestohedron", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "elements, code, message",
+        [
+            ([[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4]], 0, ""),
+            ([[1], [2], [3], [4], [1, 2, 3, 4]], 2, "error: not a flag building set\n"),
+            ([[1], [2], [3], [4], [1, 2], [3, 4]], 2, "error: building set is not connected\n"),
+            ([[1], [2], [3], [1, 2], [2, 3]], 2, "error: input is not a building set\n"),
+        ],
+    )
+    def test_building_set_is_validated_once(self, capsys, monkeypatch, tmp_path, elements, code, message):
+        from gammacomplex import nestohedra
+
+        calls = []
+        validate = nestohedra.validate_building_set
+
+        def counted(b):
+            calls.append(b)
+            return validate(b)
+
+        monkeypatch.setattr(cli, "validate_building_set", counted)
+        monkeypatch.setattr(nestohedra, "validate_building_set", counted)
+        path = write(tmp_path, "bs.json", {"n": 4, "elements": elements})
+        got, out, err = run(capsys, "nestohedron", path)
+        assert (got, err) == (code, message)
+        assert (out != "") == (code == 0)
+        assert len(calls) == 1
+
     def test_explicit_ordering_file(self, capsys, tmp_path):
         bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
         ordering = write(

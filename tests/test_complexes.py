@@ -26,6 +26,8 @@ from gammacomplex import (
     subdivide_edge,
     subdivide_face_general,
 )
+from gammacomplex.complexes import _count_order, _vkey
+from gammacomplex.nestohedra import nested_set_complex, random_flag_building_set
 from helpers import (
     all_bijections,
     brute_force_f,
@@ -173,6 +175,54 @@ class TestCliqueCount:
             1, 54, 1119, 12373, 83665, 371284, 1123286,
             2356966, 3429511, 3394595, 2180001, 818772, 136462,
         ]
+
+
+def largest_degree_last(c: FlagComplex) -> list:
+    """The numbering ``_count_order`` promises, by a plain search for each removal."""
+    remaining = set(c.vertices)
+    removed = []
+    while remaining:
+        v = max(remaining, key=lambda u: (len(c.neighbors(u) & remaining), _vkey(u)))
+        remaining.remove(v)
+        removed.append(v)
+    return removed[::-1]
+
+
+class TestCountOrder:
+    """The clique count numbers the vertices by the graph, and its counts stay exact."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_a_permutation_taken_from_the_graph(self, seed):
+        rng = Random(seed)
+        vs = rng.sample(range(100), rng.randint(0, 16))
+        density = rng.random()
+        edges = [(a, b) for a, b in combinations(vs, 2) if rng.random() < density]
+        order = _count_order(FlagComplex(vs, edges).adjacency())
+        assert len(order) == len(vs) and set(order) == set(vs)
+        assert order == largest_degree_last(FlagComplex(vs, edges))
+        rng.shuffle(vs)
+        rng.shuffle(edges)
+        flipped = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+        assert _count_order(FlagComplex(vs, flipped).adjacency()) == order
+
+    def test_frozenset_labels_follow_the_same_rule(self):
+        b = random_flag_building_set(6, 3)
+        c = nested_set_complex(b)
+        assert _count_order(c.adjacency()) == largest_degree_last(c)
+
+    @pytest.mark.parametrize("d", range(3, 8))
+    def test_counts_on_random_sequences(self, d):
+        for seed in range(4):
+            c = random_sequence(d, 2 * d, seed).final
+            assert dict(c.clique_count_by_size()) == dict(Counter(len(f) for f in c.faces()))
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_counts_on_nested_set_complexes(self, n):
+        for seed in range(6):
+            c = nested_set_complex(random_flag_building_set(n, seed))
+            assert all(isinstance(v, frozenset) for v in c.vertices)
+            assert dict(c.clique_count_by_size()) == dict(Counter(len(f) for f in c.faces()))
 
 
 class TestFacesWith:

@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic and the f -> h -> gamma transforms."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,18 @@ from gammacomplex import (
 from gammacomplex.checks import increment_identity_failures
 from gammacomplex.complexes import FlagComplex
 from helpers import h_by_expansion, sequence_from_edges
+
+
+def gamma_by_elimination(h, d):
+    """The descending elimination that rebuilt (1+t)**(d-2i) on every call, kept as the oracle."""
+    residue = h
+    gamma = []
+    for i in range(d // 2 + 1):
+        gi = residue.coeff(i)
+        gamma.append(gi)
+        residue = residue - (gi * IntPolynomial.binomial_power(d - 2 * i).shift(i))
+    assert not residue
+    return IntPolynomial(gamma)
 
 
 class TestIntPolynomial:
@@ -87,6 +101,22 @@ class TestGammaFromH:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             gamma_from_h(IntPolynomial([1, 2, 3]), 2)
+
+    def test_residue_above_d_is_an_internal_error(self):
+        # symmetric for d=1, but t**2 lies outside the basis
+        with pytest.raises(RuntimeError, match=r"residue \[0, 0, 5\]"):
+            gamma_from_h(IntPolynomial([0, 0, 5]), 1)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_elimination_on_random_symmetric_h(self, seed):
+        rng = Random(seed)
+        d = rng.randint(0, 14)
+        half = [rng.randint(-10**6, 10**6) for _ in range(d // 2 + 1)]
+        h = IntPolynomial(half[min(i, d - i)] for i in range(d + 1))
+        assert gamma_from_h(h, d) == gamma_by_elimination(h, d)
+        # a second call at the same d reads the basis built by the first
+        assert gamma_from_h(h, d) == gamma_by_elimination(h, d)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.booleans())
     @settings(max_examples=150, deadline=None)
