@@ -23,20 +23,30 @@ delta lemma), so no later state's cliques are counted and no link is
 built.  The other three suites are decided by one depth-first clique
 walk over the final complex, in ``faces()`` order, carrying
 K(F + v) = K(F) & K(v) and N(F), the common neighbors of F, as running
-intersections.  It gets one induced sequence per face, from the recipes
-the forward pass left in the memo, and reads the three suites from it
-with nothing rebuilt.  A recipe is translated into canonical ids per
-face, but its base sequence, which the translation's shape (the number
-of pairs and the steps' edges in those ids) fixes, is built once per
-shape and walk and shared by every face of that shape:
+intersections of int masks, bit v standing for vertex v (the ids
+``extend`` gives).  It translates each face's recipe, which the forward
+pass left in the memo, into one label list, ``labels[c]`` the ambient
+vertex of canonical id c.  The translation's shape (the number of pairs
+and the steps' edges in those ids) fixes the base sequence, so the walk
+builds each base once per shape, and from it the per-shape tables the
+three suites read: the base's edges, and its K-table and gamma adjacency
+over the ranks of its new vertices (id - 2n, their creation order).  Per
+face it compares masks with those tables, and rebuilds nothing:
 
-- lk(F) is the subgraph induced on N(F), compared with the induced
-  result through its labels;
+- lk(F), the subgraph induced on N(F), is the induced result exactly
+  when the labels are distinct with N(F) as their mask, every edge of
+  the base goes to an edge, and the subgraph has as many edges as the
+  base: the labels are then a bijection onto N(F) that sends the base's
+  edges into the link's, one to one, and onto them by their count;
 - phi sends K(F), in increasing order, to the link's new vertices in
-  creation order, which the link's base numbers upwards, so phi into the
-  base's ids is order-preserving: a pair a < b of K(F) goes to a pair
-  that the base stores as (earlier, later) if it is a gamma edge, and the
-  gamma restriction is one membership test per pair.
+  creation order, so the r-th element of K(F) goes to rank r, and a set
+  of ranks goes to the sum of the matching bits of K(F).  Once
+  |K(F)| = |W(F)| the image holds on G empty, and on a vertex g of the
+  link with canonical id c exactly when K(F + g) = K(F) & K(g) is the
+  image of the ranks in the base's K(c);
+- the gamma restriction holds exactly when K(F) lies in the gamma
+  complex and, for each rank r, the gamma neighbors of the r-th element
+  of K(F), within K(F), are the image of r's gamma neighbors in the base.
 
 A check only says whether its suites hold.  A suite that fails, or whose
 premise does not hold, gets its list from its own ``*_failures``
@@ -117,7 +127,17 @@ skipped check is implied by the ones that run:
   G_j exactly when D = X and C = Y.  Step 0's face set is the clique set
   of G_0 by construction, so checking D = X and C = Y at every step shows
   the face sets equal the graphs' cliques throughout, which is all
-  ``oracle_failures`` checks.  The same split gives the f-vectors, with
+  ``oracle_failures`` checks.  That check needs no face set.  Where it
+  has held so far, S is the clique set of G_{j-1}, in which the premise
+  makes ab an edge, so D holds the cliques of G_{j-1} through a and b,
+  tau + a + b for the cliques tau of lk(ab), and C holds tau + w,
+  tau + a + w and tau + b + w for each of them.  So D = X exactly when ab
+  is no edge of G_j and every clique in X holds a and b: where ab is no
+  edge of G_j, every clique through a and b is in X; and {a, b}, which is
+  in D, is in X only where ab is no edge of G_j.  Given D = X, C = Y
+  exactly when those three cones of the cliques in X make up Y.  Both
+  are read off X and Y alone, step by step, with the verdict a replayed
+  face set would give.  The same split gives the f-vectors, with
   no equality needed: f(G_j) is f(G_{j-1}) less the size count of X plus
   that of Y.  Where ab is an edge of G_{j-1} and G_j is G_{j-1} with ab
   subdivided by w, X holds the cliques tau + a + b for the cliques tau of
@@ -132,7 +152,6 @@ skipped check is implied by the ones that run:
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 
 from .complexes import (
     cross_polytope,
@@ -148,8 +167,9 @@ from .subdivision import (
     SubdivisionSequence,
     _advance_recipes,
     _face_class,
-    _induced,
     _LinkSeq,
+    _rebuilt,
+    _shaped,
     _start_recipe,
     _w_set_of,
     gamma_complex,
@@ -316,51 +336,29 @@ def oracle_failures(seq: SubdivisionSequence) -> list[str]:
     return failures
 
 
-def _meet(table):
-    """Step of a running intersection such as K(F + v) = K(F) & table[v]; None is the empty face's."""
-    return lambda acc, v: table[v] if acc is None else acc & table[v]
+def _mask(vertices) -> int:
+    """The int with bit v set for each of ``vertices``, distinct ints such as the ids ``extend`` gives."""
+    return sum([1 << v for v in vertices])
 
 
-class _Numbering:
-    """Vertices numbered in the order they are first met, and vertex sets as int masks of those numbers."""
-
-    __slots__ = ("pos", "order")
-
-    def __init__(self):
-        self.pos, self.order = {}, []
-
-    def bit(self, v) -> int:
-        i = self.pos.get(v)
-        if i is None:
-            i = self.pos[v] = len(self.order)
-            self.order.append(v)
-        return 1 << i
-
-    def mask(self, vertices) -> int:
-        m = 0
-        for v in vertices:
-            m |= self.bit(v)
-        return m
-
-    def vertex_sets(self, masks) -> dict:
-        """Each of ``masks``, a downward closed family, sent to its set of vertices."""
-        single = {1 << i: frozenset((v,)) for i, v in enumerate(self.order)}
-        out = {0: frozenset()}
-        for m in sorted(masks):
-            if m:
-                low = m & -m
-                out[m] = out[m ^ low] | single[low]
-        return out
+def _vertex_sets(masks) -> dict:
+    """Each of ``masks``, a downward closed family, sent to its set of vertices."""
+    out = {0: frozenset()}
+    for m in sorted(masks):
+        if m:
+            low = m & -m
+            out[m] = out[m ^ low] | {low.bit_length() - 1}
+    return out
 
 
-def _cliques_through(adj, base, num) -> list[int]:
+def _cliques_through(adj, base) -> list[int]:
     """Every clique of the graph ``adj`` that holds the nonempty clique ``base``, once each, as masks."""
     it = iter(base)
     cand = set(adj[next(it)])
     for v in it:
         cand &= adj[v]
-    nbr = {num.bit(v): num.mask(adj[v] & cand) for v in cand}
-    out, todo = [], [(num.mask(base), num.mask(cand))]
+    nbr = {1 << v: _mask(adj[v] & cand) for v in cand}
+    out, todo = [], [(_mask(base), _mask(cand))]
     while todo:
         clique, rest = todo.pop()
         out.append(clique)
@@ -371,7 +369,7 @@ def _cliques_through(adj, base, num) -> list[int]:
     return out
 
 
-def _clique_delta(adj, other, num) -> set[int]:
+def _clique_delta(adj, other) -> set[int]:
     """The cliques of the graph ``adj`` that use a vertex or an edge missing from the graph ``other``.
 
     Both graphs are adjacency mappings.  The missing vertices and edges are
@@ -381,45 +379,34 @@ def _clique_delta(adj, other, num) -> set[int]:
     out, edges = set(), set()
     for v, ns in adj.items():
         if v not in other:
-            out.update(_cliques_through(adj, (v,), num))
+            out.update(_cliques_through(adj, (v,)))
         elif ns is not other[v]:
             edges.update(frozenset((u, v)) for u in ns - other[v] if u in other)
     for edge in edges:
-        out.update(_cliques_through(adj, edge, num))
+        out.update(_cliques_through(adj, edge))
     return out
 
 
-def _face_set_follows(faces, index, lost, gained, step, num) -> bool:
-    """Subdivide ab by w in the explicit face set, in place; whether it follows the graphs (delta lemma).
+def _deltas_follow(lost, gained, step, after) -> bool:
+    """Whether the face set follows the graphs at step j, where it is step j-1's clique set (delta lemma).
 
-    ``faces`` is the face set of step j-1, as masks, and ``index`` sends
-    the bit of each of its vertices to the faces that hold it.  The dropped
-    and the coned faces are those of ``subdivide_face_general``, read off
-    the index; they are compared with ``lost`` and ``gained``, the clique
-    deltas of the graphs of steps j-1 and j.  False, with the face set
-    left behind, where a delta differs.  The face set must be the clique
-    set of step j-1's graph, in which the premise makes ab an edge and w
-    new, so ab is a face and w no vertex of it, as
-    ``subdivide_face_general`` requires.
+    ``lost`` and ``gained`` are the clique deltas X and Y of the graphs of
+    steps j-1 and j, and ``after`` is step j's complex; ``step`` subdivides
+    ab by w, with ab an edge and w new before it (the premise).  Then the
+    faces dropped, D, are the cliques through a and b, and D = X exactly
+    when ab is no edge after the step and every clique in X holds a and b.
+    The faces coned, C, are tau + w, tau + a + w and tau + b + w for each
+    tau + a + b in D, so given D = X, C = Y exactly when those cones of the
+    cliques in X are Y.
     """
     (a, b), w = step
-    ba, bb, bw = num.bit(a), num.bit(b), num.bit(w)
+    ba, bb, bw = 1 << a, 1 << b, 1 << w
     ab = ba | bb
-    dropped = index[ba] & index[bb]
-    coned = {f | bw for g in dropped for f in (g ^ ab, g ^ ba, g ^ bb) if f in faces}
-    if dropped != lost or coned != gained:
-        return False
-    faces -= dropped
-    faces |= coned
-    index[bw] = set()
-    for changed, update in ((dropped, set.discard), (coned, set.add)):
-        for f in changed:
-            m = f
-            while m:
-                low = m & -m
-                update(index[low], f)
-                m ^= low
-    return True
+    return (
+        not after.has_edge(a, b)
+        and all(g & ab == ab for g in lost)
+        and {f | bw for g in lost for f in (g ^ ab, g ^ ba, g ^ bb)} == gained
+    )
 
 
 def _sizes(masks) -> Counter:
@@ -462,8 +449,9 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
     ``k_rule_failures`` raises its own ``KeyError``.  The W rules are
     checked only on the entries of ``seeded``, the recipe memo as
     ``deep_failures`` found it, that ``w_rule_failures`` visits (the memo
-    lemma), at the step whose complex holds them.  The face set is
-    replayed on masks and compared by the delta lemma.
+    lemma), at the step whose complex holds them.  The face-set oracle is
+    decided by the delta lemma from each step's clique deltas, as masks,
+    with no face set kept (``_deltas_follow``).
 
     Where the start complex is the cross polytope, no seeded entry is a
     face of its prefix below the last layer, and the premise and the delta
@@ -482,28 +470,21 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
     ``_increment_step`` carries satisfy it.  Otherwise it is False, which
     says only that ``increment_identity_failures`` must decide.
     """
-    k, d, num = seq.k, seq.d, _Numbering()
+    k, d = seq.k, seq.d
     layers = {}
     for j, fs in seeded:
         layers.setdefault(j, []).append(fs)
     states = seq.states()
     before = next(states)
     start = before.final
-    recipes = {}
-    index = {num.bit(v): set() for v in start.vertices}
-    for fs in start.faces():
-        m = num.mask(fs)
-        recipes[m] = _start_recipe(d, fs)
-        for v in fs:
-            index[num.bit(v)].add(m)
-    faces = set(recipes)
     try:
         report = gamma_of(start, d)
         increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
     except ValueError:
         increment = None
-    if start != cross_polytope(d) or (k and any(map(start.is_face, layers.get(0, ())))):
-        recipes = None
+    recipes = None
+    if start == cross_polytope(d) and not (k and any(map(start.is_face, layers.get(0, ())))):
+        recipes = {_mask(fs): _start_recipe(d, fs) for fs in start.faces()}
     k_ok = w_ok = faces_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
@@ -531,8 +512,8 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
         )
         if faces_ok:
             prev, cur = before.final.adjacency(), after.final.adjacency()
-            lost, gained = _clique_delta(prev, cur, num), _clique_delta(cur, prev, num)
-            faces_ok = _face_set_follows(faces, index, lost, gained, step, num)
+            lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
+            faces_ok = _deltas_follow(lost, gained, step, after.final)
         if not faces_ok:
             increment = None
         elif increment is not None:
@@ -541,116 +522,149 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
             recipes = None
         if recipes is not None:
             # the cliques lost are the faces that held a and b
-            _advance_recipes(recipes, lost, step, (num.bit(a), num.bit(b), num.bit(w)))
+            _advance_recipes(recipes, lost, step, (1 << a, 1 << b, 1 << w))
         before = after
-    faces = index = None  # so that no collection while the memo is warmed traverses them
     if recipes is not None:
-        memo, vertex_sets = seq._cache, num.vertex_sets(recipes)
+        memo, vertex_sets = seq._cache, _vertex_sets(recipes)
         for m, recipe in recipes.items():
             memo.setdefault((k, vertex_sets[m]), _LinkSeq(*recipe))
     return increment is not None, k_ok, w_ok, faces_ok
 
 
-def _is_link(ind, nf, adj) -> bool:
-    """Whether the induced result, read through ``label_of``, is the subgraph induced on ``nf``.
+class _Shape:
+    """The tables a shape's base fixes, built once per shape and final walk: its edges, K-table and gamma adjacency.
 
-    ``adj`` is the final complex's adjacency and ``nf`` the common neighbors
-    of a face, so that subgraph is the face's link.  Equal sizes make
-    ``label_of`` a bijection from the base's vertices onto ``nf``.
+    ``key`` is the shape (None for the empty link, which has no base), so
+    that the base can be built again where a face needs it whole.  A new
+    vertex's rank is its id less 2n, its place in creation order, so phi
+    sends the r-th element of K(F), in increasing order, to the new vertex
+    of rank r.  The base's edges are the pairs ``zip(ends, other_ends)``;
+    ``k_ranks[c]`` are the ranks in K(c), for every canonical id c, and
+    ``gamma_ranks[r]`` those of the gamma neighbors of rank r, as many as
+    the base has steps.  Tuples, not the base, are kept, as a walk keeps
+    one entry per shape.
     """
-    if ind.base is None:
-        return not nf
-    base_adj, label = ind.base.final.adjacency(), ind.label_of
-    if not len(base_adj) == len(label) == len(nf):
+
+    __slots__ = ("key", "ends", "other_ends", "k_ranks", "gamma_ranks")
+
+    def __init__(self, key, base):
+        self.key, self.ends, self.other_ends, self.k_ranks, self.gamma_ranks = key, (), (), (), ()
+        if base is None:
+            return
+        low = 2 * base.d
+        edges = [(x, y) for x, ns in base.final.adjacency().items() for y in ns if x < y]
+        self.ends, self.other_ends = tuple(x for x, _ in edges), tuple(y for _, y in edges)
+        self.k_ranks = tuple(tuple(x - low for x in base.k_table[c]) for c in range(low + base.k))
+        gamma = [[] for _ in range(base.k)]
+        for x, w in base.gamma_edges:
+            gamma[x - low].append(w - low)
+            gamma[w - low].append(x - low)
+        self.gamma_ranks = tuple(map(tuple, gamma))
+
+
+def _is_link(shape, labels, nf, nbr) -> bool:
+    """Whether ``labels`` send the base's final complex onto the subgraph induced on ``nf``.
+
+    ``nf`` is N(F), the common neighbors of a face F as a mask, so that
+    subgraph is F's link, and ``nbr`` sends each vertex of the final
+    complex to its neighbors as a mask.  The labels' bits sum to ``nf``,
+    and are as many as its bits, exactly when the labels are distinct with
+    mask ``nf`` (a repeat would carry, leaving fewer bits than labels): a
+    bijection onto N(F).  It sends the base's edges to edges of the link
+    exactly when each goes to an edge, and onto them exactly when the link
+    then has no more edges than the base.
+    """
+    if len(labels) != nf.bit_count() or sum([1 << v for v in labels]) != nf:
         return False
-    for c, ns in base_adj.items():
-        u = label[c]
-        if u not in nf or adj[u] & nf != {label[x] for x in ns}:
-            return False
-    return True
+    return all(nbr[labels[y]] >> labels[x] & 1 for x, y in zip(shape.ends, shape.other_ends)) and (
+        sum([(nbr[v] & nf).bit_count() for v in labels]) == 2 * len(shape.ends)
+    )
 
 
-def _phi_singletons(seq, kf, ind):
-    """(G, K(F + G), the link's K(G)) for G empty and each single vertex g of F's link.
+def _phi_holds(kf, dep, labels, shape, kmask) -> bool:
+    """Whether phi sends K(F + G) onto the link's K(G), for G empty and each single vertex g of F's link.
 
-    ``kf`` is K(F) as the final walk carries it, None for the empty face.
-    K(F + g) is read from the final K-table in ambient labels, the link's
-    K(G) from the base's table in its canonical ids.  F's link must be the
-    induced result.  K(F + G) may hold an entry outside phi's domain; the
-    caller counts that as a failure, so that ``phi_image_failures`` raises
-    its own ``KeyError``.
+    ``dep`` are the bits of K(F) in increasing order, as many as the base
+    has steps, so phi sends K(F) onto the link's K of the empty face, all
+    its new vertices, and sends a rank set to the sum of those bits.  ``kf``
+    is K(F) as the final walk carries it, -1 for the empty face, whose
+    K(g) is read whole; ``kmask`` is the final K-table as masks.  F's link
+    must be the induced result, through ``labels``, so that g is the label
+    of its canonical id c.  A set within K(F) is the image of a rank set
+    exactly when its ranks are those, and a K(g) outside K(F) is the image
+    of none, so the image holds on g exactly when K(F + g) is the sum of
+    the bits of the ranks in the base's K(c).
     """
-    base = ind.base
-    yield frozenset(), seq.w_ids() if kf is None else kf, frozenset(base.w_ids() if base else ())
-    if base is None:
-        return
-    table, link_table = seq.k_table, base.k_table
-    for c, g in ind.label_of.items():
-        yield frozenset((g,)), table[g] if kf is None else kf & table[g], link_table[c]
+    if not kf:
+        return True  # K(F) is empty, and so is every K of a base with no steps
+    return [kf & kmask[g] for g in labels] == [
+        sum(map(dep.__getitem__, ranks)) for ranks in shape.k_ranks
+    ]
 
 
-def _same_restriction(gamma_adj, to_base, link_edges) -> bool:
+def _gamma_holds(ks, dep, shape, gamma_nbr, every_k) -> bool:
     """Whether the gamma complex restricted to K(F) is the link's, under phi.
 
-    ``to_base`` sends K(F), in increasing order, to the canonical ids of
-    their phi images, and ``link_edges`` are the link's gamma edges in
-    those ids.  phi is order-preserving and the base numbers its new
-    vertices upwards in creation order, so a < b in K(F) go to canonical
-    ids in the same order, and the base stores each gamma edge as
-    (earlier, later).  False where K(F) leaves the gamma complex's vertices.
+    ``ks`` is K(F) as a mask, ``dep`` its bits in increasing order and
+    ``gamma_nbr`` sends the bit of each gamma vertex to its neighbors as a
+    mask.  phi sends the r-th element of K(F) to the new vertex of rank r,
+    so the restriction is the link's exactly when K(F) lies in the gamma
+    complex and, for each rank r, the neighbors of the r-th element within
+    K(F) are the sum of the bits of the ranks of r's neighbors in the base.
     """
-    return gamma_adj.keys() >= to_base.keys() and all(
-        (b in gamma_adj[a]) == ((ca, cb) in link_edges)
-        for (a, ca), (b, cb) in combinations(to_base.items(), 2)
-    )
+    return ks | every_k == every_k and [gamma_nbr[x] & ks for x in dep] == [
+        sum(map(dep.__getitem__, ranks)) for ranks in shape.gamma_ranks
+    ]
 
 
 def _final_verdicts(seq) -> tuple[bool, bool, bool]:
     """Whether the link recursion, the phi image and the gamma restriction hold on every face.
 
-    One walk over the final complex carries K(F) and N(F) as running
-    intersections and gets one induced sequence per face, whose base is
-    built once per shape and shared; the module docstring says how the
-    three suites are read from it, with nothing else rebuilt or
-    re-validated per face.  The phi image is decided by
-    the singleton lemma, so it is also False where the induced result is
-    not F's link.
+    One walk over the final complex carries K(F) and N(F) as masks (bit v
+    is vertex v), by running intersections, and gets one label list per
+    face, ``labels[c]`` the ambient vertex of canonical id c.  ``bases``
+    maps each shape met to its ``_Shape``, the tables of its base, built
+    the first time; the module docstring says how the three suites are
+    read from them with masks, with nothing rebuilt or re-validated per
+    face.  The walk starts from -1 for both masks, every bit set, so a
+    singleton's K and N are its entries' own; the empty face reads K(F) as
+    the w ids and N(F) as every vertex, and phi reads its K(g) whole.  The
+    phi image is decided by the singleton lemma, so it is also False where
+    the induced result is not F's link.
 
     Where a fast comparison fails, the face is compared as the suite
     functions compare it (``result`` with ``link``, ``is_isomorphic_under``),
     so an invalid sequence raises what they raise, at the first face that
     raises; a face with |K| != |W| raises ``phi``'s ``RuntimeError``.
     """
-    final = seq.final
-    adj = final.adjacency()
+    final, k = seq.final, seq.k
     gc = gamma_complex(seq)
-    gamma_adj = gc.adjacency()
-    meet_k, meet_n = _meet(seq.k_table), _meet(adj)
-    walk = final.faces_with((None, None), lambda acc, v: (meet_k(acc[0], v), meet_n(acc[1], v)))
-    every_w, every_v = seq.w_ids(), final.vertices
-    bases = {}
+    nbr = {v: _mask(ns) for v, ns in final.adjacency().items()}
+    kmask = {v: _mask(ks) for v, ks in seq.k_table.items()}
+    gamma_nbr = {1 << x: _mask(ns) for x, ns in gc.adjacency().items()}
+    every_k, every_v = _mask(seq.w_ids()), _mask(final.vertices)
+    walk = final.faces_with((-1, -1), lambda acc, v: (acc[0] & kmask[v], acc[1] & nbr[v]))
+    bases, empty = {}, _Shape(None, None)
     link_ok = phi_ok = gamma_ok = True
     for fs, (kf, nf) in walk:
-        ind = _induced(seq, seq.k, fs, bases)
-        same_link = _is_link(ind, every_v if nf is None else nf, adj) or (
-            ind.result() == link(final, fs)
+        shape, labels = _shaped(seq, k, fs, bases, _Shape)
+        shape = shape or empty
+        ks, nf = (every_k, every_v) if kf < 0 else (kf, nf)
+        dep, rest = [], ks
+        while rest:
+            low = rest & -rest
+            dep.append(low)
+            rest ^= low
+        same_link = _is_link(shape, labels, nf, nbr) or (
+            _rebuilt(shape.key, labels).result() == link(final, fs)
         )
-        ks = every_w if kf is None else sorted(kf)
-        if len(ks) != ind.step_count:
+        if len(dep) != len(shape.gamma_ranks):
             phi(seq, fs)  # raises, naming both sizes
-        base = ind.base
-        to_base = dict(zip(ks, base.w_ids())) if base else {}
         link_ok = link_ok and same_link
-        phi_ok = (
-            phi_ok
-            and same_link
-            and all(
-                {to_base.get(x) for x in kfg} == kg
-                for _, kfg, kg in _phi_singletons(seq, kf, ind)
-            )
-        )
-        if gamma_ok and not _same_restriction(gamma_adj, to_base, base.gamma_edges if base else ()):
-            phi_f = dict(zip(ks, ind.w_labels))
+        phi_ok = phi_ok and same_link and _phi_holds(kf, dep, labels, shape, kmask)
+        if gamma_ok and not _gamma_holds(ks, dep, shape, gamma_nbr, every_k):
+            ind = _rebuilt(shape.key, labels)
+            phi_f = dict(zip((x.bit_length() - 1 for x in dep), ind.w_labels))
             gamma_ok = is_isomorphic_under(gc.induced(phi_f), ind.gamma_complex_ambient(), phi_f)
     return link_ok, phi_ok, gamma_ok
 

@@ -205,15 +205,26 @@ class FlagOrdering:
         )
 
 
-def _can_append(current: set[Subset], new: Subset) -> bool:
-    """Would the family stay a flag building set after adding ``new``?"""
-    if not any(part < new and (new - part) in current for part in current):
-        return False
+def _member_mask(member: Subset) -> int:
+    """A member as an int bitmask: bit x is the ground element x."""
+    return sum(1 << x for x in member)
+
+
+def _can_append(current: set[int], new: int) -> bool:
+    """Would the family stay a flag building set after adding ``new``?
+
+    Members are int bitmasks (``_member_mask``).  ``new`` must split as a
+    disjoint union of two members, and its union with every member it
+    meets without either holding the other must be a member.
+    """
+    splits = False
     for other in current:
-        if new & other and not (new <= other or other <= new):
-            if (new | other) not in current:
-                return False
-    return True
+        meet = new & other
+        if meet == other:
+            splits = splits or (other != new and new ^ other in current)
+        elif meet and meet != new and new | other not in current:
+            return False
+    return splits
 
 
 def find_flag_ordering(
@@ -240,17 +251,18 @@ def find_flag_ordering(
     that is not a connected flag building set.
     """
     decomposition = decomposition if decomposition is not None else find_decomposition(b)
-    current = set(decomposition)
+    current = set(map(_member_mask, decomposition))
     left = sorted(b.elements - decomposition, key=_skey)
+    masks = {x: _member_mask(x) for x in left}
     order = []
     while left:
         candidates = list(left)
         if rng is not None:
             rng.shuffle(candidates)
-        member = next((x for x in candidates if _can_append(current, x)), None)
+        member = next((x for x in candidates if _can_append(current, masks[x])), None)
         if member is None:
             raise ValueError("no flag ordering exists: input is not a connected flag building set")
-        current.add(member)
+        current.add(masks[member])
         left.remove(member)
         order.append(member)
     return FlagOrdering(building_set=b, decomposition=decomposition, order=tuple(order))
@@ -266,8 +278,8 @@ def validate_ordering(o: FlagOrdering) -> None:
         raise ValueError("decomposition is not minimal")
     if len(set(o.order)) != len(o.order) or o.decomposition | frozenset(o.order) != b.elements:
         raise ValueError("ordering does not enumerate the building set members exactly once")
-    family = set(o.decomposition)
-    for j, member in enumerate(o.order, start=1):
+    family = set(map(_member_mask, o.decomposition))
+    for j, member in enumerate(map(_member_mask, o.order), start=1):
         if member in family or not _can_append(family, member):
             raise ValueError(f"ordering prefix {j} is not a flag building set")
         family.add(member)
@@ -554,8 +566,9 @@ def random_flag_building_set(n: int, seed: int) -> BuildingSet:
     ]
     additions = rng.randint(0, len(all_subsets))
     for _ in range(additions):
+        masks = set(map(_member_mask, elements))
         candidates = sorted(
-            (s for s in all_subsets if s not in elements and _can_append(elements, s)),
+            (s for s in all_subsets if s not in elements and _can_append(masks, _member_mask(s))),
             key=_skey,
         )
         if not candidates:

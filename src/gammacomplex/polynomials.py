@@ -113,9 +113,15 @@ def h_from_f(f: IntPolynomial, d: int) -> IntPolynomial:
     """Binomial transform h_j = sum_i (-1)^(j-i) C(d-i, j-i) f_i, exact."""
     if f.degree > d:
         raise ValueError(f"f has degree {f.degree} > d={d}")
-    return IntPolynomial(
-        sum((-1) ** (j - i) * comb(d - i, j - i) * f.coeff(i) for i in range(j + 1))
-        for j in range(d + 1)
+    fs = f.coeffs
+    return IntPolynomial(sum(map(int.__mul__, row, fs)) for row in _h_rows(d))
+
+
+@cache
+def _h_rows(d: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds (-1)^(j-i) C(d-i, j-i) for i = 0 .. j, the weights of h_j; built once per d."""
+    return tuple(
+        tuple((-1) ** (j - i) * comb(d - i, j - i) for i in range(j + 1)) for j in range(d + 1)
     )
 
 

@@ -411,29 +411,33 @@ class InducedSequence:
 
 
 def _translate(recipe: _LinkSeq) -> tuple:
-    """A recipe in canonical ids: (shape, w_labels, label_of, canonical_of).
+    """A recipe in canonical ids: (shape, labels), with ``labels[c]`` the ambient vertex of canonical id c.
 
     The base is the cross polytope on the recipe's pairs, the i-th pair
     numbered 2i and 2i + 1, subdivided along the recipe's steps; the new
     vertex of step i gets 2n + i, the id ``extend`` gives it.  The shape,
     (n, the steps' edges in canonical ids), is None for the empty link;
-    ``extend`` is deterministic, so the shape fixes the base.
+    ``extend`` is deterministic, so the shape fixes the base.  A step's
+    edge is read with the ids its ends hold at that step, the last id a
+    repeated label was given.
     """
     pairs, steps = recipe
     if not pairs:
         if steps:
             raise RuntimeError("internal inconsistency: steps recorded on an empty link")
-        return None, (), {}, {}
-    canonical_of: dict[int, int] = {}
-    for i, (u, v) in enumerate(pairs):
-        canonical_of[u] = 2 * i
-        canonical_of[v] = 2 * i + 1
+        return None, []
+    labels = []
+    for u, v in pairs:
+        labels += (u, v)
+    if not steps:
+        return (len(pairs), ()), labels
+    canonical_of = {amb: c for c, amb in enumerate(labels)}
     edges = []
-    for new_id, ((u, v), w) in enumerate(steps, start=2 * len(pairs)):
+    for (u, v), w in steps:
         edges.append((canonical_of[u], canonical_of[v]))
-        canonical_of[w] = new_id
-    label_of = {c: amb for amb, c in canonical_of.items()}
-    return (len(pairs), tuple(edges)), tuple(w for _, w in steps), label_of, canonical_of
+        canonical_of[w] = len(labels)
+        labels.append(w)
+    return (len(pairs), tuple(edges)), labels
 
 
 def _build_base(shape: tuple) -> SubdivisionSequence:
@@ -445,18 +449,42 @@ def _build_base(shape: tuple) -> SubdivisionSequence:
     return base
 
 
+def _shaped(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict, tables) -> tuple:
+    """(entry, labels) for a face of the j-th complex, taken to be one: its shape's entry and its labels.
+
+    ``bases`` maps each shape met so far to ``tables(shape, base)``, built
+    once, when the shape is first met; the entry is None for the empty
+    link, which has no base.
+    """
+    shape, labels = _translate(_link_seq(seq, j, fs))
+    if shape is None:
+        return None, labels
+    entry = bases.get(shape)
+    if entry is None:
+        entry = bases[shape] = tables(shape, _build_base(shape))
+    return entry, labels
+
+
+def _labeled(base: SubdivisionSequence | None, labels) -> InducedSequence:
+    """The induced sequence of a base and the labels ``_translate`` gives its canonical ids."""
+    canonical_of = {amb: c for c, amb in enumerate(labels)}
+    label_of = {c: amb for amb, c in canonical_of.items()}
+    w_labels = tuple(labels[2 * base.d :]) if base else ()
+    return InducedSequence(base=base, w_labels=w_labels, label_of=label_of, canonical_of=canonical_of)
+
+
+def _rebuilt(shape: tuple | None, labels) -> InducedSequence:
+    """The induced sequence of a face of this shape and these labels, its base built again."""
+    return _labeled(shape and _build_base(shape), labels)
+
+
 def _induced(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict) -> InducedSequence:
     """Induced sequence for a face of the j-th complex, taken to be one.
 
     ``bases`` maps shapes to their built bases: a shape it holds is not
     built again, and one it lacks is built and added.
     """
-    shape, w_labels, label_of, canonical_of = _translate(_link_seq(seq, j, fs))
-    if shape is not None and shape not in bases:
-        bases[shape] = _build_base(shape)
-    return InducedSequence(
-        base=bases.get(shape), w_labels=w_labels, label_of=label_of, canonical_of=canonical_of
-    )
+    return _labeled(*_shaped(seq, j, fs, bases, lambda shape, base: base))
 
 
 def induced_sequence_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> InducedSequence:

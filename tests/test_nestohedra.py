@@ -106,6 +106,35 @@ def ordering_oracle_inputs():
     return sets
 
 
+def can_append_sets(current, new):
+    """The flag test on frozenset members that ``nestohedra._can_append`` ran before bitmasks, kept as the oracle."""
+    if not any(part < new and (new - part) in current for part in current):
+        return False
+    for other in current:
+        if new & other and not (new <= other or other <= new):
+            if (new | other) not in current:
+                return False
+    return True
+
+
+def frozenset_flag_ordering(b, decomposition, rng):
+    """``find_flag_ordering`` as it ran on frozenset members, kept as the oracle: its order."""
+    current = set(decomposition)
+    left = sorted(b.elements - decomposition, key=nestohedra._skey)
+    order = []
+    while left:
+        candidates = list(left)
+        if rng is not None:
+            rng.shuffle(candidates)
+        member = next((x for x in candidates if can_append_sets(current, x)), None)
+        if member is None:
+            raise ValueError("no flag ordering exists: input is not a connected flag building set")
+        current.add(member)
+        left.remove(member)
+        order.append(member)
+    return tuple(order)
+
+
 def backtracking_flag_ordering(b, decomposition, rng):
     """Order the members outside the decomposition by a full backtracking
     search, candidates smallest first or shuffled per level by ``rng``."""
@@ -117,7 +146,7 @@ def backtracking_flag_ordering(b, decomposition, rng):
         if rng is not None:
             rng.shuffle(candidates)
         for cand in candidates:
-            if nestohedra._can_append(current, cand):
+            if can_append_sets(current, cand):
                 rest = search(current | {cand}, [x for x in left if x != cand])
                 if rest is not None:
                     return [cand] + rest
@@ -253,6 +282,21 @@ class TestFindFlagOrdering:
             expected = backtracking_flag_ordering(b, dec, None if seed is None else Random(seed))
             assert o.order == tuple(expected)
             validate_ordering(o)
+
+    @given(st.integers(2, 7), st.integers(0, 10**6), st.one_of(st.none(), st.integers(0, 10**6)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_frozenset_implementation(self, n, seed, shuffle):
+        # the same order, smallest first or per-step shuffled, and the same
+        # verdict on every member outside each prefix family
+        b = random_flag_building_set(n, seed)
+        dec = find_decomposition(b)
+        o = find_flag_ordering(b, dec, None if shuffle is None else Random(shuffle))
+        assert o.order == frozenset_flag_ordering(b, dec, None if shuffle is None else Random(shuffle))
+        for j in range(o.k + 1):
+            family = o.prefix_elements(j)
+            masks = {nestohedra._member_mask(x) for x in family}
+            for x in b.elements - family:
+                assert nestohedra._can_append(masks, nestohedra._member_mask(x)) == can_append_sets(family, x)
 
     def test_graphical_building_sets_are_flag(self):
         assert graphical_building_set(3, [(1, 2), (2, 3)]).elements == interval_building_set(3).elements

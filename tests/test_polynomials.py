@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the f -> h -> gamma transforms."""
 
+from math import comb
 from random import Random
 
 import pytest
@@ -30,6 +31,16 @@ def gamma_by_elimination(h, d):
         residue = residue - (gi * IntPolynomial.binomial_power(d - 2 * i).shift(i))
     assert not residue
     return IntPolynomial(gamma)
+
+
+def h_by_signed_binomials(f, d):
+    """The transform that recomputed every signed binomial on each call, kept as the oracle."""
+    if f.degree > d:
+        raise ValueError(f"f has degree {f.degree} > d={d}")
+    return IntPolynomial(
+        sum((-1) ** (j - i) * comb(d - i, j - i) * f.coeff(i) for i in range(j + 1))
+        for j in range(d + 1)
+    )
 
 
 class TestIntPolynomial:
@@ -71,6 +82,18 @@ class TestHFromF:
         f = IntPolynomial(coeffs)
         d = max(f.degree, 0) + extra
         assert h_from_f(f, d) == h_by_expansion(f, d)
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=16), st.integers(0, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_signed_binomials(self, coeffs, d):
+        f = IntPolynomial(coeffs)
+        if f.degree > d:
+            with pytest.raises(ValueError, match=f"f has degree {f.degree} > d={d}"):
+                h_from_f(f, d)
+            return
+        assert h_from_f(f, d) == h_by_signed_binomials(f, d)
+        # a second call at the same d reads the rows built by the first
+        assert h_from_f(f, d) == h_by_signed_binomials(f, d)
 
 
 class TestSymmetry:

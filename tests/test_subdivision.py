@@ -422,6 +422,19 @@ def commuting_steps_reversed():
     return seq
 
 
+def commuting_steps_reversed_at_a_vertex():
+    """The recipe of {+e4} replays its two commuting subdivisions, of {+e1, +e2} and {-e1, +e3}, in the other order.
+
+    Its result is still the link of +e4, and K(+e4) = {w1, w2}, but phi now
+    sends w1 to the vertex that subdivides {-e1, +e3}, so the image fails
+    on the single vertices +e2, -e2, +e3 and -e3, and only at {+e4}.
+    """
+    seq = sequence_from_edges(4, [(0, 2), (1, 4)])
+    recipe = _link_seq(seq, 2, frozenset({6}))
+    seq._cache[(2, frozenset({6}))] = _LinkSeq(recipe.pairs, recipe.steps[::-1])
+    return seq
+
+
 def link_pair_dropped():
     """The recipe of {w3} loses one antipodal pair, so its result is a proper part of the link."""
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
@@ -605,6 +618,7 @@ class TestDeepFailures:
             ("w_recursion", commuting_steps_reversed),
             ("link_recursion", link_pair_dropped),
             ("phi_image", final_k_entry_moved),
+            ("phi_image", commuting_steps_reversed_at_a_vertex),
             ("gamma_restriction", gamma_edge_added),
             ("oracle_equivalence", pendant_at_the_start),
         ],
@@ -681,6 +695,71 @@ class TestDeepFailures:
         near[j] = near[j] ^ {v}
         changed = SubdivisionSequence(d, seq.steps, seq.final, seq.k_table, seq.gamma_edges, tuple(near))
         self.assert_same_or_raised_alike(changed)
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["dropped", "moved"])
+    def test_a_base_one_edge_off_the_link_fails_alike(self, moved, monkeypatch):
+        # every base with an edge loses its last edge, or has it moved to its
+        # first antipodal pair: a face's induced result then has N(F) as its
+        # vertices, under distinct labels, and either only edges of the link,
+        # one too few, or as many edges as the link, one of them no edge of
+        # it; so of the mask link check only the edge count, or only the
+        # edge map, tells it from the link
+        real = subdivision._build_base
+
+        def one_edge_off(shape):
+            base = real(shape)
+            edges = base.final.edges()
+            if edges:
+                base.final = FlagComplex(base.final.vertices, edges[:-1] + [(0, 1)] * moved)
+            return base
+
+        monkeypatch.setattr(subdivision, "_build_base", one_edge_off)
+        seq = random_sequence(4, 3, 1)
+        failing = [fs for fs in seq.final.faces() if link(seq.final, fs).edges()]
+        for fs in failing:
+            got, expected = induced_sequence(seq, fs).result(), link(seq.final, fs)
+            assert got.vertices == expected.vertices
+            assert len(got.edges()) == len(expected.edges()) - (not moved)
+            assert (set(got.edges()) <= set(expected.edges())) is not moved
+        assert link_recursion_failures(seq) == [
+            f"face {sorted(fs)}: induced result differs from link" for fs in failing
+        ]
+        if moved:
+            # the moved edge makes a face of the result that is no face of
+            # the complex, on which the phi suite raises
+            self.assert_same_or_raised_alike(seq)
+        else:
+            self.assert_same_as_the_suites(seq)
+
+    def test_a_label_given_twice_raises_alike(self, monkeypatch):
+        # the link of a ridge is two points; its base gains an isolated third
+        # vertex, labeled as the first: the labels then cover N(F), the base
+        # has no edge and the link none, so of the mask link check only the
+        # bijection condition tells them apart, and relabeling raises
+        translate, build = subdivision._translate, subdivision._build_base
+
+        def twice(recipe):
+            shape, labels = translate(recipe)
+            return shape, labels + labels[:1] if shape == (1, ()) else labels
+
+        def isolated(shape):
+            base = build(shape)
+            if shape == (1, ()):
+                base.final = FlagComplex([0, 1, 2])
+            return base
+
+        monkeypatch.setattr(subdivision, "_translate", twice)
+        monkeypatch.setattr(subdivision, "_build_base", isolated)
+        seq = sequence_from_edges(4, EXAMPLE_STEPS)
+        ridge = next(fs for fs in seq.final.faces() if len(fs) == 3)
+        labels = twice(_link_seq(seq, 3, ridge))[1]
+        assert set(labels) == link(seq.final, ridge).vertices and len(labels) == 3
+        with pytest.raises(ValueError) as expected:
+            link_recursion_failures(seq)
+        with pytest.raises(ValueError) as got:
+            deep_failures(seq)
+        assert str(got.value) == str(expected.value) == "relabel mapping is not a bijection on the vertex set"
+        self.assert_same_or_raised_alike(seq)
 
     def test_pinned_failure_strings(self):
         assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
@@ -1035,13 +1114,17 @@ class TestSharedBases:
     @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_every_face_gets_the_induced_sequence(self, d, k, seed):
+        # the walk reads each face's labels and its shape's tables; with the
+        # base they are the face's induced sequence, and the tables are the
+        # base's edges, K-table and gamma adjacency in ranks
         seq = random_sequence(d, k, seed)
         walked, shapes, builds = [], [], []
-        induced, translate, build = subdivision._induced, subdivision._translate, subdivision._build_base
+        shaped, translate, build = checks._shaped, subdivision._translate, subdivision._build_base
 
         def walking(*args):
-            walked.append((args[2], induced(*args)))
-            return walked[-1][1]
+            entry, labels = shaped(*args)
+            walked.append((args[2], entry, labels))
+            return entry, labels
 
         def translating(recipe):
             out = translate(recipe)
@@ -1053,13 +1136,14 @@ class TestSharedBases:
             return build(shape)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "_induced", walking)
+            mp.setattr(checks, "_shaped", walking)
             mp.setattr(subdivision, "_translate", translating)
             mp.setattr(subdivision, "_build_base", building)
             assert all(deep_report(seq).values())
         assert sorted(builds) == sorted({shape for shape in shapes if shape is not None})
-        assert [fs for fs, _ in walked] == list(seq.final.faces())
-        for fs, got in walked:
+        assert [fs for fs, _, _ in walked] == list(seq.final.faces())
+        for fs, entry, labels in walked:
+            got = subdivision._rebuilt(entry and entry.key, labels)
             expected = induced_sequence(seq, fs)
             reference = induced_reference(seq, fs)
             for ind in (got, expected):
@@ -1069,6 +1153,17 @@ class TestSharedBases:
                     continue
                 for field in ("d", "steps", "final", "k_table", "gamma_edges", "w_neighbors"):
                     assert getattr(ind.base, field) == getattr(reference[0], field), (sorted(fs), field)
+            if entry is None:
+                continue
+            base, low = got.base, 2 * got.base.d
+            assert sorted(zip(entry.ends, entry.other_ends)) == base.final.edges()
+            assert [{low + r for r in ranks} for ranks in entry.k_ranks] == [
+                base.k_table[c] for c in range(low + base.k)
+            ]
+            gamma = gamma_complex(base)
+            assert [{low + r for r in ranks} for ranks in entry.gamma_ranks] == [
+                gamma.neighbors(w) for w in base.w_ids()
+            ]
 
     def test_faces_of_one_shape_share_their_base(self):
         seq = random_sequence(5, 8, 1)
