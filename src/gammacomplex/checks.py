@@ -24,14 +24,15 @@ built.  The other three suites are decided by one depth-first clique
 walk over the final complex, in ``faces()`` order, carrying
 K(F + v) = K(F) & K(v) and N(F), the common neighbors of F, as running
 intersections of int masks, bit v standing for vertex v (the ids
-``extend`` gives).  It translates each face's recipe, which the forward
-pass left in the memo, into one label list, ``labels[c]`` the ambient
-vertex of canonical id c.  The translation's shape (the number of pairs
-and the steps' edges in those ids) fixes the base sequence, so the walk
-builds each base once per shape, and from it the per-shape tables the
-three suites read: the base's edges, and its K-table and gamma adjacency
-over the ranks of its new vertices (id - 2n, their creation order).  Per
-face it compares masks with those tables, and rebuilds nothing:
+``extend`` gives).  It translates each face's recipe, read from the final
+layer that the forward pass returns, into one label list, ``labels[c]``
+the ambient vertex of canonical id c.  The translation's shape (the
+number of pairs and the steps' edges in those ids) fixes the base
+sequence, so the walk builds each base once per shape, and from it the
+per-shape tables the three suites read: the base's edges, and its K-table
+and gamma adjacency over the ranks of its new vertices (id - 2n, their
+creation order).  Per face it compares masks with those tables, and
+rebuilds nothing:
 
 - lk(F), the subgraph induced on N(F), is the induced result exactly
   when the labels are distinct with N(F) as their mask, every edge of
@@ -87,20 +88,22 @@ skipped check is implied by the ones that run:
 - Memo lemma (W rules).  ``_link_seq`` builds the recipe of (j, F) from
   the recipe of F's transformed face at j-1 by the W rule itself,
   classifying F against the same recorded N_j(w): F1 renames ``other``
-  to w, F4 appends w, and the other classes copy.  The forward pass builds the
+  to w, F4 appends w, and the other classes copy.  Recipes are values:
+  each reader builds them afresh, through a memo of its own, so every
+  recipe satisfies the W rule by construction.  ``w_rule_failures``
+  compares each recipe of each step with the rule applied to that of the
+  transformed face, so it returns [] or raises, and it raises only where
+  a transformed face is no face of the previous complex, which the
+  subdivision premise rules out.  So the W rules hold wherever the
+  premise does, and are not compared; ``w_rule_failures`` is the
+  exhaustive test oracle of the recursion.  The forward pass builds the
   recipes of step j from those of step j-1 by the same rule
   (``subdivision._advance_recipes``), on the faces built on a clique tau
   of lk(ab), and by the rename lemma the rule copies every other recipe.
-  So every recipe either computes satisfies the W rule, and the rule can
-  fail only at an entry that was in the memo before the check began.
-  Only those are checked, and only where j >= 1 and F is a face of step
-  j's complex, the entries that ``w_rule_failures`` visits.  The pass
-  warms the memo with the final layer, at the keys the memo does not
-  hold, only where no such entry is a face of its prefix below the last
-  layer, the start complex is the cross polytope, and the premise and the
-  delta lemma's comparisons hold at every step.  The recursion of
-  ``_link_seq`` would then build the same final layer, so every verdict
-  and every failure list is the same as with a cold memo.
+  Where the start complex is the cross polytope and the premise and the
+  delta lemma's comparisons hold at every step, the final layer it carries
+  is the one the recursion of ``_link_seq`` builds, and the final walk
+  reads it instead.
 - Rename lemma (recipes).  Where every step subdivides an edge of the
   previous complex, from the cross polytope on, the vertices of the recipe of a face F of step j,
   its pairs' and its steps' new vertices, are the vertices of F's link,
@@ -167,13 +170,14 @@ from .subdivision import (
     SubdivisionSequence,
     _advance_recipes,
     _face_class,
-    _LinkSeq,
+    _induced,
+    _link_seq,
+    _phi,
     _rebuilt,
     _shaped,
     _start_recipe,
     _w_set_of,
     gamma_complex,
-    induced_sequence,
     k_set,
     phi,
 )
@@ -236,16 +240,16 @@ def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     return failures
 
 
-def _expected_w(seq, j, fs, before):
+def _expected_w(seq, j, fs, before, memo):
     """Class of a face of state j's complex and the W-set the W case rule of step j gives it.
 
-    ``before`` is state j-1 of ``seq.states()``.  F1 renames ``other`` to
-    w in W of the transformed face, F4 appends w, and the other classes
-    copy it.
+    ``before`` is state j-1 of ``seq.states()``, and ``memo`` the recipe
+    memo of the sweep.  F1 renames ``other`` to w in W of the transformed
+    face, F4 appends w, and the other classes copy it.
     """
     (a, b), w = seq.steps[j - 1]
     cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
-    prev = _w_set_of(seq, j - 1, before, _transformed(fs, cls, a, b, w))
+    prev = _w_set_of(seq, j - 1, before, _transformed(fs, cls, a, b, w), memo)
     if cls is FaceClass.F1:
         other = b if a in fs else a
         return cls, tuple(w if x == other else x for x in prev)
@@ -256,13 +260,13 @@ def _expected_w(seq, j, fs, before):
 
 def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for W (with orderings) of every face of every complex."""
-    failures = []
+    failures, memo = [], {}
     states = seq.states()
     before = next(states)
     for j, after in enumerate(states, start=1):
         for fs in after.final.faces():
-            cls, expected = _expected_w(seq, j, fs, before)
-            actual = _w_set_of(seq, j, after, fs)
+            cls, expected = _expected_w(seq, j, fs, before, memo)
+            actual = _w_set_of(seq, j, after, fs, memo)
             if actual != expected:
                 failures.append(
                     f"step {j}, face {sorted(fs)}, class {cls.value}: "
@@ -274,10 +278,10 @@ def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
 
 def link_recursion_failures(seq: SubdivisionSequence) -> list[str]:
     """Result of every face's induced sequence equals its link, label for label."""
-    failures = []
+    failures, memo = [], {}
     final = seq.final
     for fs in final.faces():
-        got = induced_sequence(seq, fs).result()
+        got = _induced(seq, seq.k, fs, {}, memo).result()
         expected = link(final, fs)
         if got != expected:
             failures.append(f"face {sorted(fs)}: induced result differs from link")
@@ -286,11 +290,11 @@ def link_recursion_failures(seq: SubdivisionSequence) -> list[str]:
 
 def phi_image_failures(seq: SubdivisionSequence) -> list[str]:
     """phi maps K(F united G) onto the K-set of G inside the link of F, for all F, G."""
-    failures = []
+    failures, memo = [], {}
     final = seq.final
     for fs in final.faces():
-        ind = induced_sequence(seq, fs)
-        phi_f = phi(seq, fs)
+        ind = _induced(seq, seq.k, fs, {}, memo)
+        phi_f = _phi(seq, fs, memo)
         for gs in ind.result().faces():
             image = {phi_f[x] for x in k_set(seq, fs | gs)}
             expected = set(ind.k_set_ambient(gs))
@@ -304,13 +308,13 @@ def phi_image_failures(seq: SubdivisionSequence) -> list[str]:
 
 def gamma_restriction_failures(seq: SubdivisionSequence) -> list[str]:
     """Gamma complex restricted to K(F) is the link's gamma complex, under phi."""
-    failures = []
+    failures, memo = [], {}
     gc = gamma_complex(seq)
     for fs in seq.final.faces():
-        ind = induced_sequence(seq, fs)
+        ind = _induced(seq, seq.k, fs, {}, memo)
         restriction = gc.induced(k_set(seq, fs))
         target = ind.gamma_complex_ambient()
-        if not is_isomorphic_under(restriction, target, phi(seq, fs)):
+        if not is_isomorphic_under(restriction, target, _phi(seq, fs, memo)):
             failures.append(f"face {sorted(fs)}: restricted gamma complex mismatch")
     return failures
 
@@ -339,16 +343,6 @@ def oracle_failures(seq: SubdivisionSequence) -> list[str]:
 def _mask(vertices) -> int:
     """The int with bit v set for each of ``vertices``, distinct ints such as the ids ``extend`` gives."""
     return sum([1 << v for v in vertices])
-
-
-def _vertex_sets(masks) -> dict:
-    """Each of ``masks``, a downward closed family, sent to its set of vertices."""
-    out = {0: frozenset()}
-    for m in sorted(masks):
-        if m:
-            low = m & -m
-            out[m] = out[m ^ low] | {low.bit_length() - 1}
-    return out
 
 
 def _cliques_through(adj, base) -> list[int]:
@@ -438,31 +432,30 @@ def _increment_step(carried, lost, gained, d):
     return (f, after) if after - gamma == link_gamma.shift(1) else None
 
 
-def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
-    """Whether the increment identity, the K and W case rules and the face-set oracle hold, in one pass.
+def _forward_pass(seq) -> tuple:
+    """The verdicts of the increment identity, the K and W case rules and the face-set oracle, and the final layer.
 
     The pass walks consecutive pairs of ``seq.states()``, so two states
     are alive at a time.  Each step checks the subdivision premise of the
-    module docstring first; where it fails, all four are False.  The K
-    rules are read off each step's K-table update by the vertex lemma, one
-    comparison per vertex; a missing entry counts as a failure, so that
-    ``k_rule_failures`` raises its own ``KeyError``.  The W rules are
-    checked only on the entries of ``seeded``, the recipe memo as
-    ``deep_failures`` found it, that ``w_rule_failures`` visits (the memo
-    lemma), at the step whose complex holds them.  The face-set oracle is
+    module docstring first; where it fails, all four verdicts are False
+    and there is no layer.  The K rules are read off each step's K-table
+    update by the vertex lemma, one comparison per vertex; a missing entry
+    counts as a failure, so that ``k_rule_failures`` raises its own
+    ``KeyError``.  The W rules hold by the memo lemma wherever the premise
+    does, so their verdict is True from then on.  The face-set oracle is
     decided by the delta lemma from each step's clique deltas, as masks,
     with no face set kept (``_deltas_follow``).
 
-    Where the start complex is the cross polytope, no seeded entry is a
-    face of its prefix below the last layer, and the premise and the delta
-    lemma's comparisons hold at every step, the recipes are carried from
-    the cross polytope's by the W rule on the changed faces only
-    (``_advance_recipes``), and the final layer warms ``seq``'s memo at
-    each key it does not hold.  By the rename lemma those are the recipes
-    ``_link_seq`` would build.  The premise is checked with
-    ``subdivide_edge``; the face sets, which follow the graphs by the rule
-    of ``subdivide_face_general``, show that each step is an edge
-    subdivision as the rename lemma needs, whatever ``subdivide_edge`` does.
+    The final layer maps the mask of every face of the final complex to
+    its recipe, a plain tuple.  Where the start complex is the cross
+    polytope and the premise and the delta lemma's comparisons hold at
+    every step, it is carried from the cross polytope's by the W rule on
+    the changed faces only (``_advance_recipes``); by the rename lemma
+    those are the recipes ``_link_seq`` would build.  Otherwise the layer
+    is None.  The premise is checked with ``subdivide_edge``; the face
+    sets, which follow the graphs by the rule of ``subdivide_face_general``,
+    show that each step is an edge subdivision as the rename lemma needs,
+    whatever ``subdivide_edge`` does.
 
     The increment identity holds where f and gamma of the start come from
     ``gamma_of``, as in ``increment_identity_failures``, and at every step
@@ -470,10 +463,7 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
     ``_increment_step`` carries satisfy it.  Otherwise it is False, which
     says only that ``increment_identity_failures`` must decide.
     """
-    k, d = seq.k, seq.d
-    layers = {}
-    for j, fs in seeded:
-        layers.setdefault(j, []).append(fs)
+    d = seq.d
     states = seq.states()
     before = next(states)
     start = before.final
@@ -483,9 +473,9 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
     except ValueError:
         increment = None
     recipes = None
-    if start == cross_polytope(d) and not (k and any(map(start.is_face, layers.get(0, ())))):
+    if start == cross_polytope(d):
         recipes = {_mask(fs): _start_recipe(d, fs) for fs in start.faces()}
-    k_ok = w_ok = faces_ok = True
+    k_ok = faces_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
         if not (
@@ -494,7 +484,7 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
             and after.final == subdivide_edge(before.final, (a, b), w)
             and seq.w_neighbors[j - 1] == after.final.neighbors(w)
         ):
-            return False, False, False, False
+            return False, False, False, False, None
         kb, ka = before.k_table, after.k_table
         common = before.final.common_neighbors((a, b))
         k_ok = k_ok and (
@@ -506,29 +496,19 @@ def _forward_pass(seq, seeded) -> tuple[bool, bool, bool, bool]:
                 for v in before.final.vertices
             )
         )
-        visited = [fs for fs in layers.get(j, ()) if after.final.is_face(fs)]
-        w_ok = w_ok and all(
-            _w_set_of(seq, j, after, fs) == _expected_w(seq, j, fs, before)[1] for fs in visited
-        )
         if faces_ok:
             prev, cur = before.final.adjacency(), after.final.adjacency()
             lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
             faces_ok = _deltas_follow(lost, gained, step, after.final)
         if not faces_ok:
-            increment = None
+            increment = recipes = None
         elif increment is not None:
             increment = _increment_step(increment, lost, gained, d)
-        if not faces_ok or (j < k and visited):
-            recipes = None
         if recipes is not None:
             # the cliques lost are the faces that held a and b
             _advance_recipes(recipes, lost, step, (1 << a, 1 << b, 1 << w))
         before = after
-    if recipes is not None:
-        memo, vertex_sets = seq._cache, _vertex_sets(recipes)
-        for m, recipe in recipes.items():
-            memo.setdefault((k, vertex_sets[m]), _LinkSeq(*recipe))
-    return increment is not None, k_ok, w_ok, faces_ok
+    return increment is not None, k_ok, True, faces_ok, recipes
 
 
 class _Shape:
@@ -541,8 +521,9 @@ class _Shape:
     of rank r.  The base's edges are the pairs ``zip(ends, other_ends)``;
     ``k_ranks[c]`` are the ranks in K(c), for every canonical id c, and
     ``gamma_ranks[r]`` those of the gamma neighbors of rank r, as many as
-    the base has steps.  Tuples, not the base, are kept, as a walk keeps
-    one entry per shape.
+    the base has steps.  Lists, not the base, are kept, one entry per
+    shape; not tuples, as a walk frees them all at its end, and so many
+    small tuples would stay in CPython's free lists until a full collection.
     """
 
     __slots__ = ("key", "ends", "other_ends", "k_ranks", "gamma_ranks")
@@ -553,13 +534,12 @@ class _Shape:
             return
         low = 2 * base.d
         edges = [(x, y) for x, ns in base.final.adjacency().items() for y in ns if x < y]
-        self.ends, self.other_ends = tuple(x for x, _ in edges), tuple(y for _, y in edges)
-        self.k_ranks = tuple(tuple(x - low for x in base.k_table[c]) for c in range(low + base.k))
-        gamma = [[] for _ in range(base.k)]
+        self.ends, self.other_ends = [x for x, _ in edges], [y for _, y in edges]
+        self.k_ranks = [[x - low for x in base.k_table[c]] for c in range(low + base.k)]
+        self.gamma_ranks = [[] for _ in range(base.k)]
         for x, w in base.gamma_edges:
-            gamma[x - low].append(w - low)
-            gamma[w - low].append(x - low)
-        self.gamma_ranks = tuple(map(tuple, gamma))
+            self.gamma_ranks[x - low].append(w - low)
+            self.gamma_ranks[w - low].append(x - low)
 
 
 def _is_link(shape, labels, nf, nbr) -> bool:
@@ -617,12 +597,15 @@ def _gamma_holds(ks, dep, shape, gamma_nbr, every_k) -> bool:
     ]
 
 
-def _final_verdicts(seq) -> tuple[bool, bool, bool]:
+def _final_verdicts(seq, recipes) -> tuple[bool, bool, bool]:
     """Whether the link recursion, the phi image and the gamma restriction hold on every face.
 
     One walk over the final complex carries K(F) and N(F) as masks (bit v
-    is vertex v), by running intersections, and gets one label list per
-    face, ``labels[c]`` the ambient vertex of canonical id c.  ``bases``
+    is vertex v), by running intersections, and F's own mask by a running
+    union.  It reads each face's recipe from ``recipes``, the final layer
+    of ``_forward_pass``, at that mask, or, where the layer is None, from
+    ``_link_seq`` with a memo local to the walk, and gets one label list
+    per face, ``labels[c]`` the ambient vertex of canonical id c.  ``bases``
     maps each shape met to its ``_Shape``, the tables of its base, built
     the first time; the module docstring says how the three suites are
     read from them with masks, with nothing rebuilt or re-validated per
@@ -643,11 +626,14 @@ def _final_verdicts(seq) -> tuple[bool, bool, bool]:
     kmask = {v: _mask(ks) for v, ks in seq.k_table.items()}
     gamma_nbr = {1 << x: _mask(ns) for x, ns in gc.adjacency().items()}
     every_k, every_v = _mask(seq.w_ids()), _mask(final.vertices)
-    walk = final.faces_with((-1, -1), lambda acc, v: (acc[0] & kmask[v], acc[1] & nbr[v]))
-    bases, empty = {}, _Shape(None, None)
+    walk = final.faces_with(
+        (-1, -1, 0), lambda acc, v: (acc[0] & kmask[v], acc[1] & nbr[v], acc[2] | 1 << v)
+    )
+    bases, empty, memo = {}, _Shape(None, None), {}
     link_ok = phi_ok = gamma_ok = True
-    for fs, (kf, nf) in walk:
-        shape, labels = _shaped(seq, k, fs, bases, _Shape)
+    for fs, (kf, nf, m) in walk:
+        recipe = _link_seq(seq, k, fs, memo) if recipes is None else recipes[m]
+        shape, labels = _shaped(recipe, bases, _Shape)
         shape = shape or empty
         ks, nf = (every_k, every_v) if kf < 0 else (kf, nf)
         dep, rest = [], ks
@@ -678,6 +664,10 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     do not pass gets its list from its own function.  They cover every face
     of every step and every pair (F, G), directly or through a lemma, never
     by sampling, and the final walk streams faces rather than collect them.
+    The W list is [] by construction wherever the subdivision premise
+    holds (the memo lemma): ``deep_failures`` then compares no recipe with
+    the W rule, and ``w_rule_failures``, which does, is the exhaustive test
+    oracle of ``_link_seq``.
 
     The increment identity is decided by the forward pass, which builds no
     link and counts the cliques of the start complex alone; where the pass
@@ -690,34 +680,26 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     ``k_rule_failures``; the final walk would fail first, with a
     ``KeyError`` from the induced sequence of a face.
 
-    The forward pass warms ``seq``'s recipe memo with the recipes of the
-    final complex's faces only, so that the final walk never recurses;
-    where the memo lemma does not let it, the final walk fills the memo as
-    ``_link_seq`` recurses.  The memo is restored on return, as it was
-    found, so its memory does not outlive the call.  On a valid sequence
-    history is replayed once, by the forward pass, and nothing of it is
-    kept; a suite function that runs replays it again.  The W rules are
-    checked on the memo as it was found.
+    The forward pass returns the recipes of the final complex's faces, so
+    that the final walk never recurses; where it cannot carry them, the
+    final walk builds them with ``_link_seq``.  Nothing is kept on ``seq``.
+    On a valid sequence history is replayed once, by the forward pass, and
+    nothing of it is kept; a suite function that runs replays it again.
     """
-    cache = seq._cache
-    seq._cache = dict(cache)
-    try:
-        increment_ok, k_ok, w_ok, faces_ok = _forward_pass(seq, cache)
-        increment = [] if increment_ok else increment_identity_failures(seq)
-        k_failures = [] if k_ok else k_rule_failures(seq)
-        w_failures = [] if w_ok else w_rule_failures(seq)
-        link_ok, phi_ok, gamma_ok = _final_verdicts(seq)
-        return {
-            "increment_identity": increment,
-            "k_recursion": k_failures,
-            "w_recursion": w_failures,
-            "link_recursion": [] if link_ok else link_recursion_failures(seq),
-            "phi_image": [] if phi_ok else phi_image_failures(seq),
-            "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
-            "oracle_equivalence": [] if faces_ok else oracle_failures(seq),
-        }
-    finally:
-        seq._cache = cache
+    increment_ok, k_ok, w_ok, faces_ok, recipes = _forward_pass(seq)
+    increment = [] if increment_ok else increment_identity_failures(seq)
+    k_failures = [] if k_ok else k_rule_failures(seq)
+    w_failures = [] if w_ok else w_rule_failures(seq)
+    link_ok, phi_ok, gamma_ok = _final_verdicts(seq, recipes)
+    return {
+        "increment_identity": increment,
+        "k_recursion": k_failures,
+        "w_recursion": w_failures,
+        "link_recursion": [] if link_ok else link_recursion_failures(seq),
+        "phi_image": [] if phi_ok else phi_image_failures(seq),
+        "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
+        "oracle_equivalence": [] if faces_ok else oracle_failures(seq),
+    }
 
 
 def deep_report(seq: SubdivisionSequence) -> dict[str, bool]:
@@ -725,6 +707,7 @@ def deep_report(seq: SubdivisionSequence) -> dict[str, bool]:
 
     ``deep_failures`` reduced to ``{name: not failures}``: every suite is
     exhaustive, and the verdicts are those of the seven ``*_failures``
-    oracles.
+    oracles.  The W verdict holds by construction wherever the subdivision
+    premise does (the memo lemma).
     """
     return {name: not failures for name, failures in deep_failures(seq).items()}

@@ -267,8 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: every ``parse_args`` returns a fresh namespace, so
+# calls in one process share no option.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "example": cmd_example,
         "verify": cmd_verify,

@@ -111,7 +111,7 @@ class SubdivisionSequence:
     states after steps 0..k-1 by ``extend``, one at a time.
     """
 
-    __slots__ = ("d", "steps", "final", "k_table", "gamma_edges", "w_neighbors", "_cache")
+    __slots__ = ("d", "steps", "final", "k_table", "gamma_edges", "w_neighbors")
 
     def __init__(self, d, steps, final, k_table, gamma_edges, w_neighbors):
         self.d = d
@@ -120,7 +120,6 @@ class SubdivisionSequence:
         self.k_table = k_table
         self.gamma_edges = gamma_edges
         self.w_neighbors = w_neighbors
-        self._cache: dict = {}
 
     @property
     def k(self) -> int:
@@ -301,10 +300,9 @@ def classify_face(seq: SubdivisionSequence, face: Iterable[int]) -> FaceClass:
     return _face_class(fs, a, b, w, seq.w_neighbors[-1])
 
 
-def _start_recipe(d: int, fs: frozenset[int]) -> _LinkSeq:
-    """Recipe of a face of the cross polytope on d pairs: the pairs that avoid it, and no step."""
-    pairs = tuple((2 * i, 2 * i + 1) for i in range(d) if 2 * i not in fs and 2 * i + 1 not in fs)
-    return _LinkSeq(pairs, ())
+def _start_recipe(d: int, fs: frozenset[int]) -> tuple:
+    """Recipe of a face of the cross polytope on d pairs, as a plain tuple: the pairs that avoid it, and no step."""
+    return tuple((2 * i, 2 * i + 1) for i in range(d) if 2 * i not in fs and 2 * i + 1 not in fs), ()
 
 
 def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int, int, int]) -> None:
@@ -312,16 +310,15 @@ def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int,
 
     Faces are int masks over some numbering of the vertices, and ``bits``
     are the masks of a, b and w.  ``layer`` maps every face of step j-1 to
-    the recipe ``_link_seq`` gives it, as a ``_LinkSeq`` or a plain tuple
-    (pairs, steps), the form this writes; ``spanned`` are the faces that
-    hold a and b: tau + a + b for each clique tau of lk(ab).  The W rule of
-    ``_link_seq`` changes only the faces built on some tau.  tau + a + b is
-    dropped; tau + a + w and tau + b + w copy its recipe (F2), and tau + w
-    copies it with the pair (a, b) added (F3); tau gains the step
-    ((a, b), w) (F4); tau + a renames b to w and tau + b renames a to w
-    (F1).  Every other face keeps its recipe: an F5 face copies it, and an
-    F1 face with a that is not tau + a has no b in its recipe, by the
-    rename lemma of ``checks``.
+    the recipe ``_link_seq`` gives it, as a plain tuple (pairs, steps);
+    ``spanned`` are the faces that hold a and b: tau + a + b for each
+    clique tau of lk(ab).  The W rule of ``_link_seq`` changes only the
+    faces built on some tau.  tau + a + b is dropped; tau + a + w and
+    tau + b + w copy its recipe (F2), and tau + w copies it with the pair
+    (a, b) added (F3); tau gains the step ((a, b), w) (F4); tau + a
+    renames b to w and tau + b renames a to w (F1).  Every other face
+    keeps its recipe: an F5 face copies it, and an F1 face with a that is
+    not tau + a has no b in its recipe, by the rename lemma of ``checks``.
     """
     (a, b), w = step
     ba, bb, bw = bits
@@ -338,32 +335,32 @@ def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int,
         layer[gb] = _rename(layer[gb], a, w)
 
 
-def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int]) -> _LinkSeq:
-    """Induced sequence recipe for a face of the j-th complex (recursion on j)."""
+def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int], memo: dict) -> _LinkSeq:
+    """Induced sequence recipe for a face of the j-th complex (recursion on j), memoized in the caller's ``memo``."""
     key = (j, fs)
-    cached = seq._cache.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     if j == 0:
-        out = _start_recipe(seq.d, fs)
+        out = _LinkSeq(*_start_recipe(seq.d, fs))
     else:
         (a, b), w = seq.steps[j - 1]
         cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
         if cls is FaceClass.F1:
             other = b if a in fs else a
-            out = _LinkSeq(*_rename(_link_seq(seq, j - 1, fs), other, w))
+            out = _LinkSeq(*_rename(_link_seq(seq, j - 1, fs, memo), other, w))
         elif cls is FaceClass.F2:
             other = b if a in fs else a
-            out = _link_seq(seq, j - 1, fs - {w} | {other})
+            out = _link_seq(seq, j - 1, fs - {w} | {other}, memo)
         elif cls is FaceClass.F3:
-            sub = _link_seq(seq, j - 1, fs - {w} | {a, b})
+            sub = _link_seq(seq, j - 1, fs - {w} | {a, b}, memo)
             out = _LinkSeq(sub.pairs + ((a, b),), sub.steps)
         elif cls is FaceClass.F4:
-            sub = _link_seq(seq, j - 1, fs)
+            sub = _link_seq(seq, j - 1, fs, memo)
             out = _LinkSeq(sub.pairs, sub.steps + (((a, b), w),))
         else:
-            out = _link_seq(seq, j - 1, fs)
-    seq._cache[key] = out
+            out = _link_seq(seq, j - 1, fs, memo)
+    memo[key] = out
     return out
 
 
@@ -449,14 +446,14 @@ def _build_base(shape: tuple) -> SubdivisionSequence:
     return base
 
 
-def _shaped(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict, tables) -> tuple:
-    """(entry, labels) for a face of the j-th complex, taken to be one: its shape's entry and its labels.
+def _shaped(recipe: tuple, bases: dict, tables) -> tuple:
+    """(entry, labels) for a face with this recipe: its shape's entry and its labels.
 
     ``bases`` maps each shape met so far to ``tables(shape, base)``, built
     once, when the shape is first met; the entry is None for the empty
     link, which has no base.
     """
-    shape, labels = _translate(_link_seq(seq, j, fs))
+    shape, labels = _translate(recipe)
     if shape is None:
         return None, labels
     entry = bases.get(shape)
@@ -478,13 +475,13 @@ def _rebuilt(shape: tuple | None, labels) -> InducedSequence:
     return _labeled(shape and _build_base(shape), labels)
 
 
-def _induced(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict) -> InducedSequence:
-    """Induced sequence for a face of the j-th complex, taken to be one.
+def _induced(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict, memo: dict) -> InducedSequence:
+    """Induced sequence for a face of the j-th complex, taken to be one, its recipe read through ``memo``.
 
     ``bases`` maps shapes to their built bases: a shape it holds is not
     built again, and one it lacks is built and added.
     """
-    return _labeled(*_shaped(seq, j, fs, bases, lambda shape, base: base))
+    return _labeled(*_shaped(_link_seq(seq, j, fs, memo), bases, lambda shape, base: base))
 
 
 def induced_sequence_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> InducedSequence:
@@ -492,7 +489,7 @@ def induced_sequence_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -
     fs = frozenset(face)
     if not seq.prefix(j).final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
-    return _induced(seq, j, fs, {})
+    return _induced(seq, j, fs, {}, {})
 
 
 def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSequence:
@@ -500,15 +497,14 @@ def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSe
 
 
 def w_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int, ...]:
-    fs = frozenset(face)
-    return _w_set_of(seq, j, seq.prefix(j), fs)
+    return _w_set_of(seq, j, seq.prefix(j), frozenset(face), {})
 
 
-def _w_set_of(seq, j, state, fs) -> tuple[int, ...]:
-    """W of a face of ``state``, which is ``seq.prefix(j)``, for readers that walk ``states``."""
+def _w_set_of(seq, j, state, fs, memo) -> tuple[int, ...]:
+    """W of a face of ``state``, which is ``seq.prefix(j)``, its recipe read through ``memo``."""
     if not state.final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
-    return tuple(w for _, w in _link_seq(seq, j, fs).steps)
+    return tuple(w for _, w in _link_seq(seq, j, fs, memo).steps)
 
 
 def w_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:
@@ -518,11 +514,16 @@ def w_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:
 
 def phi(seq: SubdivisionSequence, face: Iterable[int]) -> dict[int, int]:
     """Order-preserving bijection from the K-set onto the W-set of a face."""
-    ks = k_set(seq, face)
-    ws = w_set(seq, face)
+    return _phi(seq, frozenset(face), {})
+
+
+def _phi(seq: SubdivisionSequence, fs: frozenset[int], memo: dict) -> dict[int, int]:
+    """``phi`` of a face of the final complex, its recipe read through ``memo``."""
+    ks = k_set(seq, fs)
+    ws = _w_set_of(seq, seq.k, seq, fs, memo)
     if len(ks) != len(ws):
         raise RuntimeError(
-            f"internal inconsistency: |K|={len(ks)} but |W|={len(ws)} for {set(face)!r}"
+            f"internal inconsistency: |K|={len(ks)} but |W|={len(ws)} for {set(fs)!r}"
         )
     return dict(zip(ks, ws))
 

@@ -13,9 +13,11 @@ from gammacomplex import (
     FlagComplex,
     IntPolynomial,
     SubdivisionSequence,
+    checks,
     extend,
     new_sequence,
     random_sequence,
+    subdivision,
 )
 
 
@@ -97,3 +99,44 @@ class KeptHistory(SubdivisionSequence):
     def states(self):
         yield from self.history
         yield self
+
+
+class RecipesReplaced(SubdivisionSequence):
+    """``seq`` with the recipes of some faces replaced, as ``read_replaced_recipes`` lets every reader see them.
+
+    ``replaced`` maps (j, face) to the recipe of that face of the j-th complex.
+    """
+
+    __slots__ = ("replaced",)
+
+    def __init__(self, seq, replaced):
+        super().__init__(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges, seq.w_neighbors)
+        self.replaced = replaced
+
+
+def read_replaced_recipes(monkeypatch):
+    """Make ``_link_seq``, and the final layer of ``checks._forward_pass``, read a ``RecipesReplaced``'s recipes.
+
+    ``_link_seq`` returns a replaced recipe as it is and builds the others
+    on them, and the layer holds what ``_link_seq`` then gives each face of
+    the final complex, so the suite functions and ``deep_failures`` read
+    the same recipes.  Other sequences read their own.
+    """
+    real_link_seq, real_pass = subdivision._link_seq, checks._forward_pass
+
+    def link_seq(seq, j, fs, memo):
+        replaced = getattr(seq, "replaced", {})
+        if (j, fs) in replaced:
+            return replaced[j, fs]
+        return real_link_seq(seq, j, fs, memo)
+
+    def forward_pass(seq):
+        *verdicts, layer = real_pass(seq)
+        if layer is not None and getattr(seq, "replaced", None):
+            memo = {}
+            layer = {checks._mask(fs): link_seq(seq, seq.k, fs, memo) for fs in seq.final.faces()}
+        return (*verdicts, layer)
+
+    for module in (subdivision, checks):
+        monkeypatch.setattr(module, "_link_seq", link_seq)
+    monkeypatch.setattr(checks, "_forward_pass", forward_pass)

@@ -404,7 +404,7 @@ def test_scale_guard_final_walk(monkeypatch):
     # suite made 8, one per step)
     start = time.perf_counter()
     shapes, builds = _count_induced(monkeypatch)
-    calls = dict.fromkeys(["link", "phi", "is_isomorphic_under", "induced_sequence"], 0)
+    calls = dict.fromkeys(["link", "phi", "_phi", "is_isomorphic_under", "_induced"], 0)
     for name in calls:
         real = getattr(checks, name)
 
@@ -418,8 +418,9 @@ def test_scale_guard_final_walk(monkeypatch):
     ok &= calls == {
         "link": 0,
         "phi": 0,
+        "_phi": 0,
         "is_isomorphic_under": 0,
-        "induced_sequence": 0,
+        "_induced": 0,
         "translations": 783,
         "bases": 67,
     }
@@ -492,8 +493,8 @@ def test_scale_guard_case_rules_walk_no_prefix(monkeypatch):
 
 
 def test_scale_guard_deep_memos_released():
-    # the forward pass warms the recipe memo with the final complex's
-    # recipes; deep_report must not leave it behind on the sequence
+    # the forward pass returns the final complex's recipes, and each walk
+    # keeps its own memo; deep_report must leave none of them behind
     start = time.perf_counter()
     seq = random_sequence(5, 12, 1)
     tracemalloc.start()
@@ -503,7 +504,6 @@ def test_scale_guard_deep_memos_released():
         retained_mb = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
-    ok &= seq._cache == {}
     _report(
         "scale guard (memory deep_report leaves behind, d=5, k=12)",
         ok and retained_mb < 1.0,
@@ -514,9 +514,9 @@ def test_scale_guard_deep_memos_released():
 
 
 def test_scale_guard_history_reads_memory():
-    # history is replayed, never kept: four reads of it leave the sequence
-    # holding only the recipes that w_set_at memoizes for the empty face
-    # (25.0 MB live when the first read kept every prefix)
+    # history is replayed, never kept, and recipes are memoized per call:
+    # four reads of it leave nothing on the sequence (25.0 MB live when the
+    # first read kept every prefix)
     start = time.perf_counter()
     seq = random_sequence(5, 400, 1)
     tracemalloc.start()
@@ -540,9 +540,10 @@ def test_scale_guard_history_reads_memory():
 
 def test_scale_guard_deep_forward_pass(monkeypatch):
     # counts, not times: the face sets and the recipes are carried from step
-    # to step, so a passing run replays no face set and builds no recipe of a
-    # prefix; the memo holds the 783 recipes of the final complex's faces,
-    # each read once by the final walk
+    # to step, so a passing run replays no face set and builds no recipe by
+    # the recursion; the final walk reads each of the 783 faces' recipes
+    # from the layer the forward pass returns (783 calls, all at the last
+    # layer, when it read them from the sequence's memo)
     start = time.perf_counter()
     calls = dict.fromkeys(["oracle_failures", "subdivide_face_general"], 0)
     for name in calls:
@@ -554,35 +555,35 @@ def test_scale_guard_deep_forward_pass(monkeypatch):
 
         monkeypatch.setattr(checks, name, counting)
     seq = random_sequence(5, 8, 1)
-    layers, memo = [], []
+    layers, read = [], []
     real_link_seq, real_walk = subdivision._link_seq, checks._final_verdicts
 
-    def counting_link_seq(s, j, fs):
+    def counting_link_seq(s, j, fs, memo):
         layers.append(j)
-        return real_link_seq(s, j, fs)
+        return real_link_seq(s, j, fs, memo)
 
-    def walk(s):
-        out = real_walk(s)
-        memo.extend(s._cache)
-        return out
+    def walk(s, recipes):
+        read.append(recipes and len(recipes))
+        return real_walk(s, recipes)
 
-    monkeypatch.setattr(subdivision, "_link_seq", counting_link_seq)
+    for module in (subdivision, checks):
+        monkeypatch.setattr(module, "_link_seq", counting_link_seq)
     monkeypatch.setattr(checks, "_final_verdicts", walk)
     ok = all(deep_report(seq).values())
     ok &= calls == {"oracle_failures": 0, "subdivide_face_general": 0}
-    ok &= layers == [8] * 783 and len(memo) == 783 and {j for j, _ in memo} == {8}
+    ok &= layers == [] and read == [783]
     _report(
         "scale guard (face sets and recipes carried per step, d=5, k=8)",
         ok,
         time.perf_counter() - start,
         60.0,
-        f"{calls}; _link_seq called {len(layers)} times, "
-        f"{sum(j < 8 for j in layers)} below the last layer; memo {len(memo)} entries",
+        f"{calls}; _link_seq called {len(layers)} times; "
+        f"the final walk read a layer of {read[0]} recipes",
     )
 
 
 def test_scale_guard_deep_forward_pass_memory():
-    # the recipe memo holds the final layer only, not every face of every
+    # the forward pass carries one layer of recipes, not every face of every
     # prefix (25.1 MB before the forward pass)
     start = time.perf_counter()
     seq = random_sequence(5, 60, 1)

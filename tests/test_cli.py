@@ -1,6 +1,9 @@
 """Command-line surface: subcommands, exit codes, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +88,26 @@ class TestVerify:
             report = json.loads(line)
             assert report["equal"] is True
             assert set(report) >= {"d", "k", "f_gamma", "gamma_theta", "equal", "instance", "seed"}
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self, capsys, tmp_path):
+        # the parser is built once, at import, so no call may see the
+        # subcommand or the options of the one before
+        path = write(tmp_path, "seq.json", {"d": 4, "steps": [{"edge": [0, 2]}, {"edge": [4, 6]}, {"edge": [0, 9]}]})
+        calls = [
+            ["verify", "--deep", "--random", "4", "6", "1", "2", "--format", "table"],
+            ["gamma", path],
+            ["verify", "--deep", path],
+        ]
+        in_process = [run(capsys, *argv)[:2] for argv in calls]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        fresh = []
+        for argv in calls:
+            done = subprocess.run(
+                [sys.executable, "-m", "gammacomplex.cli", *argv], capture_output=True, text=True, env=env
+            )
+            fresh.append((done.returncode, done.stdout))
+        assert in_process == fresh
+        assert [code for code, _ in fresh] == [0, 0, 0]
 
     def test_identical_invocations_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, "verify", "--random", "3", "4", "7", "10")

@@ -51,8 +51,15 @@ from gammacomplex.subdivision import (
     _link_seq,
     _LinkSeq,
     k_set_at,
+    w_set_at,
 )
-from helpers import KeptHistory, final_k_entry_moved, sequence_from_edges
+from helpers import (
+    KeptHistory,
+    RecipesReplaced,
+    final_k_entry_moved,
+    read_replaced_recipes,
+    sequence_from_edges,
+)
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
 
@@ -384,6 +391,29 @@ class TestVerify:
             SubdivisionSequence.from_json('{"d": 2, "steps": [{"edge": [0, 2]}, {"edge": [0, 2]}]}')
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: sequence_from_edges(4, EXAMPLE_STEPS), lambda: random_sequence(4, 6, 3)],
+    ids=["example", "random"],
+)
+def test_readers_leave_the_sequence_unchanged(make):
+    # a sequence holds its state in its slots alone, and no reader writes one
+    seq, fresh = make(), make()
+    assert not hasattr(seq, "__dict__")
+    kept = {name: getattr(seq, name) for name in SubdivisionSequence.__slots__}
+    deep_report(seq)
+    for j, state in enumerate(seq.states()):
+        for fs in state.final.faces():
+            w_set_at(seq, j, fs)
+    for fs in seq.final.faces():
+        w_set(seq, fs)
+        induced_sequence(seq, fs)
+        phi(seq, fs)
+    verify_f_equals_gamma(seq)
+    for name, value in kept.items():
+        assert getattr(seq, name) is value and value == getattr(fresh, name), name
+
+
 class TestDeepChecks:
     def test_example_passes_all_suites(self, example):
         report = deep_report(example)
@@ -418,8 +448,7 @@ def commuting_steps_reversed():
     """
     seq = sequence_from_edges(3, [(0, 2), (1, 3)])
     steps = tuple((s.edge, s.new_vertex) for s in reversed(seq.steps))
-    seq._cache[(2, frozenset())] = _LinkSeq(((0, 1), (2, 3), (4, 5)), steps)
-    return seq
+    return RecipesReplaced(seq, {(2, frozenset()): _LinkSeq(((0, 1), (2, 3), (4, 5)), steps)})
 
 
 def commuting_steps_reversed_at_a_vertex():
@@ -430,18 +459,16 @@ def commuting_steps_reversed_at_a_vertex():
     on the single vertices +e2, -e2, +e3 and -e3, and only at {+e4}.
     """
     seq = sequence_from_edges(4, [(0, 2), (1, 4)])
-    recipe = _link_seq(seq, 2, frozenset({6}))
-    seq._cache[(2, frozenset({6}))] = _LinkSeq(recipe.pairs, recipe.steps[::-1])
-    return seq
+    recipe = _link_seq(seq, 2, frozenset({6}), {})
+    return RecipesReplaced(seq, {(2, frozenset({6})): _LinkSeq(recipe.pairs, recipe.steps[::-1])})
 
 
 def link_pair_dropped():
     """The recipe of {w3} loses one antipodal pair, so its result is a proper part of the link."""
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
     key = (3, frozenset({10}))
-    recipe = _link_seq(seq, *key)
-    seq._cache[key] = _LinkSeq(recipe.pairs[:-1], recipe.steps)
-    return seq
+    recipe = _link_seq(seq, *key, {})
+    return RecipesReplaced(seq, {key: _LinkSeq(recipe.pairs[:-1], recipe.steps)})
 
 
 def pendant_added_at_step_2():
@@ -517,9 +544,8 @@ def link_vertex_off_the_link():
     Like 0, vertex 1 has no neighbor in the link {0, 4}, so only membership tells them apart.
     """
     seq = sequence_from_edges(2, [(0, 2), (0, 4)])
-    assert _link_seq(seq, 2, frozenset({5})) == _LinkSeq(((0, 4),), ())
-    seq._cache[(2, frozenset({5}))] = _LinkSeq(((1, 4),), ())
-    return seq
+    assert _link_seq(seq, 2, frozenset({5}), {}) == _LinkSeq(((0, 4),), ())
+    return RecipesReplaced(seq, {(2, frozenset({5})): _LinkSeq(((1, 4),), ())})
 
 
 def w_label_repeated_then_k_entry_emptied():
@@ -530,10 +556,9 @@ def w_label_repeated_then_k_entry_emptied():
 def link_vertex_renamed_then_k_entry_emptied():
     """``final_k_entry_emptied``, and the recipe of {+e1} names -e1 in place of w1."""
     seq = final_k_entry_emptied()
-    recipe = _link_seq(seq, 3, frozenset({0}))
+    recipe = _link_seq(seq, 3, frozenset({0}), {})
     assert recipe.pairs[0] == (8, 3)
-    seq._cache[(3, frozenset({0}))] = _LinkSeq(((1, 3),) + recipe.pairs[1:], recipe.steps)
-    return seq
+    return RecipesReplaced(seq, {(3, frozenset({0})): _LinkSeq(((1, 3),) + recipe.pairs[1:], recipe.steps)})
 
 
 def w_in_a_start_k_entry():
@@ -577,12 +602,11 @@ def k_entry_missing():
 def w_label_repeated(seq=None):
     """The empty face's recipe names w1 as the vertex of its third step too."""
     seq = seq or sequence_from_edges(4, EXAMPLE_STEPS)
-    recipe = _link_seq(seq, 3, frozenset())
-    seq._cache[(3, frozenset())] = _LinkSeq(recipe.pairs, recipe.steps[:-1] + (((0, 9), 8),))
-    return seq
+    recipe = _link_seq(seq, 3, frozenset(), {})
+    return RecipesReplaced(seq, {(3, frozenset()): _LinkSeq(recipe.pairs, recipe.steps[:-1] + (((0, 9), 8),))})
 
 
-# Ways to seed a recipe: as ``_link_seq`` builds it, or off by one change.
+# Ways to replace a recipe: by the one ``_link_seq`` builds, or by one off by one change.
 CORRUPTIONS = [
     lambda r: r,
     lambda r: _LinkSeq(r.pairs[:-1], r.steps),
@@ -592,6 +616,24 @@ CORRUPTIONS = [
 ]
 
 
+@pytest.fixture
+def replaced_recipes(monkeypatch):
+    """Every reader of recipes reads those that a ``RecipesReplaced`` sequence names."""
+    read_replaced_recipes(monkeypatch)
+
+
+def suite_failures(seq):
+    """The seven suites' lists, as ``deep_failures`` must give them.
+
+    Where recipes are replaced, and so off the W rule, the W list is [] all
+    the same: ``deep_failures`` takes the W rules from the memo lemma.
+    """
+    out = {name: suite(seq) for name, suite in SUITES.items()}
+    if isinstance(seq, RecipesReplaced):
+        out["w_recursion"] = []
+    return out
+
+
 class TestDeepFailures:
     """``deep_failures`` against the seven one-sweep suite functions."""
 
@@ -599,8 +641,7 @@ class TestDeepFailures:
     def assert_same_as_the_suites(seq):
         got = deep_failures(seq)
         assert list(got) == list(SUITES) == list(deep_report(seq))
-        for name, suite in SUITES.items():
-            assert got[name] == suite(seq), name
+        assert got == suite_failures(seq)
 
     @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -615,7 +656,6 @@ class TestDeepFailures:
         [
             ("increment_identity", pendant_at_the_start),
             ("k_recursion", k_entry_dropped),
-            ("w_recursion", commuting_steps_reversed),
             ("link_recursion", link_pair_dropped),
             ("phi_image", final_k_entry_moved),
             ("phi_image", commuting_steps_reversed_at_a_vertex),
@@ -623,11 +663,21 @@ class TestDeepFailures:
             ("oracle_equivalence", pendant_at_the_start),
         ],
     )
-    def test_a_corrupted_sequence_fails_alike(self, name, corrupt):
+    def test_a_corrupted_sequence_fails_alike(self, name, corrupt, replaced_recipes):
         seq = corrupt()
         assert SUITES[name](seq)
         self.assert_same_as_the_suites(seq)
         assert deep_report(seq)[name] is False
+
+    def test_the_w_suite_catches_a_recursion_off_the_w_rule(self, replaced_recipes):
+        # deep_failures takes the W rules from the memo lemma, which holds for
+        # the recipes _link_seq builds; a replaced recipe breaks it, and only
+        # the W suite, the oracle of the recursion, compares it with the rule
+        seq = commuting_steps_reversed()
+        assert w_rule_failures(seq) == ["step 2, face [], class F4: W=[7, 6] expected [6, 7]"]
+        got = deep_failures(seq)
+        assert got == suite_failures(seq)
+        assert not any(got.values())
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -653,17 +703,20 @@ class TestDeepFailures:
         st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.sampled_from(CORRUPTIONS)), max_size=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_suites_with_seeded_recipes(self, d, k, seed, seeds):
-        # recipes seeded at any layer, honest or corrupted, either let the
-        # memo be warmed or keep it cold; the result, or the error, is that
-        # of the suites
+    def test_matches_the_suites_with_replaced_recipes(self, d, k, seed, seeds):
+        # recipes replaced at any layer, honest or corrupted, are read alike
+        # by deep_failures and the suites; the result, or the error, is that
+        # of the suites, but for the W list, [] by construction
         seq = random_sequence(d, k, seed)
+        replaced = {}
         for at, pick, corruption in seeds:
             j = round(at * k)
             faces = sorted(seq.prefix(j).final.faces(), key=sorted)
             fs = faces[int(pick * (len(faces) - 1))]
-            seq._cache[(j, fs)] = corruption(_link_seq(random_sequence(d, k, seed), j, fs))
-        self.assert_same_or_raised_alike(seq)
+            replaced[j, fs] = corruption(_link_seq(seq, j, fs, {}))
+        with pytest.MonkeyPatch.context() as mp:
+            read_replaced_recipes(mp)
+            self.assert_same_or_raised_alike(RecipesReplaced(seq, replaced))
 
     @staticmethod
     def assert_same_or_raised_alike(seq):
@@ -679,7 +732,7 @@ class TestDeepFailures:
                     raised.append((type(other), str(other)))
             assert (type(exc), str(exc)) in raised
         else:
-            assert got == {name: suite(seq) for name, suite in SUITES.items()}
+            assert got == suite_failures(seq)
 
     @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10**6), st.floats(0, 1), st.integers(0, 30))
     @settings(max_examples=60, deadline=None)
@@ -752,7 +805,7 @@ class TestDeepFailures:
         monkeypatch.setattr(subdivision, "_build_base", isolated)
         seq = sequence_from_edges(4, EXAMPLE_STEPS)
         ridge = next(fs for fs in seq.final.faces() if len(fs) == 3)
-        labels = twice(_link_seq(seq, 3, ridge))[1]
+        labels = twice(_link_seq(seq, 3, ridge, {}))[1]
         assert set(labels) == link(seq.final, ridge).vertices and len(labels) == 3
         with pytest.raises(ValueError) as expected:
             link_recursion_failures(seq)
@@ -761,15 +814,12 @@ class TestDeepFailures:
         assert str(got.value) == str(expected.value) == "relabel mapping is not a bijection on the vertex set"
         self.assert_same_or_raised_alike(seq)
 
-    def test_pinned_failure_strings(self):
+    def test_pinned_failure_strings(self, replaced_recipes):
         assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
             "step 1, face [4], class F4: K=[] expected [8]",
             "step 1, face [4, 6], class F4: K=[] expected [8]",
             "step 1, face [4, 7], class F4: K=[] expected [8]",
             "step 2, face [4], class F1: K=[8] expected []",
-        ]
-        assert deep_failures(commuting_steps_reversed())["w_recursion"] == [
-            "step 2, face [], class F4: W=[7, 6] expected [6, 7]"
         ]
         assert deep_failures(link_pair_dropped())["link_recursion"] == [
             "face [10]: induced result differs from link"
@@ -826,7 +876,9 @@ class TestDeepWalksDecide:
             # so both case rules come from their suites, which pass
             (pendant_at_the_start, ["k_recursion", "w_recursion"]),
             (k_entry_dropped, ["k_recursion"]),
-            (commuting_steps_reversed, ["w_recursion"]),
+            # the W rules hold by construction, and the replaced recipe keeps
+            # the link, phi and the gamma restriction
+            (commuting_steps_reversed, []),
             # the induced result of {w3} is not its link, which the singleton
             # lemma needs, so the phi image comes from its suite, which passes
             (link_pair_dropped, ["link_recursion", "phi_image"]),
@@ -834,7 +886,7 @@ class TestDeepWalksDecide:
             (gamma_edge_added, ["gamma_restriction"]),
         ],
     )
-    def test_a_corrupted_sequence_calls_the_failing_suites(self, corrupt, expected):
+    def test_a_corrupted_sequence_calls_the_failing_suites(self, corrupt, expected, replaced_recipes):
         called = []
         deep_failures_spied(corrupt(), called)
         assert called == expected
@@ -885,14 +937,6 @@ class TestDeepWalksDecide:
         assert str(got.value) == message
         assert called == ["k_recursion"]
 
-    def test_a_seeded_recipe_the_w_suite_never_visits_is_not_checked(self):
-        # {+e1, -e1} is no face of prefix(1), and there is no step 4
-        seq = sequence_from_edges(4, EXAMPLE_STEPS)
-        bogus = _LinkSeq(((2, 3),), (((4, 6), 99),))
-        seq._cache[(1, frozenset({0, 1}))] = seq._cache[(4, frozenset())] = bogus
-        assert w_rule_failures(seq) == []
-        assert not any(deep_failures_spied(seq, [], refuse=True).values())
-
     @pytest.mark.parametrize("seed", range(10))
     def test_an_extend_that_skips_a_common_neighbor_is_caught(self, seed, monkeypatch):
         real = subdivision.extend
@@ -918,37 +962,17 @@ class TestForwardPass:
     @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_every_warmed_recipe_is_the_recursions(self, d, k, seed):
+        # the returned layer holds one plain-tuple recipe per face of the
+        # final complex, the recursion's
         seq = random_sequence(d, k, seed)
-        assert checks._forward_pass(seq, {}) == (True, True, True, True)
+        *verdicts, layer = checks._forward_pass(seq)
+        assert verdicts == [True, True, True, True]
         fresh = random_sequence(d, k, seed)
-        assert set(seq._cache) == {(k, fs) for fs in seq.final.faces()}
-        for (j, fs), recipe in seq._cache.items():
-            assert recipe == _link_seq(fresh, j, fs), sorted(fs)
-
-    def test_a_seeded_recipe_is_kept(self):
-        seq = sequence_from_edges(4, EXAMPLE_STEPS)
-        seeded = {(3, frozenset({0})): _LinkSeq(((2, 3),), ())}
-        seq._cache.update(seeded)
-        # the W rule fails there, and checking it fills the layers below
-        assert checks._forward_pass(seq, dict(seeded)) == (True, True, False, True)
-        assert seq._cache[3, frozenset({0})] == _LinkSeq(((2, 3),), ())
-        assert {key for key in seq._cache if key[0] == 3} == {(3, fs) for fs in seq.final.faces()}
-
-    @pytest.mark.parametrize("key", [(0, frozenset({0, 2})), (2, frozenset())])
-    def test_a_seeded_face_below_the_last_layer_leaves_the_memo_cold(self, key):
-        seq = sequence_from_edges(4, EXAMPLE_STEPS)
-        seeded = {key: _link_seq(sequence_from_edges(4, EXAMPLE_STEPS), *key)}
-        seq._cache.update(seeded)
-        assert checks._forward_pass(seq, dict(seeded)) == (True, True, True, True)
-        assert seq._cache[key] == seeded[key]
-        assert not any(j == 3 for j, _ in seq._cache)
-
-    def test_a_seeded_non_face_below_the_last_layer_is_ignored(self):
-        seq = sequence_from_edges(4, EXAMPLE_STEPS)
-        seeded = {(1, frozenset({0, 2})): _LinkSeq((), ())}
-        seq._cache.update(seeded)
-        checks._forward_pass(seq, dict(seeded))
-        assert len(seq._cache) == 1 + sum(seq.final.clique_count_by_size().values())
+        faces = list(seq.final.faces())
+        assert sorted(layer) == sorted(checks._mask(fs) for fs in faces)
+        for fs in faces:
+            recipe = layer[checks._mask(fs)]
+            assert type(recipe) is tuple and recipe == _link_seq(fresh, k, fs, {}), sorted(fs)
 
     @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -985,8 +1009,7 @@ class TestForwardPass:
         # here; the face set is replayed without it and diverges
         self.patch_subdivide_edge(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
         seq = random_sequence(4, 5, 1)
-        assert checks._forward_pass(seq, {})[3] is False
-        assert seq._cache == {}
+        assert checks._forward_pass(seq)[3:] == (False, None)
         assert oracle_failures(seq)[0] == "step 1: face sets diverge from graph subdivision"
 
     @pytest.mark.parametrize(
@@ -1005,9 +1028,9 @@ class TestForwardPass:
         assert seq.steps[0] == ((0, 6), 8)
         assert not seq.final.has_edge(*drop(seq.prefix(0).final, (0, 6), 8))
         # the increment identity is left undecided where the face sets diverge
-        assert checks._forward_pass(seq, {}) == (False, True, True, False)
+        assert checks._forward_pass(seq) == (False, True, True, False, None)
 
-    def test_a_start_off_the_cross_polytope_leaves_the_memo_cold(self):
+    def test_a_start_off_the_cross_polytope_carries_no_layer(self):
         # every complex carries the pendant 99 at +e1, so each step is an
         # edge subdivision; but the start recipe of {+e1, 99} holds +e2 although
         # {+e1, +e2, 99} is no face, and step 1 renames it
@@ -1024,10 +1047,9 @@ class TestForwardPass:
             ),
             seq.history,
         )
-        assert checks._forward_pass(moved, {}) == (True, True, True, True)
+        assert checks._forward_pass(moved) == (True, True, True, True, None)
         assert increment_identity_failures(moved) == []
-        assert moved._cache == {}
-        assert _link_seq(moved, 1, frozenset({0, 99})).pairs == ((4, 3),)
+        assert _link_seq(moved, 1, frozenset({0, 99}), {}).pairs == ((4, 3),)
 
 
 def toggled(c, at, pick):
@@ -1071,8 +1093,7 @@ class TestIncrementVerdict:
                 seq = SubdivisionSequence(
                     d, seq.steps, toggled(seq.final, at, pick), seq.k_table, seq.gamma_edges, seq.w_neighbors
                 )
-            increment_ok, _, _, faces_ok = checks._forward_pass(seq, {})
-            seq._cache = {}
+            increment_ok, _, _, faces_ok, _ = checks._forward_pass(seq)
             try:
                 passes = increment_identity_failures(seq) == []
             except ValueError:
@@ -1084,7 +1105,7 @@ class TestIncrementVerdict:
 
     def test_a_failing_step_is_left_to_the_suite(self):
         seq = pendant_at_the_start()
-        assert checks._forward_pass(seq, {})[0] is False
+        assert checks._forward_pass(seq)[0] is False
         assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
 
 
@@ -1094,7 +1115,7 @@ def induced_reference(seq, fs):
     One ``extend`` per recipe step from a fresh cross polytope, each new
     vertex's canonical id read off the base.
     """
-    recipe = _link_seq(seq, seq.k, fs)
+    recipe = _link_seq(seq, seq.k, fs, {})
     if not recipe.pairs:
         return None, (), {}, {}
     canonical_of = {}
@@ -1121,9 +1142,9 @@ class TestSharedBases:
         walked, shapes, builds = [], [], []
         shaped, translate, build = checks._shaped, subdivision._translate, subdivision._build_base
 
-        def walking(*args):
-            entry, labels = shaped(*args)
-            walked.append((args[2], entry, labels))
+        def walking(recipe, *rest):
+            entry, labels = shaped(recipe, *rest)
+            walked.append((recipe, entry, labels))
             return entry, labels
 
         def translating(recipe):
@@ -1141,8 +1162,9 @@ class TestSharedBases:
             mp.setattr(subdivision, "_build_base", building)
             assert all(deep_report(seq).values())
         assert sorted(builds) == sorted({shape for shape in shapes if shape is not None})
-        assert [fs for fs, _, _ in walked] == list(seq.final.faces())
-        for fs, entry, labels in walked:
+        faces = list(seq.final.faces())
+        assert [recipe for recipe, _, _ in walked] == [_link_seq(seq, seq.k, fs, {}) for fs in faces]
+        for fs, (_, entry, labels) in zip(faces, walked):
             got = subdivision._rebuilt(entry and entry.key, labels)
             expected = induced_sequence(seq, fs)
             reference = induced_reference(seq, fs)
@@ -1167,8 +1189,8 @@ class TestSharedBases:
 
     def test_faces_of_one_shape_share_their_base(self):
         seq = random_sequence(5, 8, 1)
-        bases = {}
-        got = [subdivision._induced(seq, seq.k, fs, bases) for fs in seq.final.faces()]
+        bases, memo = {}, {}
+        got = [subdivision._induced(seq, seq.k, fs, bases, memo) for fs in seq.final.faces()]
         assert len(got) == 783 and len(bases) == 67
         assert len({id(ind.base) for ind in got if ind.base is not None}) == 67
 
@@ -1204,7 +1226,7 @@ class TestFinalWalkRaisesAlike:
             (final_k_entry_off_with_a_gamma_edge_toggled, phi_image_failures, KeyError, "0"),
         ],
     )
-    def test_a_corrupted_sequence_raises_the_suite_error(self, corrupt, suite, error, message):
+    def test_a_corrupted_sequence_raises_the_suite_error(self, corrupt, suite, error, message, replaced_recipes):
         with pytest.raises(error) as expected:
             suite(corrupt())
         with pytest.raises(error) as got:
@@ -1227,7 +1249,7 @@ class TestFinalWalkRaisesAlike:
             ),
         ],
     )
-    def test_the_first_broken_face_raises(self, corrupt, error, message):
+    def test_the_first_broken_face_raises(self, corrupt, error, message, replaced_recipes):
         with pytest.raises(error) as got:
             deep_failures(corrupt())
         assert str(got.value) == message
