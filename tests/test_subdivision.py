@@ -976,6 +976,36 @@ class TestForwardPass:
 
     @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
+    def test_the_final_walk_reads_the_layer_as_it_would_build_it(self, d, k, seed):
+        # with the layer the walk builds no recipe; without it, it builds
+        # each with _link_seq, and the verdicts are the same
+        seq = random_sequence(d, k, seed)
+        layer = checks._forward_pass(seq)[4]
+        assert layer is not None
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_link_seq", lambda *args: built.append(args[2]) or _link_seq(*args))
+            assert checks._final_verdicts(seq, layer) == (True, True, True)
+            assert built == []
+            assert checks._final_verdicts(seq, None) == (True, True, True)
+        assert built == list(seq.final.faces())
+
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            (link_pair_dropped, (False, False, True)),
+            (commuting_steps_reversed_at_a_vertex, (True, False, True)),
+            (gamma_edge_added, (True, True, False)),
+        ],
+    )
+    def test_a_corrupted_layer_gives_the_verdicts_of_the_built_recipes(self, corrupt, expected, replaced_recipes):
+        seq = corrupt()
+        layer = checks._forward_pass(seq)[4]
+        assert layer is not None
+        assert checks._final_verdicts(seq, layer) == checks._final_verdicts(seq, None) == expected
+
+    @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
     def test_valid_sequences_never_call_the_face_set_oracle(self, d, k, seed):
         called = []
         with pytest.MonkeyPatch.context() as mp:
