@@ -11,12 +11,15 @@ Faces are classified against N_j(w_j), the neighbors that ``extend``
 recorded for the new vertex of step j, as ``_link_seq`` classifies them.
 
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
-lists.  One forward pass over the steps decides the increment identity,
-the K and W case rules and the face-set oracle, and carries the
+lists, in two tiers: fast checks decide which suites hold, and only the
+suite functions explain.  One forward pass over the steps carries the
 induced-sequence recipe of every face from the cross polytope to the
-final complex.  Step j changes only the faces around the subdivided edge
-ab, built on the cliques tau of lk(ab) in step j-1's complex, so the pass
-touches those faces and no other, by the lemmas below.  It counts the
+final complex, and decides the increment identity and the K case rules
+on the way; where it carries that layer to the end, the W case rules
+and the face-set oracle hold by the lemmas below.  Step j changes only
+the faces around the subdivided edge ab, built on the cliques tau of
+lk(ab) in step j-1's complex, so the pass touches those faces and no
+other, by the lemmas below.  It counts the
 cliques of the start complex alone: the f-vector of each later complex,
 and that of lk(ab), are read off the clique deltas of the step (the
 delta lemma), so no later state's cliques are counted and no link is
@@ -49,11 +52,13 @@ rebuilds nothing:
   complex and, for each rank r, the gamma neighbors of the r-th element
   of K(F), within K(F), are the image of r's gamma neighbors in the base.
 
-A check only says whether its suites hold.  A suite that fails, or whose
-premise does not hold, gets its list from its own ``*_failures``
-function, which also names the failing step and face.  Those functions
-share no walk with ``deep_failures`` and are the oracle it is tested
-against.
+A check only says whether its suites hold.  A suite that fails gets its
+list, or its error, from its own ``*_failures`` function, which also
+names the failing step and face; where the forward pass carries no
+layer (the start is not the cross polytope, or the subdivision premise
+or a delta comparison fails at some step), every suite function runs.
+Those functions share no walk with ``deep_failures`` and are the oracle
+it is tested against.
 
 Seven lemmas let the checks skip work without sampling anything; each
 skipped check is implied by the ones that run:
@@ -103,7 +108,7 @@ skipped check is implied by the ones that run:
   Where the start complex is the cross polytope and the premise and the
   delta lemma's comparisons hold at every step, the final layer it carries
   is the one the recursion of ``_link_seq`` builds, and the final walk
-  reads it instead.
+  reads it; elsewhere the pass carries none.
 - Rename lemma (recipes).  Where every step subdivides an edge of the
   previous complex, from the cross polytope on, the vertices of the recipe of a face F of step j,
   its pairs' and its steps' new vertices, are the vertices of F's link,
@@ -171,15 +176,12 @@ from .subdivision import (
     _advance_recipes,
     _face_class,
     _induced,
-    _link_seq,
     _phi,
-    _rebuilt,
     _shaped,
     _start_recipe,
     _w_set_of,
     gamma_complex,
     k_set,
-    phi,
 )
 
 __all__ = [
@@ -432,50 +434,43 @@ def _increment_step(carried, lost, gained, d):
     return (f, after) if after - gamma == link_gamma.shift(1) else None
 
 
-def _forward_pass(seq) -> tuple:
-    """The verdicts of the increment identity, the K and W case rules and the face-set oracle, and the final layer.
+def _forward_pass(seq) -> tuple | None:
+    """The verdicts of the increment identity and the K case rules, and the final layer; None where no layer is carried.
 
     The pass walks consecutive pairs of ``seq.states()``, so two states
-    are alive at a time.  Each step checks the subdivision premise of the
-    module docstring first; where it fails, all four verdicts are False
-    and there is no layer.  The K rules are read off each step's K-table
-    update by the vertex lemma, one comparison per vertex; a missing entry
-    counts as a failure, so that ``k_rule_failures`` raises its own
-    ``KeyError``.  The W rules hold by the memo lemma wherever the premise
-    does, so their verdict is True from then on.  The face-set oracle is
-    decided by the delta lemma from each step's clique deltas, as masks,
-    with no face set kept (``_deltas_follow``).
+    are alive at a time.  The layer maps the mask of every face to its
+    recipe, a plain tuple.  It starts as the cross polytope's and is carried
+    by the W rule on the changed faces only (``_advance_recipes``); by the
+    rename lemma those are the recipes ``_link_seq`` would build.  The pass
+    returns None, and so leaves every suite to its own function, where the
+    start complex is not the cross polytope, or where at some step the
+    subdivision premise of the module docstring or the delta lemma's
+    comparisons (``_deltas_follow``) fail.  Where it carries the layer to
+    the final complex, the W rules hold by the memo lemma and the face-set
+    oracle by the delta lemma, so only two verdicts are left to return.
+    The premise is checked with ``subdivide_edge``; the face sets, which
+    follow the graphs by the rule of ``subdivide_face_general``, show that
+    each step is an edge subdivision as the rename lemma needs, whatever
+    ``subdivide_edge`` does.
 
-    The final layer maps the mask of every face of the final complex to
-    its recipe, a plain tuple.  Where the start complex is the cross
-    polytope and the premise and the delta lemma's comparisons hold at
-    every step, it is carried from the cross polytope's by the W rule on
-    the changed faces only (``_advance_recipes``); by the rename lemma
-    those are the recipes ``_link_seq`` would build.  Otherwise the layer
-    is None.  The premise is checked with ``subdivide_edge``; the face
-    sets, which follow the graphs by the rule of ``subdivide_face_general``,
-    show that each step is an edge subdivision as the rename lemma needs,
-    whatever ``subdivide_edge`` does.
-
-    The increment identity holds where f and gamma of the start come from
-    ``gamma_of``, as in ``increment_identity_failures``, and at every step
-    the premise and the delta lemma's comparisons hold and the gammas that
-    ``_increment_step`` carries satisfy it.  Otherwise it is False, which
-    says only that ``increment_identity_failures`` must decide.
+    The K rules are read off each step's K-table update by the vertex
+    lemma, one comparison per vertex; a missing entry counts as a failure,
+    so that ``k_rule_failures`` raises its own ``KeyError``.  The increment
+    identity holds where, from f and gamma of the start as ``gamma_of``
+    gives them, the gammas that ``_increment_step`` carries satisfy it at
+    every step.  Otherwise it is False, which says only that
+    ``increment_identity_failures`` must decide.
     """
     d = seq.d
     states = seq.states()
     before = next(states)
     start = before.final
-    try:
-        report = gamma_of(start, d)
-        increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
-    except ValueError:
-        increment = None
-    recipes = None
-    if start == cross_polytope(d):
-        recipes = {_mask(fs): _start_recipe(d, fs) for fs in start.faces()}
-    k_ok = faces_ok = True
+    if start != cross_polytope(d):
+        return None
+    report = gamma_of(start, d)
+    increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
+    layer = {_mask(fs): _start_recipe(d, fs) for fs in start.faces()}
+    k_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
         if not (
@@ -484,7 +479,7 @@ def _forward_pass(seq) -> tuple:
             and after.final == subdivide_edge(before.final, (a, b), w)
             and seq.w_neighbors[j - 1] == after.final.neighbors(w)
         ):
-            return False, False, False, False, None
+            return None
         kb, ka = before.k_table, after.k_table
         common = before.final.common_neighbors((a, b))
         k_ok = k_ok and (
@@ -496,40 +491,36 @@ def _forward_pass(seq) -> tuple:
                 for v in before.final.vertices
             )
         )
-        if faces_ok:
-            prev, cur = before.final.adjacency(), after.final.adjacency()
-            lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
-            faces_ok = _deltas_follow(lost, gained, step, after.final)
-        if not faces_ok:
-            increment = recipes = None
-        elif increment is not None:
+        prev, cur = before.final.adjacency(), after.final.adjacency()
+        lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
+        if not _deltas_follow(lost, gained, step, after.final):
+            return None
+        if increment is not None:
             increment = _increment_step(increment, lost, gained, d)
-        if recipes is not None:
-            # the cliques lost are the faces that held a and b
-            _advance_recipes(recipes, lost, step, (1 << a, 1 << b, 1 << w))
+        # the cliques lost are the faces that held a and b
+        _advance_recipes(layer, lost, step, (1 << a, 1 << b, 1 << w))
         before = after
-    return increment is not None, k_ok, True, faces_ok, recipes
+    return increment is not None, k_ok, layer
 
 
 class _Shape:
     """The tables a shape's base fixes, built once per shape and final walk: its edges, K-table and gamma adjacency.
 
-    ``key`` is the shape (None for the empty link, which has no base), so
-    that the base can be built again where a face needs it whole.  A new
-    vertex's rank is its id less 2n, its place in creation order, so phi
-    sends the r-th element of K(F), in increasing order, to the new vertex
-    of rank r.  The base's edges are the pairs ``zip(ends, other_ends)``;
-    ``k_ranks[c]`` are the ranks in K(c), for every canonical id c, and
-    ``gamma_ranks[r]`` those of the gamma neighbors of rank r, as many as
-    the base has steps.  Lists, not the base, are kept, one entry per
+    A new vertex's rank is its id less 2n, its place in creation order, so
+    phi sends the r-th element of K(F), in increasing order, to the new
+    vertex of rank r.  The base's edges are the pairs ``zip(ends,
+    other_ends)``; ``k_ranks[c]`` are the ranks in K(c), for every
+    canonical id c, and ``gamma_ranks[r]`` those of the gamma neighbors of
+    rank r, as many as the base has steps; the empty link, which has no
+    base, has none of them.  Lists, not the base, are kept, one entry per
     shape; not tuples, as a walk frees them all at its end, and so many
     small tuples would stay in CPython's free lists until a full collection.
     """
 
-    __slots__ = ("key", "ends", "other_ends", "k_ranks", "gamma_ranks")
+    __slots__ = ("ends", "other_ends", "k_ranks", "gamma_ranks")
 
-    def __init__(self, key, base):
-        self.key, self.ends, self.other_ends, self.k_ranks, self.gamma_ranks = key, (), (), (), ()
+    def __init__(self, base):
+        self.ends, self.other_ends, self.k_ranks, self.gamma_ranks = (), (), (), ()
         if base is None:
             return
         low = 2 * base.d
@@ -597,43 +588,37 @@ def _gamma_holds(ks, dep, shape, gamma_nbr, every_k) -> bool:
     ]
 
 
-def _final_verdicts(seq, recipes) -> tuple[bool, bool, bool]:
+def _final_verdicts(seq, layer) -> tuple[bool, bool, bool]:
     """Whether the link recursion, the phi image and the gamma restriction hold on every face.
 
     One walk over the final complex carries K(F) and N(F) as masks (bit v
     is vertex v), by running intersections, and F's own mask by a running
-    union.  It reads each face's recipe from ``recipes``, the final layer
-    of ``_forward_pass``, at that mask, or, where the layer is None, from
-    ``_link_seq`` with a memo local to the walk, and gets one label list
-    per face, ``labels[c]`` the ambient vertex of canonical id c.  ``bases``
-    maps each shape met to its ``_Shape``, the tables of its base, built
-    the first time; the module docstring says how the three suites are
-    read from them with masks, with nothing rebuilt or re-validated per
-    face.  The walk starts from -1 for both masks, every bit set, so a
+    union.  It reads each face's recipe from ``layer``, the final layer of
+    ``_forward_pass``, at that mask, and gets one label list per face,
+    ``labels[c]`` the ambient vertex of canonical id c.  ``bases`` maps
+    each shape met to its ``_Shape``, the tables of its base, built the
+    first time; the module docstring says how the three suites are read
+    from them with masks, with nothing rebuilt or re-validated per face.
+    The walk starts from -1 for both masks, every bit set, so a
     singleton's K and N are its entries' own; the empty face reads K(F) as
     the w ids and N(F) as every vertex, and phi reads its K(g) whole.  The
     phi image is decided by the singleton lemma, so it is also False where
-    the induced result is not F's link.
-
-    Where a fast comparison fails, the face is compared as the suite
-    functions compare it (``result`` with ``link``, ``is_isomorphic_under``),
-    so an invalid sequence raises what they raise, at the first face that
-    raises; a face with |K| != |W| raises ``phi``'s ``RuntimeError``.
+    the induced result is not F's link.  A face with |K(F)| != |W(F)| has
+    no phi, so it sets the phi image and the gamma restriction False, and
+    ``phi_image_failures`` raises ``phi``'s ``RuntimeError`` there.
     """
-    final, k = seq.final, seq.k
-    gc = gamma_complex(seq)
+    final = seq.final
     nbr = {v: _mask(ns) for v, ns in final.adjacency().items()}
     kmask = {v: _mask(ks) for v, ks in seq.k_table.items()}
-    gamma_nbr = {1 << x: _mask(ns) for x, ns in gc.adjacency().items()}
+    gamma_nbr = {1 << x: _mask(ns) for x, ns in gamma_complex(seq).adjacency().items()}
     every_k, every_v = _mask(seq.w_ids()), _mask(final.vertices)
     walk = final.faces_with(
         (-1, -1, 0), lambda acc, v: (acc[0] & kmask[v], acc[1] & nbr[v], acc[2] | 1 << v)
     )
-    bases, empty, memo = {}, _Shape(None, None), {}
+    bases, empty = {}, _Shape(None)
     link_ok = phi_ok = gamma_ok = True
-    for fs, (kf, nf, m) in walk:
-        recipe = _link_seq(seq, k, fs, memo) if recipes is None else recipes[m]
-        shape, labels = _shaped(recipe, bases, _Shape)
+    for _, (kf, nf, m) in walk:
+        shape, labels = _shaped(layer[m], bases, _Shape)
         shape = shape or empty
         ks, nf = (every_k, every_v) if kf < 0 else (kf, nf)
         dep, rest = [], ks
@@ -641,64 +626,60 @@ def _final_verdicts(seq, recipes) -> tuple[bool, bool, bool]:
             low = rest & -rest
             dep.append(low)
             rest ^= low
-        same_link = _is_link(shape, labels, nf, nbr) or (
-            _rebuilt(shape.key, labels).result() == link(final, fs)
-        )
-        if len(dep) != len(shape.gamma_ranks):
-            phi(seq, fs)  # raises, naming both sizes
+        same_link = _is_link(shape, labels, nf, nbr)
         link_ok = link_ok and same_link
+        if len(dep) != len(shape.gamma_ranks):
+            phi_ok = gamma_ok = False
+            continue
         phi_ok = phi_ok and same_link and _phi_holds(kf, dep, labels, shape, kmask)
-        if gamma_ok and not _gamma_holds(ks, dep, shape, gamma_nbr, every_k):
-            ind = _rebuilt(shape.key, labels)
-            phi_f = dict(zip((x.bit_length() - 1 for x in dep), ind.w_labels))
-            gamma_ok = is_isomorphic_under(gc.induced(phi_f), ind.gamma_complex_ambient(), phi_f)
+        gamma_ok = gamma_ok and _gamma_holds(ks, dep, shape, gamma_nbr, every_k)
     return link_ok, phi_ok, gamma_ok
+
+
+# Report key -> name of the suite function that gives its list, in report
+# order.  Names, looked up when ``deep_failures`` runs, so that a function
+# rebound on this module is the one called.
+_SUITES = {
+    "increment_identity": "increment_identity_failures",
+    "k_recursion": "k_rule_failures",
+    "w_recursion": "w_rule_failures",
+    "link_recursion": "link_recursion_failures",
+    "phi_image": "phi_image_failures",
+    "gamma_restriction": "gamma_restriction_failures",
+    "oracle_equivalence": "oracle_failures",
+}
 
 
 def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     """The seven suites' failure lists, keyed as in ``deep_report``.
 
-    Each list equals, string for string and in order, the list of the
-    matching ``*_failures`` function, because it is that list: the checks
-    of the module docstring only decide which suites hold, and a suite they
-    do not pass gets its list from its own function.  They cover every face
-    of every step and every pair (F, G), directly or through a lemma, never
-    by sampling, and the final walk streams faces rather than collect them.
-    The W list is [] by construction wherever the subdivision premise
-    holds (the memo lemma): ``deep_failures`` then compares no recipe with
-    the W rule, and ``w_rule_failures``, which does, is the exhaustive test
-    oracle of ``_link_seq``.
+    Two tiers.  The checks of the module docstring only decide which suites
+    hold, and a suite they do not pass gets its list from its own function,
+    in report order, so each list equals, string for string and in order,
+    the list of the matching ``*_failures`` function, because it is that
+    list, and an error raised is the first such function's.  The checks
+    cover every face of every step and every pair (F, G), directly or
+    through a lemma, never by sampling, and the final walk streams faces
+    rather than collect them.
 
-    The increment identity is decided by the forward pass, which builds no
-    link and counts the cliques of the start complex alone; where the pass
-    cannot decide it (the premise or a delta comparison fails, or a
-    transform raises), ``increment_identity_failures`` runs, first of the
-    suite functions, and gives its list or raises its error.
-
-    The K and W lists are settled before the final walk, so a transformed
-    face off the previous complex raises the ``ValueError`` of
-    ``k_rule_failures``; the final walk would fail first, with a
-    ``KeyError`` from the induced sequence of a face.
-
-    The forward pass returns the recipes of the final complex's faces, so
-    that the final walk never recurses; where it cannot carry them, the
-    final walk builds them with ``_link_seq``.  Nothing is kept on ``seq``.
-    On a valid sequence history is replayed once, by the forward pass, and
+    Where ``_forward_pass`` carries the final layer, it decides the
+    increment identity and the K rules, the W rules and the face-set oracle
+    hold by the memo and delta lemmas, and ``_final_verdicts`` decides the
+    other three suites from the layer.  So the W list is [] by construction
+    there; ``w_rule_failures``, which compares recipes with the W rule, is
+    the exhaustive test oracle of ``_link_seq``.  Where the pass carries no
+    layer, every suite function runs.  Nothing is kept on ``seq``.  On a
+    valid sequence history is replayed once, by the forward pass, and
     nothing of it is kept; a suite function that runs replays it again.
     """
-    increment_ok, k_ok, w_ok, faces_ok, recipes = _forward_pass(seq)
-    increment = [] if increment_ok else increment_identity_failures(seq)
-    k_failures = [] if k_ok else k_rule_failures(seq)
-    w_failures = [] if w_ok else w_rule_failures(seq)
-    link_ok, phi_ok, gamma_ok = _final_verdicts(seq, recipes)
+    carried = _forward_pass(seq)
+    if carried is None:
+        verdicts = [False] * len(_SUITES)
+    else:
+        increment_ok, k_ok, layer = carried
+        verdicts = [increment_ok, k_ok, True, *_final_verdicts(seq, layer), True]
     return {
-        "increment_identity": increment,
-        "k_recursion": k_failures,
-        "w_recursion": w_failures,
-        "link_recursion": [] if link_ok else link_recursion_failures(seq),
-        "phi_image": [] if phi_ok else phi_image_failures(seq),
-        "gamma_restriction": [] if gamma_ok else gamma_restriction_failures(seq),
-        "oracle_equivalence": [] if faces_ok else oracle_failures(seq),
+        key: [] if ok else globals()[name](seq) for (key, name), ok in zip(_SUITES.items(), verdicts)
     }
 
 
@@ -707,7 +688,7 @@ def deep_report(seq: SubdivisionSequence) -> dict[str, bool]:
 
     ``deep_failures`` reduced to ``{name: not failures}``: every suite is
     exhaustive, and the verdicts are those of the seven ``*_failures``
-    oracles.  The W verdict holds by construction wherever the subdivision
-    premise does (the memo lemma).
+    oracles.  The W verdict holds by construction wherever the forward
+    pass carries the final layer (the memo lemma).
     """
     return {name: not failures for name, failures in deep_failures(seq).items()}

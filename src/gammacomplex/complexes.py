@@ -43,6 +43,11 @@ def _vkey(v):
     return (0, v)
 
 
+def _no_fold(value, v):
+    """The step of a ``faces_with`` walk that carries nothing."""
+    return None
+
+
 def _count_order(adj: Mapping) -> list:
     """The vertex numbering of ``clique_count_by_size``, taken from the graph.
 
@@ -150,23 +155,9 @@ class FlagComplex:
         return frozenset(out)
 
     def faces(self) -> Iterator[frozenset]:
-        """Every clique, the empty one included, each exactly once."""
-        order = sorted(self._adj, key=_vkey)
-        adj = self._adj
-        yield frozenset()
-
-        def grow(clique, candidates):
-            for i, v in enumerate(candidates):
-                cur = clique + (v,)
-                yield frozenset(cur)
-                nxt = [u for u in candidates[i + 1 :] if u in adj[v]]
-                if nxt:
-                    yield from grow(cur, nxt)
-
-        try:
-            yield from grow((), order)
-        finally:
-            del grow  # grow refers to itself through its closure cell: break that cycle
+        """Every clique, the empty one included, each exactly once, in ``faces_with`` order."""
+        for fs, _ in self.faces_with(None, _no_fold):
+            yield fs
 
     def faces_with(self, start, step) -> Iterator[tuple[frozenset, object]]:
         """Every clique in ``faces()`` order, each paired with a value folded along the walk.
@@ -192,7 +183,7 @@ class FlagComplex:
         try:
             yield from grow(frozenset(), start, sorted(adj, key=_vkey))
         finally:
-            del grow  # break the same cycle as in faces()
+            del grow  # grow refers to itself through its closure cell: break that cycle
 
     def clique_count_by_size(self) -> Counter:
         """Number of cliques of each size, without visiting the cliques one by one.

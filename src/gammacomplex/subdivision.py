@@ -449,16 +449,16 @@ def _build_base(shape: tuple) -> SubdivisionSequence:
 def _shaped(recipe: tuple, bases: dict, tables) -> tuple:
     """(entry, labels) for a face with this recipe: its shape's entry and its labels.
 
-    ``bases`` maps each shape met so far to ``tables(shape, base)``, built
-    once, when the shape is first met; the entry is None for the empty
-    link, which has no base.
+    ``bases`` maps each shape met so far to ``tables(base)``, built once,
+    when the shape is first met; the entry is None for the empty link,
+    which has no base.
     """
     shape, labels = _translate(recipe)
     if shape is None:
         return None, labels
     entry = bases.get(shape)
     if entry is None:
-        entry = bases[shape] = tables(shape, _build_base(shape))
+        entry = bases[shape] = tables(_build_base(shape))
     return entry, labels
 
 
@@ -470,30 +470,21 @@ def _labeled(base: SubdivisionSequence | None, labels) -> InducedSequence:
     return InducedSequence(base=base, w_labels=w_labels, label_of=label_of, canonical_of=canonical_of)
 
 
-def _rebuilt(shape: tuple | None, labels) -> InducedSequence:
-    """The induced sequence of a face of this shape and these labels, its base built again."""
-    return _labeled(shape and _build_base(shape), labels)
-
-
 def _induced(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict, memo: dict) -> InducedSequence:
     """Induced sequence for a face of the j-th complex, taken to be one, its recipe read through ``memo``.
 
     ``bases`` maps shapes to their built bases: a shape it holds is not
     built again, and one it lacks is built and added.
     """
-    return _labeled(*_shaped(_link_seq(seq, j, fs, memo), bases, lambda shape, base: base))
-
-
-def induced_sequence_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> InducedSequence:
-    """Induced sequence for a face of the j-th complex."""
-    fs = frozenset(face)
-    if not seq.prefix(j).final.is_face(fs):
-        raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
-    return _induced(seq, j, fs, {}, {})
+    return _labeled(*_shaped(_link_seq(seq, j, fs, memo), bases, lambda base: base))
 
 
 def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSequence:
-    return induced_sequence_at(seq, seq.k, face)
+    """Induced sequence for a face of the final complex."""
+    fs = frozenset(face)
+    if not seq.final.is_face(fs):
+        raise ValueError(f"{set(fs)!r} is not a face of complex {seq.k}")
+    return _induced(seq, seq.k, fs, {}, {})
 
 
 def w_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int, ...]:

@@ -131,12 +131,13 @@ def read_replaced_recipes(monkeypatch):
         return real_link_seq(seq, j, fs, memo)
 
     def forward_pass(seq):
-        *verdicts, layer = real_pass(seq)
-        if layer is not None and getattr(seq, "replaced", None):
-            memo = {}
-            layer = {checks._mask(fs): link_seq(seq, seq.k, fs, memo) for fs in seq.final.faces()}
-        return (*verdicts, layer)
+        carried = real_pass(seq)
+        if carried is None or not getattr(seq, "replaced", None):
+            return carried
+        increment_ok, k_ok, _ = carried
+        memo = {}
+        layer = {checks._mask(fs): link_seq(seq, seq.k, fs, memo) for fs in seq.final.faces()}
+        return increment_ok, k_ok, layer
 
-    for module in (subdivision, checks):
-        monkeypatch.setattr(module, "_link_seq", link_seq)
+    monkeypatch.setattr(subdivision, "_link_seq", link_seq)
     monkeypatch.setattr(checks, "_forward_pass", forward_pass)

@@ -404,7 +404,7 @@ def test_scale_guard_final_walk(monkeypatch):
     # suite made 8, one per step)
     start = time.perf_counter()
     shapes, builds = _count_induced(monkeypatch)
-    calls = dict.fromkeys(["link", "phi", "_phi", "is_isomorphic_under", "_induced"], 0)
+    calls = dict.fromkeys(["link", "_phi", "is_isomorphic_under", "_induced"], 0)
     for name in calls:
         real = getattr(checks, name)
 
@@ -417,7 +417,6 @@ def test_scale_guard_final_walk(monkeypatch):
     calls.update(translations=len(shapes), bases=len(builds))
     ok &= calls == {
         "link": 0,
-        "phi": 0,
         "_phi": 0,
         "is_isomorphic_under": 0,
         "_induced": 0,
@@ -471,24 +470,26 @@ def test_scale_guard_increment_in_forward_pass(monkeypatch):
 
 def test_scale_guard_case_rules_walk_no_prefix(monkeypatch):
     # a count, not a time: the K case rules are read off each step's K-table
-    # update and the W case rules off the recipes already in the memo, so a
-    # passing run walks the cliques of the final complex once, for the final
-    # walk, and of no prefix
+    # update and the W case rules hold by the memo lemma, so a passing run
+    # walks the cliques of the start complex once, for its recipes, and of
+    # the final complex once, for the final walk, and of no other prefix
+    # (``faces`` walks through ``faces_with``, so both walks are counted)
     start = time.perf_counter()
-    walks, real = [0], FlagComplex.faces_with
+    walked, real = [], FlagComplex.faces_with
 
-    def counting(*args):
-        walks[0] += 1
-        return real(*args)
+    def counting(c, *args):
+        walked.append(c)
+        return real(c, *args)
 
     monkeypatch.setattr(FlagComplex, "faces_with", counting)
-    ok = all(deep_report(random_sequence(5, 8, 1)).values()) and walks[0] == 1
+    seq = random_sequence(5, 8, 1)
+    ok = all(deep_report(seq).values()) and walked == [seq.prefix(0).final, seq.final]
     _report(
         "scale guard (clique walks of the deep case rules, d=5, k=8)",
         ok,
         time.perf_counter() - start,
         60.0,
-        f"faces_with called {walks[0]} times",
+        f"faces_with called {len(walked)} times",
     )
 
 
@@ -566,8 +567,7 @@ def test_scale_guard_deep_forward_pass(monkeypatch):
         read.append(recipes and len(recipes))
         return real_walk(s, recipes)
 
-    for module in (subdivision, checks):
-        monkeypatch.setattr(module, "_link_seq", counting_link_seq)
+    monkeypatch.setattr(subdivision, "_link_seq", counting_link_seq)
     monkeypatch.setattr(checks, "_final_verdicts", walk)
     ok = all(deep_report(seq).values())
     ok &= calls == {"oracle_failures": 0, "subdivide_face_general": 0}

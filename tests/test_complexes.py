@@ -225,6 +225,20 @@ class TestCountOrder:
             assert dict(c.clique_count_by_size()) == dict(Counter(len(f) for f in c.faces()))
 
 
+def faces_depth_first(c):
+    """Every clique of ``c``, depth first with its vertices in ``_vkey`` order: the order of ``faces``."""
+    order = sorted(c.vertices, key=_vkey)
+    out = [frozenset()]
+
+    def grow(clique, candidates):
+        for i, v in enumerate(candidates):
+            out.append(clique | {v})
+            grow(clique | {v}, [u for u in candidates[i + 1 :] if c.has_edge(u, v)])
+
+    grow(frozenset(), order)
+    return out
+
+
 class TestFacesWith:
     """The folded walk visits ``faces()`` in its order and folds each value once."""
 
@@ -236,7 +250,7 @@ class TestFacesWith:
         if rng.random() < 0.5:
             c = random_sequence(2 + seed % 4, seed % 9, seed).final
         walked = list(c.faces_with(None, lambda acc, v: c.neighbors(v) if acc is None else acc & c.neighbors(v)))
-        assert [fs for fs, _ in walked] == list(c.faces())
+        assert [fs for fs, _ in walked] == list(c.faces()) == faces_depth_first(c)
         for fs, common in walked:
             assert common == (None if not fs else c.common_neighbors(fs))
 

@@ -872,9 +872,9 @@ class TestDeepWalksDecide:
     @pytest.mark.parametrize(
         "corrupt, expected",
         [
-            # the pendant of prefix(0) breaks the subdivision premise at step 1,
-            # so both case rules come from their suites, which pass
-            (pendant_at_the_start, ["k_recursion", "w_recursion"]),
+            # prefix(0) with the pendant is no cross polytope, so the forward
+            # pass carries no layer and every suite comes from its function
+            (pendant_at_the_start, list(WALK_FED)),
             (k_entry_dropped, ["k_recursion"]),
             # the W rules hold by construction, and the replaced recipe keeps
             # the link, phi and the gamma restriction
@@ -901,6 +901,8 @@ class TestDeepWalksDecide:
         assert called == ["k_recursion"]
 
 
+    # the forward pass fails the K rules, so the K suite gives its list; the
+    # final K-table then breaks phi, so the phi suite runs next and raises
     @pytest.mark.parametrize(
         "corrupt, first_k_failure, error, message",
         [
@@ -910,31 +912,33 @@ class TestDeepWalksDecide:
                 RuntimeError,
                 "internal inconsistency: |K|=1 but |W|=0 for {1}",
             ),
-            (
-                new_vertex_off_its_id,
-                "step 1, face [], class F4: K=[6] expected [7]",
-                ValueError,
-                "induced subgraph on vertices outside the complex",
-            ),
+            (new_vertex_off_its_id, "step 1, face [], class F4: K=[6] expected [7]", KeyError, "7"),
             (
                 new_vertex_k_entry_emptied,
                 "step 2, face [4, 9], class F2: K=[] expected [8]",
                 RuntimeError,
                 "internal inconsistency: |K|=0 but |W|=1 for {9, 4}",
             ),
-            # the K suite raises, on its own and inside deep_failures
-            (k_entry_missing, None, KeyError, "4"),
         ],
     )
     def test_a_broken_k_update_is_caught_before_the_final_walk(
         self, corrupt, first_k_failure, error, message
     ):
-        if first_k_failure:
-            assert k_rule_failures(corrupt())[0] == first_k_failure
+        assert k_rule_failures(corrupt())[0] == first_k_failure
         called = []
+        with pytest.raises(error) as expected:
+            phi_image_failures(corrupt())
         with pytest.raises(error) as got:
             deep_failures_spied(corrupt(), called)
-        assert str(got.value) == message
+        assert str(got.value) == str(expected.value) == message
+        assert called == ["k_recursion", "phi_image"]
+
+    def test_a_missing_k_entry_raises_from_the_k_suite(self):
+        # the K suite raises, on its own and inside deep_failures
+        called = []
+        with pytest.raises(KeyError) as got:
+            deep_failures_spied(k_entry_missing(), called)
+        assert str(got.value) == "4"
         assert called == ["k_recursion"]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -942,9 +946,12 @@ class TestDeepWalksDecide:
         real = subdivision.extend
 
         def faulty(seq, edge):
+            # only steps whose edge has a common neighbor: the base of a
+            # link on two pairs is a square, whose edges have none
             out = real(seq, edge)
-            v = min(seq.final.common_neighbors(tuple(edge)))
-            out.k_table[v] = seq.k_table[v]
+            common = seq.final.common_neighbors(tuple(edge))
+            if common:
+                out.k_table[min(common)] = seq.k_table[min(common)]
             return out
 
         monkeypatch.setattr(subdivision, "extend", faulty)
@@ -953,7 +960,8 @@ class TestDeepWalksDecide:
         called = []
         with pytest.raises(RuntimeError, match="internal inconsistency"):
             deep_failures_spied(seq, called)
-        assert called == ["k_recursion"]
+        # the K suite gives its list, and the phi suite raises
+        assert called == ["k_recursion", "phi_image"]
 
 
 class TestForwardPass:
@@ -966,7 +974,7 @@ class TestForwardPass:
         # final complex, the recursion's
         seq = random_sequence(d, k, seed)
         *verdicts, layer = checks._forward_pass(seq)
-        assert verdicts == [True, True, True, True]
+        assert verdicts == [True, True]
         fresh = random_sequence(d, k, seed)
         faces = list(seq.final.faces())
         assert sorted(layer) == sorted(checks._mask(fs) for fs in faces)
@@ -976,19 +984,15 @@ class TestForwardPass:
 
     @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
-    def test_the_final_walk_reads_the_layer_as_it_would_build_it(self, d, k, seed):
-        # with the layer the walk builds no recipe; without it, it builds
-        # each with _link_seq, and the verdicts are the same
+    def test_the_final_walk_builds_no_recipe(self, d, k, seed):
+        # the walk reads every recipe from the layer
         seq = random_sequence(d, k, seed)
-        layer = checks._forward_pass(seq)[4]
-        assert layer is not None
+        layer = checks._forward_pass(seq)[2]
         built = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "_link_seq", lambda *args: built.append(args[2]) or _link_seq(*args))
+            mp.setattr(subdivision, "_link_seq", lambda *args: built.append(args[2]) or _link_seq(*args))
             assert checks._final_verdicts(seq, layer) == (True, True, True)
-            assert built == []
-            assert checks._final_verdicts(seq, None) == (True, True, True)
-        assert built == list(seq.final.faces())
+        assert built == []
 
     @pytest.mark.parametrize(
         "corrupt, expected",
@@ -1000,9 +1004,8 @@ class TestForwardPass:
     )
     def test_a_corrupted_layer_gives_the_verdicts_of_the_built_recipes(self, corrupt, expected, replaced_recipes):
         seq = corrupt()
-        layer = checks._forward_pass(seq)[4]
-        assert layer is not None
-        assert checks._final_verdicts(seq, layer) == checks._final_verdicts(seq, None) == expected
+        layer = checks._forward_pass(seq)[2]
+        assert checks._final_verdicts(seq, layer) == expected
 
     @given(st.integers(2, 6), st.integers(0, 8), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -1039,7 +1042,7 @@ class TestForwardPass:
         # here; the face set is replayed without it and diverges
         self.patch_subdivide_edge(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
         seq = random_sequence(4, 5, 1)
-        assert checks._forward_pass(seq)[3:] == (False, None)
+        assert checks._forward_pass(seq) is None
         assert oracle_failures(seq)[0] == "step 1: face sets diverge from graph subdivision"
 
     @pytest.mark.parametrize(
@@ -1057,8 +1060,8 @@ class TestForwardPass:
         seq = random_sequence(4, 1, 1)
         assert seq.steps[0] == ((0, 6), 8)
         assert not seq.final.has_edge(*drop(seq.prefix(0).final, (0, 6), 8))
-        # the increment identity is left undecided where the face sets diverge
-        assert checks._forward_pass(seq) == (False, True, True, False, None)
+        # where the face sets diverge the pass carries no layer and decides nothing
+        assert checks._forward_pass(seq) is None
 
     def test_a_start_off_the_cross_polytope_carries_no_layer(self):
         # every complex carries the pendant 99 at +e1, so each step is an
@@ -1077,7 +1080,7 @@ class TestForwardPass:
             ),
             seq.history,
         )
-        assert checks._forward_pass(moved) == (True, True, True, True, None)
+        assert checks._forward_pass(moved) is None
         assert increment_identity_failures(moved) == []
         assert _link_seq(moved, 1, frozenset({0, 99}), {}).pairs == ((4, 3),)
 
@@ -1106,9 +1109,9 @@ class TestIncrementVerdict:
     )
     @settings(max_examples=60, deadline=None)
     def test_the_verdict_holds_exactly_where_the_suite_passes(self, d, k, seed, corrupt, step, at, pick):
-        # the pass leaves the identity to its suite where the premise or the
-        # delta lemma fails, so there the verdict is False whatever the suite
-        # says; elsewhere it is True exactly where the suite returns []
+        # the pass leaves every suite to its function where the premise or
+        # the delta lemma fails, and returns None; elsewhere its verdict is
+        # True exactly where the suite returns []
         with pytest.MonkeyPatch.context() as mp:
             if corrupt == "subdivide_edge":
                 TestForwardPass.patch_subdivide_edge(
@@ -1123,19 +1126,20 @@ class TestIncrementVerdict:
                 seq = SubdivisionSequence(
                     d, seq.steps, toggled(seq.final, at, pick), seq.k_table, seq.gamma_edges, seq.w_neighbors
                 )
-            increment_ok, _, _, faces_ok, _ = checks._forward_pass(seq)
+            carried = checks._forward_pass(seq)
             try:
                 passes = increment_identity_failures(seq) == []
             except ValueError:
                 passes = False
-            assert increment_ok == (faces_ok and passes)
+            if carried is not None:
+                assert carried[0] == passes
             if corrupt == "none":
-                assert increment_ok
+                assert carried is not None and carried[0]
             TestDeepFailures.assert_same_or_raised_alike(seq)
 
     def test_a_failing_step_is_left_to_the_suite(self):
         seq = pendant_at_the_start()
-        assert checks._forward_pass(seq)[0] is False
+        assert checks._forward_pass(seq) is None
         assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
 
 
@@ -1195,7 +1199,8 @@ class TestSharedBases:
         faces = list(seq.final.faces())
         assert [recipe for recipe, _, _ in walked] == [_link_seq(seq, seq.k, fs, {}) for fs in faces]
         for fs, (_, entry, labels) in zip(faces, walked):
-            got = subdivision._rebuilt(entry and entry.key, labels)
+            shape = subdivision._translate(_link_seq(seq, seq.k, fs, {}))[0]
+            got = subdivision._labeled(shape and subdivision._build_base(shape), labels)
             expected = induced_sequence(seq, fs)
             reference = induced_reference(seq, fs)
             for ind in (got, expected):
@@ -1226,17 +1231,13 @@ class TestSharedBases:
 
 
 class TestFinalWalkRaisesAlike:
-    """Where the final walk's fast comparisons fail, the error is the suite function's."""
+    """Where suite functions raise, ``deep_failures`` raises the error of the first in report order."""
 
     @pytest.mark.parametrize(
         "corrupt, suite, error, message",
         [
-            (
-                final_k_entry_off_the_gamma_complex,
-                gamma_restriction_failures,
-                ValueError,
-                "induced subgraph on vertices outside the complex",
-            ),
+            # the gamma suite would raise too, but the phi suite comes first
+            (final_k_entry_off_the_gamma_complex, phi_image_failures, KeyError, "5"),
             (
                 final_k_entry_emptied,
                 phi_image_failures,
@@ -1251,8 +1252,7 @@ class TestFinalWalkRaisesAlike:
             ),
             # the link's sizes and adjacency match, but one vertex is off the link
             (link_vertex_off_the_link, phi_image_failures, ValueError, "{1, 5} is not a face of complex 2"),
-            # gamma fails at the empty face, so only the phi image meets K(-e1) = {+e1},
-            # outside phi's domain
+            # K(-e1) = {+e1} lies outside phi's domain
             (final_k_entry_off_with_a_gamma_edge_toggled, phi_image_failures, KeyError, "0"),
         ],
     )
@@ -1264,25 +1264,31 @@ class TestFinalWalkRaisesAlike:
         assert str(got.value) == str(expected.value) == message
 
     @pytest.mark.parametrize(
-        "corrupt, error, message",
+        "corrupt, suite, error, message",
         [
-            # the phi suite alone would stop earlier, at the renamed link of {+e1}
+            # the link suite gives its list; the phi suite stops at the
+            # renamed link of {+e1}, before the face with |K| != |W|
             (
                 link_vertex_renamed_then_k_entry_emptied,
-                RuntimeError,
-                "internal inconsistency: |K|=0 but |W|=1 for {1, 2}",
+                phi_image_failures,
+                ValueError,
+                "{0, 1} is not a face of complex 3",
             ),
+            # the link suite raises before the phi suite meets |K| != |W|
             (
                 w_label_repeated_then_k_entry_emptied,
+                link_recursion_failures,
                 ValueError,
                 "relabel mapping is not a bijection on the vertex set",
             ),
         ],
     )
-    def test_the_first_broken_face_raises(self, corrupt, error, message, replaced_recipes):
+    def test_the_first_raising_suite_in_report_order_raises(self, corrupt, suite, error, message, replaced_recipes):
+        with pytest.raises(error) as expected:
+            suite(corrupt())
         with pytest.raises(error) as got:
             deep_failures(corrupt())
-        assert str(got.value) == message
+        assert str(got.value) == str(expected.value) == message
 
 
 def oracle_failures_reference(seq):
