@@ -43,6 +43,7 @@ from .nestohedra import (
     find_decomposition,
     find_flag_ordering,
     gamma_complex_of_ordering,
+    graphical_building_set,
     interval_building_set,
     is_flag_building_set,
     nested_set_complex,

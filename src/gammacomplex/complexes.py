@@ -478,13 +478,11 @@ def is_isomorphic_under(c1: FlagComplex, c2: FlagComplex, mapping: Mapping) -> b
     """Check a GIVEN vertex bijection for being an isomorphism (no search).
 
     Flag complexes are determined by their graphs, so preserving adjacency in
-    both directions is exactly an inclusion-preserving bijection on faces.
+    both directions is exactly an inclusion-preserving bijection on faces:
+    the first graph renamed through the bijection is the second.
     """
     if set(mapping) != c1.vertices:
         raise ValueError("mapping keys do not cover the first complex's vertices")
     if set(mapping.values()) != c2.vertices or len(set(mapping.values())) != len(mapping):
         raise ValueError("mapping is not a bijection onto the second complex's vertices")
-    for a, b in combinations(c1.vertices, 2):
-        if c1.has_edge(a, b) != c2.has_edge(mapping[a], mapping[b]):
-            return False
-    return True
+    return c1.relabel(mapping) == c2

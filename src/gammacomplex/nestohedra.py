@@ -13,8 +13,18 @@ translating it are each forward passes over one growing family.
 building set's nested-set complex, and that the gamma complex of the
 sequence and the one read off the U/V-sets agree, vertex for vertex.
 ``nested_set_complex`` builds the nested-set complex from the
-compatibility graph of the members on int bitmasks, without enumerating
-nested sets; ``nested_set_faces`` enumerates them and is its oracle.
+compatibility graph of the members, without enumerating nested sets;
+``nested_set_faces`` enumerates them and is its oracle.
+
+``BuildingSet`` and ``FlagOrdering`` hold frozensets, and every public
+function takes and returns them, but works on int bitmasks inside: each
+public function converts its family once on entry (``_member_mask``, bit
+x is the ground element x), tests x ⊆ y as ``x & y == x`` and takes
+x − y as ``x & ~y``.  Mask order is not the (size, sorted ids) order of
+``_skey`` ({2, 3} = 12 < {1, 4} = 18), so where ``_skey`` picks, the
+members are sorted by it before they are converted.  Masks need ids of
+at least 0: ``validate_building_set`` range-checks its members before it
+converts them, and the other functions expect a validated input.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ __all__ = [
     "verify_ordering_equivalence",
     "power_set_building_set",
     "interval_building_set",
+    "graphical_building_set",
     "random_flag_building_set",
 ]
 
@@ -67,8 +78,20 @@ def _skey(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-def _json_members(rows) -> list[Subset]:
-    return [frozenset(json_int(x, "member id") for x in row) for row in rows]
+def _json_members(rows, field: str) -> list[Subset]:
+    """The members in the JSON value ``rows`` of ``field``: an array of
+    arrays of integer ids, no id twice within one member."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{field} must be an array of members, got {json.dumps(rows)}")
+    members = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"each member in {field} must be an array of ids, got {json.dumps(row)}")
+        member = frozenset(json_int(x, "member id") for x in row)
+        if len(member) != len(row):
+            raise ValueError(f"member {json.dumps(row)} in {field} repeats an id")
+        members.append(member)
+    return members
 
 
 @dataclass(frozen=True)
@@ -97,11 +120,21 @@ class BuildingSet:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BuildingSet":
-        return cls(json_int(obj["n"], "n"), frozenset(_json_members(obj["elements"])))
+        return cls(json_int(obj["n"], "n"), frozenset(_json_members(obj["elements"], "elements")))
 
     @classmethod
     def from_json(cls, text: str) -> "BuildingSet":
         return cls.from_json_obj(json.loads(text))
+
+
+def _member_mask(member: Subset) -> int:
+    """A member as an int bitmask: bit x is the ground element x."""
+    return sum(1 << x for x in member)
+
+
+def _by_mask(members: Iterable[Subset]) -> dict[int, Subset]:
+    """Each member under its bitmask, in the order given."""
+    return {_member_mask(e): e for e in members}
 
 
 def validate_building_set(b: BuildingSet) -> bool:
@@ -109,22 +142,29 @@ def validate_building_set(b: BuildingSet) -> bool:
     ground = b.ground
     if any(not e or not e <= ground for e in b.elements):
         return False
-    if any(frozenset((i,)) not in b.elements for i in ground):
+    members = set(map(_member_mask, b.elements))
+    if any(1 << i not in members for i in ground):
         return False
-    return all(
-        (x | y) in b.elements
-        for x, y in combinations(b.elements, 2)
-        if x & y
-    )
+    return all(x | y in members for x, y in combinations(members, 2) if x & y)
 
 
-def _splits(target: Subset, elements: Collection[Subset]) -> list[tuple[Subset, Subset]]:
-    """Two-part splits (small, big) of ``target`` inside ``elements``, each listed once."""
-    return [
-        (part, target - part)
-        for part in elements
-        if part < target and (target - part) in elements and _skey(part) < _skey(target - part)
-    ]
+def _splits(target: int, members: Collection[int]) -> list[tuple[int, int]]:
+    """Two-part splits (small, big) of the bitmask ``target`` inside ``members``,
+    each listed once, in the order of ``members``.
+
+    The small part comes first in ``_skey`` order: for disjoint parts that
+    is the one with fewer elements, or with as many and the least element,
+    which is the least element of ``target``.
+    """
+    low = target & -target
+    out = []
+    for part in members:
+        rest = target & ~part
+        if part & target == part and rest and rest in members:
+            size, other = part.bit_count(), rest.bit_count()
+            if size < other or (size == other and part & low):
+                out.append((part, rest))
+    return out
 
 
 def is_flag_building_set(b: BuildingSet) -> bool:
@@ -136,7 +176,11 @@ def is_flag_building_set(b: BuildingSet) -> bool:
 
 def _every_member_splits(b: BuildingSet) -> bool:
     """``is_flag_building_set`` for a ``b`` the caller has already validated."""
-    return all(len(e) == 1 or _splits(e, b.elements) for e in b.elements)
+    members = set(map(_member_mask, b.elements))
+    return all(
+        m.bit_count() == 1 or any(p & m == p != m and m & ~p in members for p in members)
+        for m in members
+    )
 
 
 def find_decomposition(b: BuildingSet) -> frozenset[Subset]:
@@ -144,24 +188,28 @@ def find_decomposition(b: BuildingSet) -> frozenset[Subset]:
 
     Recursively splits the ground set; among the available splits the one
     whose parts are (smallest small part, lexicographically least large
-    part) wins, which keeps the result stable across runs.
+    part) wins, which keeps the result stable across runs.  The parts of
+    one target with equally small small parts have equally large large
+    parts, so the large part's rank in ``_skey`` order breaks the tie.
     """
     if not b.is_connected():
         raise ValueError("building set is not connected (ground set missing)")
-    out: set[Subset] = set()
+    by_mask = _by_mask(b.sorted_elements())
+    rank = {m: r for r, m in enumerate(by_mask)}
+    out: list[Subset] = []
 
-    def split(target: Subset) -> None:
-        out.add(target)
-        if len(target) == 1:
+    def split(target: int) -> None:
+        out.append(by_mask[target])
+        if target.bit_count() == 1:
             return
-        options = _splits(target, b.elements)
+        options = _splits(target, by_mask)
         if not options:
-            raise ValueError(f"{sorted(target)} has no two-part split: building set is not flag")
-        small, big = min(options, key=lambda p: (len(p[0]), tuple(sorted(p[1])), tuple(sorted(p[0]))))
+            raise ValueError(f"{sorted(by_mask[target])} has no two-part split: building set is not flag")
+        small, big = min(options, key=lambda p: (p[0].bit_count(), rank[p[1]]))
         split(small)
         split(big)
 
-    split(b.ground)
+    split(_member_mask(b.ground))
     return frozenset(out)
 
 
@@ -200,14 +248,9 @@ class FlagOrdering:
     def from_json_obj(cls, b: BuildingSet, obj) -> "FlagOrdering":
         return cls(
             building_set=b,
-            decomposition=frozenset(_json_members(obj["decomposition"])),
-            order=tuple(_json_members(obj["order"])),
+            decomposition=frozenset(_json_members(obj["decomposition"], "decomposition")),
+            order=tuple(_json_members(obj["order"], "order")),
         )
-
-
-def _member_mask(member: Subset) -> int:
-    """A member as an int bitmask: bit x is the ground element x."""
-    return sum(1 << x for x in member)
 
 
 def _can_append(current: set[int], new: int) -> bool:
@@ -252,19 +295,19 @@ def find_flag_ordering(
     """
     decomposition = decomposition if decomposition is not None else find_decomposition(b)
     current = set(map(_member_mask, decomposition))
-    left = sorted(b.elements - decomposition, key=_skey)
-    masks = {x: _member_mask(x) for x in left}
+    by_mask = _by_mask(sorted(b.elements - decomposition, key=_skey))
+    left = list(by_mask)
     order = []
     while left:
         candidates = list(left)
         if rng is not None:
             rng.shuffle(candidates)
-        member = next((x for x in candidates if _can_append(current, masks[x])), None)
+        member = next((x for x in candidates if _can_append(current, x)), None)
         if member is None:
             raise ValueError("no flag ordering exists: input is not a connected flag building set")
-        current.add(masks[member])
+        current.add(member)
         left.remove(member)
-        order.append(member)
+        order.append(by_mask[member])
     return FlagOrdering(building_set=b, decomposition=decomposition, order=tuple(order))
 
 
@@ -285,25 +328,33 @@ def validate_ordering(o: FlagOrdering) -> None:
         family.add(member)
 
 
-def _uv_sets(o: FlagOrdering, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """U_j and V_j in one pass over the family as it grows towards I_j: the
-    residues x - I_j of the family so far make the U test a set lookup, and
-    its members strictly inside I_j serve the V test."""
-    if not 1 <= j <= o.k:
-        raise ValueError(f"ordering index {j} out of range 1..{o.k}")
-    ij = o.order[j - 1]
-    residues = {x - ij for x in o.decomposition}
-    inside = [x for x in o.decomposition if x < ij]
+def _uv_sets(
+    decomposition: list[int], order: list[int], j: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """U_j and V_j of an ordering given as bitmasks, in one pass over the
+    family as it grows towards I_j: the residues x - I_j of the family so
+    far make the U test a set lookup, and its members strictly inside I_j
+    serve the V test."""
+    ij = order[j - 1]
+    residues = {x & ~ij for x in decomposition}
+    inside = [x for x in decomposition if x & ij == x != ij]
     u, v = [], []
-    for i, ii in enumerate(o.order[: j - 1], start=1):
-        if not ii <= ij and ii - ij not in residues:
-            u.append(i)
-        if ii < ij:
-            if any(ii < x for x in inside):
+    for i, ii in enumerate(order[: j - 1], start=1):
+        if ii & ij != ii:
+            if ii & ~ij not in residues:
+                u.append(i)
+        elif ii != ij:
+            if any(x & ii == ii != x for x in inside):
                 v.append(i)
             inside.append(ii)
-        residues.add(ii - ij)
+        residues.add(ii & ~ij)
     return tuple(u), tuple(v)
+
+
+def _ordering_uv_sets(o: FlagOrdering, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if not 1 <= j <= o.k:
+        raise ValueError(f"ordering index {j} out of range 1..{o.k}")
+    return _uv_sets(list(map(_member_mask, o.decomposition)), list(map(_member_mask, o.order)), j)
 
 
 def u_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
@@ -312,17 +363,19 @@ def u_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
     i < j qualifies when I_i is not inside I_j and no member of the family
     before I_i has the same difference with I_j as I_i does.
     """
-    return _uv_sets(o, j)[0]
+    return _ordering_uv_sets(o, j)[0]
 
 
 def v_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
     """Earlier indices i with I_i strictly sandwiched inside I_j by a yet earlier member."""
-    return _uv_sets(o, j)[1]
+    return _ordering_uv_sets(o, j)[1]
 
 
 def gamma_complex_of_ordering(o: FlagOrdering) -> FlagComplex:
     """Graph on vertex indices 1..k; i ~ j exactly when i is in U_j or V_j."""
-    edges = [(i, j) for j in range(1, o.k + 1) for uv in _uv_sets(o, j) for i in uv]
+    decomposition = list(map(_member_mask, o.decomposition))
+    order = list(map(_member_mask, o.order))
+    edges = [(i, j) for j in range(1, o.k + 1) for uv in _uv_sets(decomposition, order, j) for i in uv]
     return FlagComplex(range(1, o.k + 1), edges)
 
 
@@ -412,33 +465,34 @@ def nested_set_complex(b: BuildingSet) -> FlagComplex:
     """
     if not b.is_connected():
         raise ValueError("nested set complex needs a connected building set")
-    bit = {x: 1 << i for i, x in enumerate(sorted(set().union(*b.elements)))}
-    mask = {e: sum(bit[x] for x in e) for e in b.elements}
-    members = set(mask.values())
+    by_mask = _by_mask(b.sorted_elements())
+    members = set(by_mask)
     for u in members:
         parts = [p for p in members if p & u == p and p != u]
         if _has_compatible_partition(u, parts, members):
             raise ValueError("nested sets are not the cliques of their 1-skeleton: building set is not flag")
-    verts = sorted(b.elements - {b.ground}, key=_skey)
+    del by_mask[_member_mask(b.ground)]
+    verts = list(by_mask)
     edges = []
     for x, y in combinations(verts, 2):
-        mx, my = mask[x], mask[y]
-        common = mx & my
-        if common == mx or common == my or (not common and (mx | my) not in members):
-            edges.append((x, y))
-    return FlagComplex(verts, edges)
+        common = x & y
+        if common == x or common == y or (not common and x | y not in members):
+            edges.append((by_mask[x], by_mask[y]))
+    return FlagComplex(by_mask.values(), edges)
 
 
 def sibling_pairs(decomposition: frozenset[Subset]) -> list[tuple[Subset, Subset]]:
     """Child pairs of the decomposition tree, ordered by their union's (size, lex)."""
+    by_mask = _by_mask(decomposition)
     pairs = []
-    for t in decomposition:
-        if len(t) > 1:
-            options = _splits(t, decomposition)
+    for t, member in by_mask.items():
+        if t.bit_count() > 1:
+            options = _splits(t, by_mask)
             if not options:
-                raise ValueError(f"{sorted(t)} has no split inside the decomposition")
-            pairs.append(options[0])
-    return sorted(pairs, key=lambda p: _skey(p[0] | p[1]))
+                raise ValueError(f"{sorted(member)} has no split inside the decomposition")
+            small, big = options[0]
+            pairs.append((member, by_mask[small], by_mask[big]))
+    return [(small, big) for _, small, big in sorted(pairs, key=lambda p: _skey(p[0]))]
 
 
 def decomposition_vertex_ids(decomposition: frozenset[Subset]) -> dict[Subset, int]:
@@ -468,18 +522,20 @@ def ordering_to_sequence(o: FlagOrdering) -> tuple[SubdivisionSequence, dict[Sub
     )
     if start != cross_polytope(d):
         raise RuntimeError("internal inconsistency: decomposition complex is not a cross polytope")
+    # every member of the prefix but the ground set, which no split uses, by mask
+    vertex = {_member_mask(e): v for e, v in ids.items()}
     seq = new_sequence(d)
     for member in o.order:
-        # ids holds every member of the prefix but the ground set, which no split uses
-        options = _splits(member, ids)
+        mask = _member_mask(member)
+        options = _splits(mask, vertex)
         if len(options) != 1:
             raise ValueError(
                 f"member {sorted(member)} has {len(options)} two-part splits "
                 f"in its prefix; expected exactly one"
             )
         small, big = options[0]
-        seq = extend(seq, (ids[small], ids[big]))
-        ids[member] = seq.steps[-1].new_vertex
+        seq = extend(seq, (vertex[small], vertex[big]))
+        vertex[mask] = ids[member] = seq.steps[-1].new_vertex
     return seq, ids
 
 
@@ -534,6 +590,37 @@ def interval_building_set(n: int) -> BuildingSet:
         raise ValueError("ground set must be nonempty")
     elements = [range(i, j + 1) for i in range(1, n + 1) for j in range(i, n + 1)]
     return BuildingSet.of(n, elements)
+
+
+def graphical_building_set(n: int, edges: Iterable[tuple[int, int]]) -> BuildingSet:
+    """The connected vertex subsets of the graph on the ground set with these edges.
+
+    A flag building set (a spanning tree of a connected subset has a leaf,
+    which splits it off), connected when the graph is; its nested-set
+    complex is dual to the graph associahedron (Postnikov-Reiner-Williams):
+    the path gives the associahedron, the complete graph the permutohedron,
+    the cycle the cyclohedron and the star the stellohedron.
+    """
+    if n < 1:
+        raise ValueError("ground set must be nonempty")
+    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for a, b in edges:
+        if a == b or a not in adj or b not in adj:
+            raise ValueError(f"({a}, {b}) is not an edge between two of the vertices 1..{n}")
+        adj[a].add(b)
+        adj[b].add(a)
+
+    def connected(s: Subset) -> bool:
+        seen, stack = set(), [min(s)]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] & s)
+        return len(seen) == len(s)
+
+    subsets = (frozenset(c) for r in range(1, n + 1) for c in combinations(range(1, n + 1), r))
+    return BuildingSet(n, frozenset(s for s in subsets if connected(s)))
 
 
 def random_flag_building_set(n: int, seed: int) -> BuildingSet:

@@ -373,6 +373,52 @@ class TestNestohedron:
         assert out == ""
         assert "member id must be an integer, got true" in err
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ({"a": 1}, 'elements must be an array of members, got {"a": 1}'),
+            ([1, 2], "each member in elements must be an array of ids, got 1"),
+            ([[1], [2], {"1": 2}], 'each member in elements must be an array of ids, got {"1": 2}'),
+            ([[1], [2], [1, 2, 2]], "member [1, 2, 2] in elements repeats an id"),
+        ],
+    )
+    def test_malformed_elements_rejected(self, capsys, tmp_path, elements, message):
+        path = write(tmp_path, "bs.json", {"n": 2, "elements": elements})
+        assert run(capsys, "nestohedron", path) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("decomposition", {"a": 1}, 'decomposition must be an array of members, got {"a": 1}'),
+            ("decomposition", [[1], [2], [3], 12], "each member in decomposition must be an array of ids, got 12"),
+            ("decomposition", [[1], [2], [3], [1, 2, 3, 3]], "member [1, 2, 3, 3] in decomposition repeats an id"),
+            ("order", [2, 3], "each member in order must be an array of ids, got 2"),
+            ("order", [[2, 3, 2]], "member [2, 3, 2] in order repeats an id"),
+        ],
+    )
+    def test_malformed_ordering_members_rejected(self, capsys, tmp_path, field, value, message):
+        bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
+        obj = {"decomposition": [[1], [2], [3], [1, 2], [1, 2, 3]], "order": [[2, 3]]}
+        obj[field] = value
+        ordering = write(tmp_path, "ordering.json", obj)
+        assert run(capsys, "nestohedron", bs, ordering) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("member_id", [-1, 0, 4])
+    def test_member_id_out_of_range_is_no_building_set(self, capsys, tmp_path, member_id):
+        elements = [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3], [member_id]]
+        path = write(tmp_path, "bs.json", {"n": 3, "elements": elements})
+        assert run(capsys, "nestohedron", path) == (2, "", "error: input is not a building set\n")
+
+    def test_negative_id_in_ordering_file_rejected(self, capsys, tmp_path):
+        bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})
+        ordering = write(
+            tmp_path,
+            "ordering.json",
+            {"decomposition": [[1], [2], [3], [-1, 2], [1, 2, 3]], "order": [[2, 3]]},
+        )
+        code, out, err = run(capsys, "nestohedron", bs, ordering)
+        assert (code, out, err) == (2, "", "error: decomposition is not a connected flag building set\n")
+
     def test_invalid_building_set_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [1, 2]]})
         code, _, err = run(capsys, "nestohedron", path)

@@ -19,6 +19,7 @@ from gammacomplex import (
     find_flag_ordering,
     gamma_complex_of_ordering,
     gamma_of,
+    graphical_building_set,
     interval_building_set,
     is_flag_building_set,
     is_isomorphic_under,
@@ -60,26 +61,6 @@ def union_closure_building_set(n, rng):
                 elements.add(x | y)
                 grown = True
     return BuildingSet(n, frozenset(elements))
-
-
-def graphical_building_set(n, edges):
-    """The connected vertex subsets of the graph on [n] with these edges."""
-    adj = {v: set() for v in range(1, n + 1)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    def connected(s):
-        seen, stack = set(), [min(s)]
-        while stack:
-            v = stack.pop()
-            if v not in seen:
-                seen.add(v)
-                stack.extend(adj[v] & s)
-        return seen == s
-
-    subsets = (frozenset(c) for r in range(1, n + 1) for c in combinations(range(1, n + 1), r))
-    return BuildingSet(n, frozenset(s for s in subsets if connected(s)))
 
 
 def random_connected_graph(n, rng):
@@ -183,9 +164,130 @@ def prefix_v_set(o, j):
     return tuple(out)
 
 
+def validate_building_set_sets(b):
+    """``validate_building_set`` as it ran on frozenset members, kept as the oracle."""
+    ground = b.ground
+    if any(not e or not e <= ground for e in b.elements):
+        return False
+    if any(frozenset((i,)) not in b.elements for i in ground):
+        return False
+    return all((x | y) in b.elements for x, y in combinations(b.elements, 2) if x & y)
+
+
+def splits_sets(target, elements):
+    """``nestohedra._splits`` as it ran on frozenset members, kept as the oracle."""
+    skey = nestohedra._skey
+    return [
+        (part, target - part)
+        for part in elements
+        if part < target and (target - part) in elements and skey(part) < skey(target - part)
+    ]
+
+
+def every_member_splits_sets(b):
+    """``nestohedra._every_member_splits`` on frozenset members, kept as the oracle."""
+    return all(len(e) == 1 or splits_sets(e, b.elements) for e in b.elements)
+
+
+def find_decomposition_sets(b):
+    """``find_decomposition`` as it ran on frozenset members, kept as the oracle."""
+    if not b.is_connected():
+        raise ValueError("building set is not connected (ground set missing)")
+    out = set()
+
+    def split(target):
+        out.add(target)
+        if len(target) == 1:
+            return
+        options = splits_sets(target, b.elements)
+        if not options:
+            raise ValueError(f"{sorted(target)} has no two-part split: building set is not flag")
+        small, big = min(options, key=lambda p: (len(p[0]), tuple(sorted(p[1])), tuple(sorted(p[0]))))
+        split(small)
+        split(big)
+
+    split(b.ground)
+    return frozenset(out)
+
+
+def uv_sets_sets(o, j):
+    """U_j and V_j as ``nestohedra._uv_sets`` computed them on frozenset members, kept as the oracle."""
+    ij = o.order[j - 1]
+    residues = {x - ij for x in o.decomposition}
+    inside = [x for x in o.decomposition if x < ij]
+    u, v = [], []
+    for i, ii in enumerate(o.order[: j - 1], start=1):
+        if not ii <= ij and ii - ij not in residues:
+            u.append(i)
+        if ii < ij:
+            if any(ii < x for x in inside):
+                v.append(i)
+            inside.append(ii)
+        residues.add(ii - ij)
+    return tuple(u), tuple(v)
+
+
+def sequence_steps_sets(o):
+    """The edges ``ordering_to_sequence`` subdivides and its member-to-vertex
+    map, from the split lookup on frozenset members, kept as the oracle."""
+    pairs = [splits_sets(t, o.decomposition)[0] for t in o.decomposition if len(t) > 1]
+    pairs.sort(key=lambda p: nestohedra._skey(p[0] | p[1]))
+    ids = {}
+    for i, (small, big) in enumerate(pairs):
+        ids[small], ids[big] = 2 * i, 2 * i + 1
+    edges = []
+    for w, member in enumerate(o.order, start=2 * (o.building_set.n - 1)):
+        options = splits_sets(member, ids)
+        if len(options) != 1:
+            raise ValueError(
+                f"member {sorted(member)} has {len(options)} two-part splits "
+                f"in its prefix; expected exactly one"
+            )
+        small, big = options[0]
+        edges.append((ids[small], ids[big]))
+        ids[member] = w
+    return edges, ids
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# (n, members) of families that are no building set
+INVALID_FAMILIES = {
+    "missing singleton": (3, [[1], [2], [1, 2], [1, 2, 3]]),
+    "missing union": (4, [[1], [2], [3], [4], [1, 2], [2, 3], [1, 2, 3, 4]]),
+    "empty member": (3, [[], [1], [2], [3], [1, 2], [1, 2, 3]]),
+    "id 0": (3, [[0], [1], [2], [3], [0, 1], [1, 2], [1, 2, 3]]),
+    "id n+1": (3, [[1], [2], [3], [4], [3, 4], [1, 2], [1, 2, 3]]),
+    "id -1": (3, [[-1], [1], [2], [3], [-1, 1], [1, 2], [1, 2, 3]]),
+}
+
+
 def associahedron_gamma(n):
     """gamma_i = C(n-1, 2i) * Catalan(i) (Postnikov-Reiner-Williams)."""
     return [comb(n - 1, 2 * i) * comb(2 * i, i) // (i + 1) for i in range((n - 1) // 2 + 1)]
+
+
+def cyclohedron_gamma(n):
+    """gamma_i = C(n-1, i) * C(n-1-i, i) (Postnikov-Reiner-Williams)."""
+    return [comb(n - 1, i) * comb(n - 1 - i, i) for i in range((n - 1) // 2 + 1)]
+
+
+# gamma of the stellohedron, the graph associahedron of the star on n vertices
+# (Postnikov-Reiner-Williams, section 10)
+STELLOHEDRON_GAMMA = {
+    3: [1, 1],
+    4: [1, 4],
+    5: [1, 11, 5],
+    6: [1, 26, 43],
+    7: [1, 57, 230, 61],
+    8: [1, 120, 990, 906],
+}
 
 
 def permutohedron_gamma(n):
@@ -303,6 +405,11 @@ class TestFindFlagOrdering:
         assert graphical_building_set(4, combinations(range(1, 5), 2)) == power_set_building_set(4)
         for b in ordering_oracle_inputs():
             assert validate_building_set(b) and b.is_connected() and is_flag_building_set(b)
+
+    @pytest.mark.parametrize("edges", [[(1, 1)], [(0, 1)], [(1, 4)]])
+    def test_graphical_building_set_rejects_a_bad_edge(self, edges):
+        with pytest.raises(ValueError, match="is not an edge between two of the vertices 1..3"):
+            graphical_building_set(3, edges)
 
     def test_no_recursion_per_member(self):
         # the ordering has 190 members; the stack allows 60 more frames
@@ -547,10 +654,93 @@ class TestClosedForms:
         assert report["uv_match"] and report["bridge"], report
         assert report["gamma_theta"] == permutohedron_gamma(n)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cyclohedra(self, n):
+        cycle = [(v, v + 1) for v in range(1, n)] + [(1, n)]
+        report = verify_ordering_equivalence(find_flag_ordering(graphical_building_set(n, cycle)))
+        assert report["equal"] and report["isomorphic"], report
+        assert report["uv_match"] and report["bridge"], report
+        assert report["gamma_theta"] == cyclohedron_gamma(n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_stellohedra(self, n):
+        star = [(1, v) for v in range(2, n + 1)]
+        report = verify_ordering_equivalence(find_flag_ordering(graphical_building_set(n, star)))
+        assert report["equal"] and report["isomorphic"], report
+        assert report["uv_match"] and report["bridge"], report
+        assert report["gamma_theta"] == STELLOHEDRON_GAMMA[n]
+
     def test_closed_forms_at_small_n(self):
         assert associahedron_gamma(6) == [1, 10, 10]
         assert permutohedron_gamma(3) == [1, 2]
         assert permutohedron_gamma(5) == [1, 22, 16]
+        # the cycle on three vertices is the complete graph
+        assert cyclohedron_gamma(3) == permutohedron_gamma(3)
+        assert cyclohedron_gamma(5) == [1, 12, 6]
+
+
+class TestMaskPath:
+    """The bitmask code against the frozenset code it replaced (the oracles above)."""
+
+    def check_family(self, b):
+        assert validate_building_set(b) == validate_building_set_sets(b)
+        assert nestohedra._every_member_splits(b) == every_member_splits_sets(b)
+        dec = outcome(find_decomposition, b)
+        assert dec == outcome(find_decomposition_sets, b)
+        return dec
+
+    def check_ordering(self, o):
+        for j in range(1, o.k + 1):
+            assert (u_set(o, j), v_set(o, j)) == uv_sets_sets(o, j)
+        got = outcome(ordering_to_sequence, o)
+        if not isinstance(got, str):
+            seq, ids = got
+            got = ([step.edge for step in seq.steps], ids)
+        assert got == outcome(sequence_steps_sets, o)
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_flag_inputs(self, seed):
+        for b in ordering_oracle_inputs():
+            dec = self.check_family(b)
+            o = find_flag_ordering(b, dec, None if seed is None else Random(seed))
+            assert o.order == frozenset_flag_ordering(b, dec, None if seed is None else Random(seed))
+            self.check_ordering(o)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_union_closures(self, seed):
+        # flag or not; orderings are compared wherever a decomposition exists
+        rng = Random(seed)
+        b = union_closure_building_set(rng.randint(2, 6), rng)
+        dec = self.check_family(b)
+        if isinstance(dec, str):
+            return
+        o = outcome(find_flag_ordering, b, dec)
+        assert (o if isinstance(o, str) else o.order) == outcome(frozenset_flag_ordering, b, dec, None)
+        if not isinstance(o, str):
+            self.check_ordering(o)
+
+    @pytest.mark.parametrize("name", sorted(INVALID_FAMILIES))
+    def test_invalid_families(self, name):
+        n, members = INVALID_FAMILIES[name]
+        b = BuildingSet.of(n, members)
+        assert not validate_building_set(b) and not validate_building_set_sets(b)
+        # bitmasks need ids of at least 0, which only a valid building set promises
+        if name != "id -1":
+            self.check_family(b)
+
+    def test_skey_picks_are_not_mask_order(self):
+        # {2, 3} = 0b1100 < {1, 4} = 0b10010 as masks, but _skey puts {1, 4} first
+        assert nestohedra._member_mask(frozenset({2, 3})) < nestohedra._member_mask(frozenset({1, 4}))
+        assert nestohedra._skey(frozenset({1, 4})) < nestohedra._skey(frozenset({2, 3}))
+        # the ground set splits as {1, 4} + {2, 3, 5} and as {2, 3} + {1, 4, 5}:
+        # equally small small parts, and _skey puts the big part {1, 4, 5} first
+        b = BuildingSet.of(5, [[1], [2], [3], [4], [5], [1, 4], [2, 3], [2, 3, 5], [1, 4, 5], [1, 2, 3, 4, 5]])
+        dec = find_decomposition(b)
+        assert dec == find_decomposition_sets(b)
+        assert frozenset({1, 4, 5}) in dec and frozenset({2, 3, 5}) not in dec
+        o = find_flag_ordering(power_set_building_set(4))
+        assert o.order == frozenset_flag_ordering(o.building_set, o.decomposition, None)
 
 
 class TestRandomBuildingSets:
