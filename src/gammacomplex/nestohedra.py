@@ -13,8 +13,10 @@ translating it are each forward passes over one growing family.
 building set's nested-set complex, and that the gamma complex of the
 sequence and the one read off the U/V-sets agree, vertex for vertex.
 ``nested_set_complex`` builds the nested-set complex from the
-compatibility graph of the members, without enumerating nested sets;
-``nested_set_faces`` enumerates them and is its oracle.
+compatibility graph of the members, without enumerating nested sets, and
+proves it flag exactly when the split rule holds, the module's one flag
+test (``_can_append`` is its one-step form); ``nested_set_faces``
+enumerates the nested sets and is its oracle.
 
 ``BuildingSet`` and ``FlagOrdering`` hold frozensets, and every public
 function takes and returns them, but works on int bitmasks inside: each
@@ -139,12 +141,12 @@ def _by_mask(members: Iterable[Subset]) -> dict[int, Subset]:
 
 def validate_building_set(b: BuildingSet) -> bool:
     """Both axioms: all singletons present, unions of intersecting pairs present."""
-    ground = b.ground
-    if any(not e or not e <= ground for e in b.elements):
+    # nothing is sized by n before these two checks bound it by the member count
+    if any(not e or min(e) < 1 or max(e) > b.n for e in b.elements):
+        return False
+    if sum(len(e) == 1 for e in b.elements) != b.n:
         return False
     members = set(map(_member_mask, b.elements))
-    if any(1 << i not in members for i in ground):
-        return False
     return all(x | y in members for x, y in combinations(members, 2) if x & y)
 
 
@@ -168,7 +170,7 @@ def _splits(target: int, members: Collection[int]) -> list[tuple[int, int]]:
 
 
 def is_flag_building_set(b: BuildingSet) -> bool:
-    """Every non-singleton member is a disjoint union of two members."""
+    """Every non-singleton member is a disjoint union of two members: N(B) is flag."""
     if not validate_building_set(b):
         raise ValueError("not a valid building set")
     return _every_member_splits(b)
@@ -387,7 +389,7 @@ def nested_set_faces(b: BuildingSet) -> FaceComplex:
     disjoint members union to a member.  Every nested set is enumerated,
     so the cost grows with the number of faces; ``nested_set_complex``
     never calls this, and the tests use it, with ``is_flag``, as the
-    oracle for that function's graph and its flagness verdict.
+    oracle for that function's graph and for its flag theorem.
     """
     if not b.is_connected():
         raise ValueError("nested set complex needs a connected building set")
@@ -425,52 +427,49 @@ def nested_set_faces(b: BuildingSet) -> FaceComplex:
     return FaceComplex(verts, faces)
 
 
-def _has_compatible_partition(u: int, parts: list[int], members: set[int]) -> bool:
-    """Is the bitmask ``u`` a disjoint union of some of ``parts``, no two of
-    which have their union in ``members``?
-
-    Depth-first over partial partitions: the next part is one that holds
-    the lowest element not yet covered, so each partition is reached once.
-    """
-    stack = [(0, ())]
-    while stack:
-        covered, chosen = stack.pop()
-        if covered == u:
-            return True
-        rest = u & ~covered
-        low = rest & -rest
-        for p in parts:
-            if p & low and not p & covered and all((p | q) not in members for q in chosen):
-                stack.append((covered | p, chosen + (p,)))
-    return False
-
-
 def nested_set_complex(b: BuildingSet) -> FlagComplex:
     """1-skeleton of the nested-set complex, valid for flag building sets only.
 
     Built from the compatibility graph alone, with no face enumerated: the
-    vertices are the members other than the ground set, and x ~ y when they
-    are comparable, or disjoint with x | y not a member.  These are exactly
-    the 2-element nested sets.
+    vertices are the members other than the ground set, and x ~ y (a
+    2-element nested set) when they are comparable, or disjoint with x | y
+    not a member.  So a clique is no nested set exactly when k >= 3 of its
+    members are pairwise disjoint with their union in B.  The input is
+    rejected unless it is a building set, connected, and every member
+    splits, which is flagness by the theorem below, so no face is lost;
+    ``nested_set_faces`` with ``is_flag`` is the test oracle for both.
 
-    A clique of this graph is no nested set exactly when it holds pairwise
-    disjoint members whose union U is a member.  A minimal such group
-    partitions U into pairwise compatible proper members, at least three
-    of them, since two parts of U always have union U; and any such
-    partition is itself a clique that is no nested set.  So the input is
-    rejected exactly when some member has such a partition (members are
-    nonempty), and a non-flag input cannot slip through and silently lose
-    faces.  ``nested_set_faces`` with ``is_flag`` is the test oracle for
-    both the graph and this verdict.
+    Theorem: for a building set B, N(B) is flag exactly when every
+    non-singleton member is a disjoint union of two members.  Cutting a set
+    T into the maximal members inside it partitions T (singletons are
+    members, and two that meet unite inside T); no two pieces unite in B.
+
+    (<=) Claim, by induction on |U|: if U in B is a disjoint union of
+    members y_1..y_k, k >= 2, some y_i | y_j is in B; for k = 2 it is U.
+    Else split U = A | A' in B; let S hold the i with y_i meeting A.  The
+    A | y_i with i in S meet in A, so their union, the union of the y_i
+    over S (it covers A), is in B: if 2 <= |S| < k, use the claim on it.
+    If |S| = 1, say S = {1}, use it on A' if A = y_1, else on A' with
+    y_1 - A cut.  If |S| = k, do the same with A' for A; left is A and A'
+    both meeting every y_i: use the claim on A with each y_i & A cut.
+    It finds no two pieces of one cut, and pieces c of y_i, c' of y_j with
+    c | c' in B put (c | c') | y_i = y_i | c', then y_i | y_j, in B.  So no
+    clique unites pairwise disjoint members to a member: each is a face.
+
+    (=>) If a non-singleton member m does not split, take x maximal among
+    the members strictly inside m, and cut m - x into z_1..z_r.  Then
+    r >= 2, else m splits; no x | z_i is in B, as it lies strictly between
+    x and m; and no z_i | z_j is.  So x, z_1..z_r is a clique of N(B)'s
+    graph, of at least three vertices, whose union m is in B: no face.
     """
+    if not validate_building_set(b):
+        raise ValueError("nested set complex needs a valid building set")
     if not b.is_connected():
         raise ValueError("nested set complex needs a connected building set")
+    if not _every_member_splits(b):
+        raise ValueError("nested sets are not the cliques of their 1-skeleton: building set is not flag")
     by_mask = _by_mask(b.sorted_elements())
     members = set(by_mask)
-    for u in members:
-        parts = [p for p in members if p & u == p and p != u]
-        if _has_compatible_partition(u, parts, members):
-            raise ValueError("nested sets are not the cliques of their 1-skeleton: building set is not flag")
     del by_mask[_member_mask(b.ground)]
     verts = list(by_mask)
     edges = []

@@ -436,20 +436,48 @@ class TestNestohedron:
     def test_building_set_is_validated_once(self, capsys, monkeypatch, tmp_path, elements, code, message):
         from gammacomplex import nestohedra
 
-        calls = []
+        calls = {"cli": [], "nestohedra": []}
         validate = nestohedra.validate_building_set
 
-        def counted(b):
-            calls.append(b)
-            return validate(b)
+        def counted(where):
+            def check(b):
+                calls[where].append(b)
+                return validate(b)
 
-        monkeypatch.setattr(cli, "validate_building_set", counted)
-        monkeypatch.setattr(nestohedra, "validate_building_set", counted)
+            return check
+
+        monkeypatch.setattr(cli, "validate_building_set", counted("cli"))
+        monkeypatch.setattr(nestohedra, "validate_building_set", counted("nestohedra"))
         path = write(tmp_path, "bs.json", {"n": 4, "elements": elements})
         got, out, err = run(capsys, "nestohedron", path)
         assert (got, err) == (code, message)
         assert (out != "") == (code == 0)
-        assert len(calls) == 1
+        assert len(calls["cli"]) == 1
+        # beyond that, only ``nested_set_complex`` validates, as its flag
+        # rule needs the axioms: the decomposition's in ``ordering_to_sequence``
+        # and the input's in the bridge
+        assert [len(b.elements) for b in calls["nestohedra"]] == ([7, len(elements)] if code == 0 else [])
+
+    def test_huge_ground_set_is_rejected_before_it_is_built(self, tmp_path):
+        # the ground set of n = 10**12 does not fit under the limit: a check
+        # that builds it first ends in MemoryError, an internal error (exit 3)
+        import resource
+
+        path = write(tmp_path, "bs.json", {"n": 10**12, "elements": [[1], [2], [1, 2]]})
+        limit = 512 * 1024 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-m", "gammacomplex.cli", "nestohedron", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_address_space,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: input is not a building set\n")
 
     def test_explicit_ordering_file(self, capsys, tmp_path):
         bs = write(tmp_path, "bs.json", {"n": 3, "elements": [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]})

@@ -189,6 +189,51 @@ def every_member_splits_sets(b):
     return all(len(e) == 1 or splits_sets(e, b.elements) for e in b.elements)
 
 
+def _has_compatible_partition(u: int, parts: list[int], members: set[int]) -> bool:
+    """Is the bitmask ``u`` a disjoint union of some of ``parts``, no two of
+    which have their union in ``members``?
+
+    Depth-first over partial partitions: the next part is one that holds
+    the lowest element not yet covered, so each partition is reached once.
+    """
+    stack = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
+        if covered == u:
+            return True
+        rest = u & ~covered
+        low = rest & -rest
+        for p in parts:
+            if p & low and not p & covered and all((p | q) not in members for q in chosen):
+                stack.append((covered | p, chosen + (p,)))
+    return False
+
+
+def partition_search_flag(b):
+    """The flag verdict ``nested_set_complex`` reached before the split rule,
+    kept as the oracle: no member is a disjoint union of pairwise compatible
+    proper members (``_has_compatible_partition``)."""
+    members = set(map(nestohedra._member_mask, b.elements))
+    return not any(
+        _has_compatible_partition(u, [p for p in members if p & u == p and p != u], members) for u in members
+    )
+
+
+def connected_building_sets(n):
+    """Every connected building set on [n]: the singletons, the ground set
+    and any family of the other subsets that is closed under unions of
+    intersecting members."""
+    ground = frozenset(range(1, n + 1))
+    base = {frozenset((i,)) for i in ground} | {ground}
+    others = [frozenset(c) for r in range(2, n) for c in combinations(sorted(ground), r)]
+    out = []
+    for chosen in range(1 << len(others)):
+        elements = base | {s for i, s in enumerate(others) if chosen >> i & 1}
+        if all(x | y in elements for x, y in combinations(elements, 2) if x & y):
+            out.append(BuildingSet(n, frozenset(elements)))
+    return out
+
+
 def find_decomposition_sets(b):
     """``find_decomposition`` as it ran on frozenset members, kept as the oracle."""
     if not b.is_connected():
@@ -559,6 +604,23 @@ class TestNestedSetComplex:
             with pytest.raises(ValueError, match="not flag"):
                 nested_set_complex(b)
 
+    def test_every_small_connected_building_set(self):
+        # the split rule against the nested sets themselves and against the
+        # partition search it replaced, on every connected building set, n <= 4
+        sets = {n: connected_building_sets(n) for n in (2, 3, 4)}
+        assert [len(sets[n]) for n in (2, 3, 4)] == [1, 8, 378]
+        flag = 0
+        for b in (b for n in (2, 3, 4) for b in sets[n]):
+            assert partition_search_flag(b) == nestohedra._every_member_splits(b)
+            faces = nested_set_faces(b)
+            if is_flag(faces):
+                assert nested_set_complex(b) == faces.one_skeleton()
+                flag += 1
+            else:
+                with pytest.raises(ValueError, match="not flag"):
+                    nested_set_complex(b)
+        assert flag == 240
+
     def test_disconnected_input_rejected(self):
         b = BuildingSet.of(3, [[1], [2], [3], [1, 2]])
         with pytest.raises(ValueError, match="connected"):
@@ -725,6 +787,8 @@ class TestMaskPath:
         n, members = INVALID_FAMILIES[name]
         b = BuildingSet.of(n, members)
         assert not validate_building_set(b) and not validate_building_set_sets(b)
+        with pytest.raises(ValueError):
+            nested_set_complex(b)
         # bitmasks need ids of at least 0, which only a valid building set promises
         if name != "id -1":
             self.check_family(b)
