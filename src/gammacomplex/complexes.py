@@ -43,11 +43,6 @@ def _vkey(v):
     return (0, v)
 
 
-def _no_fold(value, v):
-    """The step of a ``faces_with`` walk that carries nothing."""
-    return None
-
-
 def _count_order(adj: Mapping) -> list:
     """The vertex numbering of ``clique_count_by_size``, taken from the graph.
 
@@ -155,33 +150,32 @@ class FlagComplex:
         return frozenset(out)
 
     def faces(self) -> Iterator[frozenset]:
-        """Every clique, the empty one included, each exactly once, in ``faces_with`` order."""
-        for fs, _ in self.faces_with(None, _no_fold):
-            yield fs
+        """Every clique, the empty one included, each exactly once: the ``faces_with`` fold that grows the clique."""
+        return self.faces_with(frozenset(), lambda face, v: face | {v})
 
-    def faces_with(self, start, step) -> Iterator[tuple[frozenset, object]]:
-        """Every clique in ``faces()`` order, each paired with a value folded along the walk.
+    def faces_with(self, start, step) -> Iterator:
+        """The value folded along a walk over every clique, depth first with vertices in ``_vkey`` order.
 
         The empty face carries ``start``; a clique F + v, where v comes after
         every vertex of F, carries ``step(value of F, v)``.  Each value is
         computed once, from the value of the clique it extends, so a running
-        intersection such as K(F + v) = K(F) & K(v) costs one step per face.
+        intersection such as K(F + v) = K(F) & K(v) costs one step per face;
+        ``faces()`` is the fold that grows the clique itself.
         """
         adj = self._adj
-        yield frozenset(), start
+        yield start
 
-        def grow(clique, value, candidates):
+        def grow(value, candidates):
             for i, v in enumerate(candidates):
-                cur = clique | {v}
                 val = step(value, v)
-                yield cur, val
+                yield val
                 nbrs = adj[v]
                 nxt = [u for u in candidates[i + 1 :] if u in nbrs]
                 if nxt:
-                    yield from grow(cur, val, nxt)
+                    yield from grow(val, nxt)
 
         try:
-            yield from grow(frozenset(), start, sorted(adj, key=_vkey))
+            yield from grow(start, sorted(adj, key=_vkey))
         finally:
             del grow  # grow refers to itself through its closure cell: break that cycle
 

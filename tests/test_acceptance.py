@@ -331,10 +331,10 @@ def _count_induced(monkeypatch):
 
 
 def test_scale_guard_deep_suites(monkeypatch):
-    # a count, not a time: one recipe translation per face of the final
-    # complex, shared by the link, phi and restriction suites (one sweep
-    # per suite built three), and one base per distinct shape (one per
-    # face built 783 here)
+    # a count, not a time: one recipe translation per distinct (K(F), N(F),
+    # recipe) of the final complex, 323 of its 783 faces, shared by the
+    # link, phi and restriction suites (one sweep per suite built three per
+    # face), and one base per distinct shape (one per face built 783 here)
     start = time.perf_counter()
     shapes, builds = _count_induced(monkeypatch)
     seq = random_sequence(5, 8, 1)
@@ -345,7 +345,7 @@ def test_scale_guard_deep_suites(monkeypatch):
     big_start = time.perf_counter()
     big = deep_report(random_sequence(6, 20, 1))
     big_s = time.perf_counter() - big_start
-    ok = all(report.values()) and all(big.values()) and len(shapes) == faces
+    ok = all(report.values()) and all(big.values()) and (len(shapes), faces) == (323, 783)
     ok &= sorted(builds) == sorted(distinct)
     _report(
         "scale guard (induced sequences built by the deep suites, d=5, k=8)",
@@ -358,9 +358,10 @@ def test_scale_guard_deep_suites(monkeypatch):
 
 
 def test_scale_guard_phi_singletons(monkeypatch):
-    # a count, not a time: for every face F the phi image is checked on G
-    # empty and on the single vertices of F's link, 3,501 pairs on the 783
-    # faces of this complex, not all 10,745 pairs (F, G), and the all-pairs
+    # a count, not a time: for every face F the walk decides, the first with
+    # its (K(F), N(F), recipe), the phi image is checked on G empty and on
+    # the single vertices of F's link, 2,074 pairs on the 323 faces decided
+    # of this complex's 783, not all 10,745 pairs (F, G), and the all-pairs
     # suite runs only on a corrupted table, where it names the failing pair;
     # the pairs are counted as the calls of the singleton check cover them
     start = time.perf_counter()
@@ -381,7 +382,7 @@ def test_scale_guard_phi_singletons(monkeypatch):
     faces = list(seq.final.faces())
     all_pairs = sum(2 ** len(fs) for fs in faces)
     ok = all(deep_report(seq).values()) and suite_calls[0] == 0
-    ok &= (len(faces), all_pairs, examined[0]) == (783, 10745, 3501)
+    ok &= (len(faces), all_pairs, examined[0]) == (783, 10745, 2074)
     singles, valid_calls = examined[0], suite_calls[0]
     failures = checks.deep_failures(final_k_entry_moved())["phi_image"]
     ok &= failures == ["F=[], G=[2]: phi image [9] != link K-set [6]"]
@@ -398,10 +399,11 @@ def test_scale_guard_phi_singletons(monkeypatch):
 def test_scale_guard_final_walk(monkeypatch):
     # counts, not times: the final walk carries K(F) and the common
     # neighbours of F, and reads the link, phi and the restricted gamma
-    # complex off the one induced sequence per face, so a passing run makes
-    # no per-face link, phi or isomorphism call; the increment identity is
-    # decided in the forward pass, which calls no link either (the increment
-    # suite made 8, one per step)
+    # complex off one induced sequence per distinct (K(F), N(F), recipe),
+    # 323 of the 783 faces, so a passing run makes no per-face link, phi or
+    # isomorphism call; the increment identity is decided in the forward
+    # pass, which calls no link either (the increment suite made 8, one per
+    # step)
     start = time.perf_counter()
     shapes, builds = _count_induced(monkeypatch)
     calls = dict.fromkeys(["link", "_phi", "is_isomorphic_under", "_induced"], 0)
@@ -420,7 +422,7 @@ def test_scale_guard_final_walk(monkeypatch):
         "_phi": 0,
         "is_isomorphic_under": 0,
         "_induced": 0,
-        "translations": 783,
+        "translations": 323,
         "bases": 67,
     }
     ok &= len(builds) == len({shape for shape in shapes if shape is not None})

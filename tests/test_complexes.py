@@ -250,18 +250,19 @@ class TestFacesWith:
         if rng.random() < 0.5:
             c = random_sequence(2 + seed % 4, seed % 9, seed).final
         walked = list(c.faces_with(None, lambda acc, v: c.neighbors(v) if acc is None else acc & c.neighbors(v)))
-        assert [fs for fs, _ in walked] == list(c.faces()) == faces_depth_first(c)
-        for fs, common in walked:
-            assert common == (None if not fs else c.common_neighbors(fs))
+        faces = list(c.faces())
+        assert faces == faces_depth_first(c)
+        assert walked == [None if not fs else c.common_neighbors(fs) for fs in faces]
 
     def test_each_value_extends_its_parent(self):
         c = cross_polytope(3)
-        walked = dict(c.faces_with((), lambda acc, v: acc + (v,)))
+        walked = list(c.faces_with((), lambda acc, v: acc + (v,)))
         assert len(walked) == 27
-        assert all(path == tuple(sorted(fs)) for fs, path in walked.items())
+        assert walked == [tuple(sorted(fs)) for fs in c.faces()]
 
     def test_empty_complex(self):
-        assert list(FlagComplex().faces_with("start", None)) == [(frozenset(), "start")]
+        assert list(FlagComplex().faces_with("start", None)) == ["start"]
+        assert list(FlagComplex().faces()) == [frozenset()]
 
 
 class TestLink:

@@ -634,6 +634,11 @@ def suite_failures(seq):
     return out
 
 
+def walk_key(seq, fs):
+    """K(F) and N(F) of a face of the final complex, as sets: the key the final walk holds as masks."""
+    return frozenset(k_set(seq, fs)), seq.final.common_neighbors(fs)
+
+
 class TestDeepFailures:
     """``deep_failures`` against the seven one-sweep suite functions."""
 
@@ -717,6 +722,31 @@ class TestDeepFailures:
         with pytest.MonkeyPatch.context() as mp:
             read_replaced_recipes(mp)
             self.assert_same_or_raised_alike(RecipesReplaced(seq, replaced))
+
+    @pytest.mark.parametrize(
+        "edges, face, corrupt, failing",
+        [
+            ([(0, 2), (1, 4)], {7}, lambda r: _LinkSeq(r.pairs, r.steps[::-1]), "phi_image"),
+            (EXAMPLE_STEPS, {0, 4, 8}, lambda r: _LinkSeq(r.pairs[:-1], r.steps), "link_recursion"),
+        ],
+        ids=["steps reversed at -e4", "pair dropped at a ridge"],
+    )
+    def test_the_walk_checks_the_recipe_of_a_repeated_pair(self, edges, face, corrupt, failing, replaced_recipes):
+        # a face takes the verdicts of an earlier face with its K(F) and N(F)
+        # only where its recipe is that face's too (the verdict lemma); here
+        # the replaced recipe fails one suite at ``face`` alone, and the
+        # earlier face with its masks passes.  A verdict of the walk is True
+        # only where its suite gives []
+        seq = sequence_from_edges(4, edges)
+        fs = frozenset(face)
+        assert next(gs for gs in seq.final.faces() if walk_key(seq, gs) == walk_key(seq, fs)) != fs
+        replaced = RecipesReplaced(seq, {(seq.k, fs): corrupt(_link_seq(seq, seq.k, fs, {}))})
+        expected = suite_failures(replaced)
+        verdicts = checks._final_verdicts(replaced, checks._forward_pass(replaced)[2])
+        assert expected[failing]
+        walked = ("link_recursion", "phi_image", "gamma_restriction")
+        assert not any(ok and expected[key] for ok, key in zip(verdicts, walked))
+        self.assert_same_or_raised_alike(replaced)
 
     @staticmethod
     def assert_same_or_raised_alike(seq):
@@ -1166,12 +1196,31 @@ def induced_reference(seq, fs):
 class TestSharedBases:
     """The final walk builds one base per shape, and its induced sequences are ``induced_sequence``'s."""
 
+    @staticmethod
+    def decided_faces(seq):
+        """The faces the final walk decides, with their recipes, by the verdict lemma.
+
+        A face is decided where no earlier face has its K(F) and N(F), or
+        where the first that has them has another recipe.
+        """
+        first, decided = {}, []
+        for fs in seq.final.faces():
+            recipe = _link_seq(seq, seq.k, fs, {})
+            key = walk_key(seq, fs)
+            if key not in first:
+                first[key] = recipe
+            elif first[key] == recipe:
+                continue
+            decided.append((fs, recipe))
+        return decided
+
     @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_every_face_gets_the_induced_sequence(self, d, k, seed):
-        # the walk reads each face's labels and its shape's tables; with the
-        # base they are the face's induced sequence, and the tables are the
-        # base's edges, K-table and gamma adjacency in ranks
+        # the walk reads the labels and the shape's tables of each face it
+        # decides, the first to show each (K(F), N(F), recipe); with the base
+        # they are the face's induced sequence, and the tables are the base's
+        # edges, K-table and gamma adjacency in ranks
         seq = random_sequence(d, k, seed)
         walked, shapes, builds = [], [], []
         shaped, translate, build = checks._shaped, subdivision._translate, subdivision._build_base
@@ -1196,10 +1245,10 @@ class TestSharedBases:
             mp.setattr(subdivision, "_build_base", building)
             assert all(deep_report(seq).values())
         assert sorted(builds) == sorted({shape for shape in shapes if shape is not None})
-        faces = list(seq.final.faces())
-        assert [recipe for recipe, _, _ in walked] == [_link_seq(seq, seq.k, fs, {}) for fs in faces]
-        for fs, (_, entry, labels) in zip(faces, walked):
-            shape = subdivision._translate(_link_seq(seq, seq.k, fs, {}))[0]
+        decided = self.decided_faces(seq)
+        assert [recipe for recipe, _, _ in walked] == [recipe for _, recipe in decided]
+        for (fs, recipe), (_, entry, labels) in zip(decided, walked):
+            shape = subdivision._translate(recipe)[0]
             got = subdivision._labeled(shape and subdivision._build_base(shape), labels)
             expected = induced_sequence(seq, fs)
             reference = induced_reference(seq, fs)
