@@ -127,12 +127,18 @@ class FlagComplex:
         return a in self._adj and b in self._adj[a]
 
     def edges(self) -> list[tuple]:
-        """All edges, each as a sorted pair, in deterministic order."""
-        out = set()
-        for v, ns in self._adj.items():
-            for u in ns:
-                out.add(tuple(sorted((u, v), key=_vkey)))
-        return sorted(out, key=lambda e: (_vkey(e[0]), _vkey(e[1])))
+        """All edges, each as a pair sorted by ``_vkey``, in ``_vkey`` order of the pairs.
+
+        One sort of the vertices ranks them; each vertex is then paired with
+        its later-ranked neighbours in rank order, so no pair is built twice
+        and the list needs no sort of its own.
+        """
+        adj = self._adj
+        vs = sorted(adj, key=_vkey)
+        rank = {v: i for i, v in enumerate(vs)}
+        return [
+            (v, vs[j]) for i, v in enumerate(vs) for j in sorted(map(rank.__getitem__, adj[v])) if j > i
+        ]
 
     def is_face(self, face: Iterable[Vertex]) -> bool:
         fs = frozenset(face)
@@ -204,6 +210,19 @@ class FlagComplex:
         exceeds 1 + sum_v 2**|later neighbours of v| (2**n for K_n), taken
         over the numbering in use, and a field of that bound's bit length
         never carries into the next.
+
+        Suffix exit.  Let M's vertices be v_1 < ... < v_m.  For j > i the
+        part of M after v_j is also the part of M_{>v_i} after v_j, so the
+        terms of f(M) for v_{i+1}, ..., v_m are the terms of f(M_{>v_i}),
+        and f(M) = f(M_{>v_i}) + t * (the terms for v_1, ..., v_i).  Once
+        the suffix left after v_i is non-zero and in the memo, f(M) is its
+        value plus the sum so far shifted, and the loop ends there.  The
+        memo is read there and never written, and it ends with the same
+        masks as without the exit: when a mask enters the memo, every mask
+        its full loop would meet is already in it, because the steps it ran
+        put theirs in and the suffix it stopped at entered earlier
+        (induction on the order of entry).  So the memory stays as it was,
+        and the recursion still only steps into neighbourhoods.
         """
         order = _count_order(self._adj)
         bits = {v: 1 << i for i, v in enumerate(order)}
@@ -225,6 +244,10 @@ class FlagComplex:
                     acc += val
                 else:
                     acc += 1
+                if mask:
+                    rest = memo.get(mask)
+                    if rest is not None:  # the suffix exit
+                        return rest + (acc << width)
             return 1 + (acc << width)
 
         packed = f((1 << len(order)) - 1)
@@ -263,7 +286,8 @@ class FlagComplex:
         return hash(frozenset((v, ns) for v, ns in self._adj.items()))
 
     def __repr__(self):
-        return f"FlagComplex({len(self._adj)} vertices, {len(self.edges())} edges)"
+        edges = sum(map(len, self._adj.values())) // 2  # every edge is in two neighbour sets
+        return f"FlagComplex({len(self._adj)} vertices, {edges} edges)"
 
     def to_json(self) -> str:
         vs = sorted(self._adj)

@@ -102,18 +102,23 @@ class TestCrossPolytope:
         assert c.adjacency() == fresh.adjacency()
 
 
+def sampled_graph(seed: int) -> FlagComplex:
+    """Up to 14 vertices drawn from ids 0..99, with a random edge density."""
+    rng = Random(seed)
+    n = rng.randint(0, 14)
+    density = rng.random()
+    vs = rng.sample(range(100), n)
+    edges = [(a, b) for a, b in combinations(vs, 2) if rng.random() < density]
+    return FlagComplex(vs, edges)
+
+
 class TestCliqueCount:
     """``clique_count_by_size`` against the face walk and the face-set twin."""
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_matches_the_face_walk_on_random_graphs(self, seed):
-        rng = Random(seed)
-        n = rng.randint(0, 14)
-        density = rng.random()
-        vs = rng.sample(range(100), n)
-        edges = [(a, b) for a, b in combinations(vs, 2) if rng.random() < density]
-        c = FlagComplex(vs, edges)
+        c = sampled_graph(seed)
         counts = dict(c.clique_count_by_size())
         assert counts == dict(Counter(len(f) for f in c.faces()))
         assert counts == dict(c.to_face_complex().f_counts())
@@ -175,6 +180,87 @@ class TestCliqueCount:
             1, 54, 1119, 12373, 83665, 371284, 1123286,
             2356966, 3429511, 3394595, 2180001, 818772, 136462,
         ]
+
+
+def clique_count_without_suffix_exit(c: FlagComplex) -> Counter:
+    """``clique_count_by_size`` with no suffix exit: every bit of every mask is walked."""
+    order = _count_order(c.adjacency())
+    bits = {v: 1 << i for i, v in enumerate(order)}
+    nbr = [sum(map(bits.__getitem__, c.neighbors(v))) for v in order]
+    bound = 1 + sum(1 << (m >> (i + 1)).bit_count() for i, m in enumerate(nbr))
+    width = bound.bit_length()
+    memo: dict = {}
+
+    def f(mask):
+        acc = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            sub = mask & nbr[low.bit_length() - 1]
+            if sub:
+                val = memo.get(sub)
+                if val is None:
+                    val = memo[sub] = f(sub)
+                acc += val
+            else:
+                acc += 1
+        return 1 + (acc << width)
+
+    packed = f((1 << len(order)) - 1)
+    counts: Counter = Counter()
+    size = 0
+    while packed:
+        counts[size] = packed & ((1 << width) - 1)
+        packed >>= width
+        size += 1
+    return counts
+
+
+def edges_by_sorted_pairs(c: FlagComplex) -> list:
+    """``edges()`` by brute force: a set of sorted pairs, then a sort of the whole set."""
+    out = set()
+    for v in c.vertices:
+        for u in c.neighbors(v):
+            out.add(tuple(sorted((u, v), key=_vkey)))
+    return sorted(out, key=lambda e: (_vkey(e[0]), _vkey(e[1])))
+
+
+class TestAgainstThePreviousLoops:
+    """The suffix exit and the one-pass edge list against their brute-force twins."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, seed):
+        c = sampled_graph(seed)
+        assert c.clique_count_by_size() == clique_count_without_suffix_exit(c)
+        assert c.edges() == edges_by_sorted_pairs(c)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_random_sequences(self, d):
+        for seed in range(4):
+            c = random_sequence(d, 3 * d, seed).final
+            assert c.clique_count_by_size() == clique_count_without_suffix_exit(c)
+            assert c.edges() == edges_by_sorted_pairs(c)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_nested_set_complexes(self, n):
+        for seed in range(4):
+            c = nested_set_complex(random_flag_building_set(n, seed))
+            assert c.clique_count_by_size() == clique_count_without_suffix_exit(c)
+            assert c.edges() == edges_by_sorted_pairs(c)
+
+    def test_pinned_counts_at_d16_k60(self):
+        # 6.65G cliques, counted before the suffix exit existed
+        counts = random_sequence(16, 60, 1).final.clique_count_by_size()
+        assert [counts[i] for i in range(len(counts))] == [
+            1, 92, 3157, 57680, 653325, 4985737, 26962998, 106674625, 314821895,
+            700162560, 1175887585, 1482064709, 1379192760, 918822275, 414315145,
+            113221928, 14152741,
+        ]
+
+    def test_repr_counts_each_edge_once(self):
+        assert repr(cross_polytope(3)) == "FlagComplex(6 vertices, 12 edges)"
+        assert repr(FlagComplex(range(3))) == "FlagComplex(3 vertices, 0 edges)"
 
 
 def largest_degree_last(c: FlagComplex) -> list:
