@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -50,6 +51,41 @@ DEEP_GOLDEN_NO_STEPS = (
     '{{"d": {d}, "equal": true, "f_gamma": [1], "gamma_restriction": true, "gamma_theta": [1], "increment_identity": true, "instance": 0'
     ', "k": 0, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1, "w_recursion": true}}\n'
 )
+
+
+# The building set and ordering file of the CI smoke test: the intervals of
+# {1..4}, and an ordering of them.
+INTERVALS4 = {"n": 4, "elements": [[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4]]}
+INTERVALS4_ORDERING = {
+    "decomposition": [[1], [2], [3], [4], [1, 2], [1, 2, 3], [1, 2, 3, 4]],
+    "order": [[3, 4], [2, 3, 4], [2, 3]],
+}
+
+# ``nestohedron`` reports, captured before the building-set check moved into
+# one private policy in ``nestohedra``: case -> {format: bytes}.
+NESTO_GOLDEN = {
+    "power set n=4": {
+        "json": '{"bridge": true, "d": 3, "equal": true, "f_gamma": [1, 8], "gamma_theta": [1, 8], '
+        '"isomorphic": true, "k": 8, "n": 4, "uv_match": true}\n',
+        "table": "bridge=True  d=3  equal=True  f_gamma=[1, 8]  gamma_theta=[1, 8]  isomorphic=True  k=8  n=4  uv_match=True\n",
+    },
+    "intervals n=5": {
+        "json": '{"bridge": true, "d": 4, "equal": true, "f_gamma": [1, 6, 2], "gamma_theta": [1, 6, 2], '
+        '"isomorphic": true, "k": 6, "n": 5, "uv_match": true}\n',
+        "table": "bridge=True  d=4  equal=True  f_gamma=[1, 6, 2]  gamma_theta=[1, 6, 2]  isomorphic=True  k=6  n=5  "
+        "uv_match=True\n",
+    },
+    "power set n=4 --seed 3": {
+        "json": '{"bridge": true, "d": 3, "equal": true, "f_gamma": [1, 8], "gamma_theta": [1, 8], '
+        '"isomorphic": true, "k": 8, "n": 4, "uv_match": true}\n',
+        "table": "bridge=True  d=3  equal=True  f_gamma=[1, 8]  gamma_theta=[1, 8]  isomorphic=True  k=8  n=4  uv_match=True\n",
+    },
+    "intervals n=4 with an ordering file": {
+        "json": '{"bridge": true, "d": 3, "equal": true, "f_gamma": [1, 3], "gamma_theta": [1, 3], '
+        '"isomorphic": true, "k": 3, "n": 4, "uv_match": true}\n',
+        "table": "bridge=True  d=3  equal=True  f_gamma=[1, 3]  gamma_theta=[1, 3]  isomorphic=True  k=3  n=4  uv_match=True\n",
+    },
+}
 
 
 def run(capsys, *argv):
@@ -331,6 +367,20 @@ class TestNestohedron:
         report = json.loads(out)
         assert report["gamma_theta"] == [1, 1]
         assert report["equal"] and report["isomorphic"] and report["uv_match"] and report["bridge"]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("case", sorted(NESTO_GOLDEN))
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, case, fmt):
+        power4 = {"n": 4, "elements": [list(c) for r in range(1, 5) for c in combinations(range(1, 5), r)]}
+        intervals5 = {"n": 5, "elements": [list(range(i, j + 1)) for i in range(1, 6) for j in range(i, 6)]}
+        building_set, extra = {
+            "power set n=4": (power4, []),
+            "intervals n=5": (intervals5, []),
+            "power set n=4 --seed 3": (power4, ["--seed", "3"]),
+            "intervals n=4 with an ordering file": (INTERVALS4, [write(tmp_path, "ordering.json", INTERVALS4_ORDERING)]),
+        }[case]
+        argv = [write(tmp_path, "bs.json", building_set), *extra]
+        assert run(capsys, "nestohedron", *argv, "--format", fmt) == (0, NESTO_GOLDEN[case][fmt], "")
 
     def test_power_set(self, capsys, tmp_path):
         elements = [[1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]

@@ -313,6 +313,17 @@ INVALID_FAMILIES = {
 }
 
 
+# Families on {1..4} that each public entry must reject on its own: the three
+# that ``nestohedron`` rejects (tests/test_cli.py), and a connected building
+# set of 2n - 1 members in which {2, 3, 4} does not split.
+REJECTED_FAMILIES = {
+    "not flag": (4, [[1], [2], [3], [4], [1, 2, 3, 4]]),
+    "not connected": (4, [[1], [2], [3], [4], [1, 2], [3, 4]]),
+    "not a building set": (4, [[1], [2], [3], [1, 2], [2, 3]]),
+    "decomposition not flag": (4, [[1], [2], [3], [4], [1, 2], [2, 3, 4], [1, 2, 3, 4]]),
+}
+
+
 def associahedron_gamma(n):
     """gamma_i = C(n-1, 2i) * Catalan(i) (Postnikov-Reiner-Williams)."""
     return [comb(n - 1, 2 * i) * comb(2 * i, i) // (i + 1) for i in range((n - 1) // 2 + 1)]
@@ -698,6 +709,25 @@ class TestBridge:
         report = verify_ordering_equivalence(o1)
         assert report["equal"] and report["isomorphic"]
 
+
+class TestPublicChecks:
+    """Every public entry checks the families it reads, whoever calls it."""
+
+    @pytest.mark.parametrize("name", sorted(REJECTED_FAMILIES))
+    def test_each_entry_rejects_the_family(self, name):
+        family = BuildingSet.of(*REJECTED_FAMILIES[name])
+        as_decomposition = FlagOrdering(building_set=power_set_building_set(4), decomposition=family.elements, order=())
+        binary = find_decomposition(power_set_building_set(4))
+        as_building_set = FlagOrdering(building_set=family, decomposition=binary, order=())
+        calls = [
+            (nested_set_complex, family),
+            (ordering_to_sequence, as_decomposition),
+            (verify_ordering_equivalence, as_decomposition),
+            (verify_ordering_equivalence, as_building_set),
+        ]
+        for call, arg in calls:
+            with pytest.raises(ValueError):
+                call(arg)
 
 class TestClosedForms:
     """Bridge gamma vectors against counts that share no code with it."""
