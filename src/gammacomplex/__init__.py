@@ -47,6 +47,7 @@ from .nestohedra import (
     interval_building_set,
     is_flag_building_set,
     nested_set_complex,
+    nestohedron_report,
     ordering_to_sequence,
     power_set_building_set,
     random_flag_building_set,

@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import traceback
 from itertools import islice
 
 from .checks import deep_report
 from .complexes import FaceComplex, FlagComplex
-from .nestohedra import (
-    BuildingSet,
-    FlagOrdering,
-    _every_member_splits,
-    find_decomposition,
-    find_flag_ordering,
-    validate_building_set,
-    validate_ordering,
-    verify_ordering_equivalence,
-)
+from .nestohedra import BuildingSet, FlagOrdering, nestohedron_report
 from .polynomials import f_from_counts, report_from_f
 from .subdivision import (
     SubdivisionSequence,
@@ -172,23 +164,11 @@ def cmd_nestohedron(args, out: _Output) -> int:
     if args.ordering is not None and args.seed is not None:
         raise ValueError("--seed applies only when no ordering is given")
     bs = _read_json(args.building_set, BuildingSet.from_json_obj)
-    if not validate_building_set(bs):
-        raise ValueError("input is not a building set")
-    if not bs.is_connected():
-        raise ValueError("building set is not connected")
-    if not _every_member_splits(bs):
-        raise ValueError("not a flag building set")
+    ordering = None
     if args.ordering is not None:
         ordering = _read_json(args.ordering, lambda obj: FlagOrdering.from_json_obj(bs, obj))
-        validate_ordering(ordering)
-    else:
-        rng = None
-        if args.seed is not None:
-            import random as _random
-
-            rng = _random.Random(args.seed)
-        ordering = find_flag_ordering(bs, find_decomposition(bs), rng)
-    report = verify_ordering_equivalence(ordering)
+    rng = None if args.seed is None else random.Random(args.seed)
+    report = nestohedron_report(bs, ordering, rng)
     out.emit(_dumps(report) if args.format == "json" else _table_row(report))
     ok = report["equal"] and report["isomorphic"] and report["uv_match"] and report["bridge"]
     return EXIT_OK if ok else EXIT_FALSIFIED

@@ -19,14 +19,15 @@ test (``_can_append`` is its one-step form); ``nested_set_faces``
 enumerates the nested sets and is its oracle.
 
 ``BuildingSet`` and ``FlagOrdering`` hold frozensets, and every public
-function takes and returns them, but works on int bitmasks inside: each
-public function converts its family once on entry (``_member_mask``, bit
-x is the ground element x), tests x ⊆ y as ``x & y == x`` and takes
-x − y as ``x & ~y``.  Mask order is not the (size, sorted ids) order of
-``_skey`` ({2, 3} = 12 < {1, 4} = 18), so where ``_skey`` picks, the
-members are sorted by it before they are converted.  Masks need ids of
-at least 0: ``validate_building_set`` range-checks its members before it
-converts them, and the other functions expect a validated input.
+function takes and returns them, but works on int bitmasks inside
+(``_member_mask``, bit x is the ground element x): x ⊆ y is ``x & y == x``
+and x − y is ``x & ~y``.  Mask order is not the (size, sorted ids) order
+of ``_skey`` ({2, 3} = 12 < {1, 4} = 18), so where ``_skey`` picks, the
+members are sorted by it before they are converted.  ``_checked`` is the
+one input policy: the axioms (``validate_building_set`` range-checks ids
+first, as masks need ids of at least 0), connectedness and the split
+rule.  Public functions check what they read, then run private cores on
+the masks it returns; ``nestohedron_report`` checks its input once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable
+from typing import Callable, Collection, Hashable, Iterable
 
 from .complexes import (
     FaceComplex,
@@ -67,6 +68,7 @@ __all__ = [
     "nested_set_complex",
     "ordering_to_sequence",
     "verify_ordering_equivalence",
+    "nestohedron_report",
     "power_set_building_set",
     "interval_building_set",
     "graphical_building_set",
@@ -173,16 +175,35 @@ def is_flag_building_set(b: BuildingSet) -> bool:
     """Every non-singleton member is a disjoint union of two members: N(B) is flag."""
     if not validate_building_set(b):
         raise ValueError("not a valid building set")
-    return _every_member_splits(b)
+    return _every_member_splits(set(map(_member_mask, b.elements)))
 
 
-def _every_member_splits(b: BuildingSet) -> bool:
-    """``is_flag_building_set`` for a ``b`` the caller has already validated."""
-    members = set(map(_member_mask, b.elements))
+def _every_member_splits(members: Collection[int]) -> bool:
+    """The split rule on bitmasks: every non-singleton member is a disjoint union of two."""
     return all(
         m.bit_count() == 1 or any(p & m == p != m and m & ~p in members for p in members)
         for m in members
     )
+
+
+_NESTED_ERRORS = (
+    "nested set complex needs a valid building set",
+    "nested set complex needs a connected building set",
+    "nested sets are not the cliques of their 1-skeleton: building set is not flag",
+)
+
+
+def _checked(b: BuildingSet, errors: tuple[str, str, str]) -> dict[int, Subset]:
+    """``b``'s members under their bitmasks, in ``_skey`` order, once ``b`` passes the axioms,
+    connectedness and the split rule; the first that fails raises its entry of ``errors``."""
+    if not validate_building_set(b):
+        raise ValueError(errors[0])
+    if not b.is_connected():
+        raise ValueError(errors[1])
+    by_mask = _by_mask(b.sorted_elements())
+    if not _every_member_splits(by_mask):
+        raise ValueError(errors[2])
+    return by_mask
 
 
 def find_decomposition(b: BuildingSet) -> frozenset[Subset]:
@@ -316,14 +337,11 @@ def find_flag_ordering(
 def validate_ordering(o: FlagOrdering) -> None:
     """Raise unless the ordering enumerates the building set with flag prefixes."""
     b = o.building_set
-    dec = BuildingSet(b.n, frozenset(o.decomposition))
-    if not (validate_building_set(dec) and dec.is_connected() and _every_member_splits(dec)):
-        raise ValueError("decomposition is not a connected flag building set")
-    if len(o.decomposition) != 2 * b.n - 1:
+    family = set(_checked(o.prefix_building_set(0), ("decomposition is not a connected flag building set",) * 3))
+    if len(family) != 2 * b.n - 1:
         raise ValueError("decomposition is not minimal")
     if len(set(o.order)) != len(o.order) or o.decomposition | frozenset(o.order) != b.elements:
         raise ValueError("ordering does not enumerate the building set members exactly once")
-    family = set(map(_member_mask, o.decomposition))
     for j, member in enumerate(map(_member_mask, o.order), start=1):
         if member in family or not _can_append(family, member):
             raise ValueError(f"ordering prefix {j} is not a flag building set")
@@ -462,26 +480,24 @@ def nested_set_complex(b: BuildingSet) -> FlagComplex:
     x and m; and no z_i | z_j is.  So x, z_1..z_r is a clique of N(B)'s
     graph, of at least three vertices, whose union m is in B: no face.
     """
-    if not validate_building_set(b):
-        raise ValueError("nested set complex needs a valid building set")
-    if not b.is_connected():
-        raise ValueError("nested set complex needs a connected building set")
-    if not _every_member_splits(b):
-        raise ValueError("nested sets are not the cliques of their 1-skeleton: building set is not flag")
-    by_mask = _by_mask(b.sorted_elements())
-    members = set(by_mask)
-    del by_mask[_member_mask(b.ground)]
-    verts = list(by_mask)
+    return _nested_graph(_checked(b, _NESTED_ERRORS), lambda e: e)
+
+
+def _nested_graph(members: dict[int, Subset], name: Callable[[Subset], Hashable]) -> FlagComplex:
+    """``nested_set_complex`` of checked ``members`` under their bitmasks, vertex e named ``name(e)``."""
+    ground = max(members)  # the union of all members
+    names = {x: name(e) for x, e in members.items() if x != ground}
     edges = []
-    for x, y in combinations(verts, 2):
+    for x, y in combinations(names, 2):
         common = x & y
         if common == x or common == y or (not common and x | y not in members):
-            edges.append((by_mask[x], by_mask[y]))
-    return FlagComplex(by_mask.values(), edges)
+            edges.append((names[x], names[y]))
+    return FlagComplex(names.values(), edges)
 
 
-def sibling_pairs(decomposition: frozenset[Subset]) -> list[tuple[Subset, Subset]]:
-    """Child pairs of the decomposition tree, ordered by their union's (size, lex)."""
+def decomposition_vertex_ids(decomposition: frozenset[Subset]) -> dict[Subset, int]:
+    """Canonical cross-polytope ids: the i-th child pair of the decomposition
+    tree, in (size, lex) order of their union, becomes (2i, 2i+1)."""
     by_mask = _by_mask(decomposition)
     pairs = []
     for t, member in by_mask.items():
@@ -491,35 +507,31 @@ def sibling_pairs(decomposition: frozenset[Subset]) -> list[tuple[Subset, Subset
                 raise ValueError(f"{sorted(member)} has no split inside the decomposition")
             small, big = options[0]
             pairs.append((member, by_mask[small], by_mask[big]))
-    return [(small, big) for _, small, big in sorted(pairs, key=lambda p: _skey(p[0]))]
-
-
-def decomposition_vertex_ids(decomposition: frozenset[Subset]) -> dict[Subset, int]:
-    """Canonical cross-polytope ids: the i-th sibling pair becomes (2i, 2i+1)."""
     ids: dict[Subset, int] = {}
-    for i, (small, big) in enumerate(sibling_pairs(decomposition)):
-        ids[small] = 2 * i
-        ids[big] = 2 * i + 1
+    for i, (_, small, big) in enumerate(sorted(pairs, key=lambda p: _skey(p[0]))):
+        ids[small], ids[big] = 2 * i, 2 * i + 1
     return ids
 
 
 def ordering_to_sequence(o: FlagOrdering) -> tuple[SubdivisionSequence, dict[Subset, int]]:
     """Translate a flag ordering into an edge-subdivision sequence.
 
-    The decomposition's nested-set complex, relabeled onto canonical ids,
-    is the starting cross-polytope; adding I_j subdivides the edge between
+    The decomposition's nested-set complex, labeled by canonical ids, is
+    the starting cross-polytope; adding I_j subdivides the edge between
     its unique two-part split in the previous prefix, and the new vertex
     stands for I_j.  Returns the sequence and the member-to-vertex map.
     """
+    return _sequence(o, _checked(o.prefix_building_set(0), _NESTED_ERRORS))
+
+
+def _sequence(o: FlagOrdering, decomposition: dict[int, Subset]) -> tuple[SubdivisionSequence, dict[Subset, int]]:
+    """``ordering_to_sequence`` once the decomposition, given under its bitmasks, is checked."""
     b = o.building_set
     if b.n < 2:
         raise ValueError("ground set must have at least 2 elements")
     ids = decomposition_vertex_ids(o.decomposition)
     d = b.n - 1
-    start = nested_set_complex(BuildingSet(b.n, o.decomposition)).relabel(
-        {e: ids[e] for e in o.decomposition - {b.ground}}
-    )
-    if start != cross_polytope(d):
+    if _nested_graph(decomposition, ids.__getitem__) != cross_polytope(d):
         raise RuntimeError("internal inconsistency: decomposition complex is not a cross polytope")
     # every member of the prefix but the ground set, which no split uses, by mask
     vertex = {_member_mask(e): v for e, v in ids.items()}
@@ -542,35 +554,45 @@ def verify_ordering_equivalence(o: FlagOrdering) -> dict:
     """Check the two gamma-complex constructions against each other.
 
     Verifies, exactly: the sequence's final complex is the building set's
-    nested-set complex under the accumulated vertex map; at every step the
-    new vertex's frozen K-set matches the U/V prediction; the two gamma
-    complexes are isomorphic under w_j -> v(I_j); and f of the gamma
-    complex equals gamma of the final complex.
+    nested-set complex under the accumulated vertex map; the two gamma
+    complexes are isomorphic under w_j -> j, which is every new vertex's
+    frozen K-set matching its U/V prediction (see ``_report``); and f of
+    the gamma complex equals gamma of the final complex.
     """
-    b = o.building_set
-    seq, ids = ordering_to_sequence(o)
+    decomposition = _checked(o.prefix_building_set(0), _NESTED_ERRORS)
+    return _report(o, decomposition, _checked(o.building_set, _NESTED_ERRORS))
 
-    bridge = seq.final == nested_set_complex(b).relabel(
-        {e: ids[e] for e in b.elements - {b.ground}}
-    )
 
-    # U_j and V_j hold only indices below j, so they are the neighbours of
-    # j below j in the ordering's gamma complex
-    gc_seq = gamma_complex(seq)
-    gc_ord = gamma_complex_of_ordering(o)
-    uv_match = True
-    for j, step in enumerate(seq.steps, start=1):
-        w = step.new_vertex
-        frozen_k = {seq.w_index(x) for x in gc_seq.neighbors(w) if x < w}
-        if frozen_k != {i for i in gc_ord.neighbors(j) if i < j}:
-            uv_match = False
+def nestohedron_report(b: BuildingSet, ordering: FlagOrdering | None = None, rng: random.Random | None = None) -> dict:
+    """``verify_ordering_equivalence`` of ``ordering``, or of a found one (shuffled by ``rng``): ``b`` is
+    checked once, and a decomposition only when given, as a found one is flag by construction."""
+    members = _checked(b, ("input is not a building set", "building set is not connected", "not a flag building set"))
+    if ordering is None:
+        ordering = find_flag_ordering(b, rng=rng)
+    elif ordering.building_set != b:
+        raise ValueError("the ordering is of another building set")
+    else:
+        validate_ordering(ordering)
+    return _report(ordering, _by_mask(ordering.decomposition), members)
 
+
+def _report(o: FlagOrdering, decomposition: dict[int, Subset], members: dict[int, Subset]) -> dict:
+    """``verify_ordering_equivalence`` of a checked decomposition and building set, under their bitmasks."""
+    seq, ids = _sequence(o, decomposition)
+    bridge = seq.final == _nested_graph(members, ids.__getitem__)
+
+    # ``uv_match`` (w_j's frozen K-set, its neighbours below it in the
+    # sequence's gamma complex, is U_j | V_j under w_i -> i, for every j) is
+    # ``isomorphic`` (w_j -> j maps that complex onto the ordering's): the
+    # ordering's complex joins i < j exactly when i is in U_j | V_j, the map
+    # keeps order, and each edge {i < j} of either graph lies in one lower
+    # neighbour set, j's.  So the sets agree exactly when the edge sets do.
     isomorphic = is_isomorphic_under(
-        gc_seq, gc_ord, {seq.w_id(j): j for j in range(1, seq.k + 1)}
+        gamma_complex(seq), gamma_complex_of_ordering(o), {seq.w_id(j): j for j in range(1, seq.k + 1)}
     )
 
     report = verify_f_equals_gamma(seq)
-    report.update(n=b.n, isomorphic=isomorphic, uv_match=uv_match, bridge=bridge)
+    report.update(n=o.building_set.n, isomorphic=isomorphic, uv_match=isomorphic, bridge=bridge)
     return report
 
 

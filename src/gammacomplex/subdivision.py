@@ -154,12 +154,6 @@ class SubdivisionSequence:
             raise ValueError(f"subdivision index {i} out of range 1..{self.k}")
         return 2 * self.d + i - 1
 
-    def w_index(self, vid: int) -> int:
-        i = vid - 2 * self.d + 1
-        if not 1 <= i <= self.k:
-            raise ValueError(f"{vid} is not a subdivision vertex id")
-        return i
-
     def w_ids(self) -> tuple[int, ...]:
         return tuple(2 * self.d + i for i in range(self.k))
 

@@ -474,39 +474,60 @@ class TestNestohedron:
         code, _, err = run(capsys, "nestohedron", path)
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "elements, code, message",
-        [
-            ([[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4]], 0, ""),
-            ([[1], [2], [3], [4], [1, 2, 3, 4]], 2, "error: not a flag building set\n"),
-            ([[1], [2], [3], [4], [1, 2], [3, 4]], 2, "error: building set is not connected\n"),
-            ([[1], [2], [3], [1, 2], [2, 3]], 2, "error: input is not a building set\n"),
-        ],
-    )
-    def test_building_set_is_validated_once(self, capsys, monkeypatch, tmp_path, elements, code, message):
+    @staticmethod
+    def count_checks(monkeypatch):
+        """The sizes of the families that the axioms and the split rule see, in call order."""
         from gammacomplex import nestohedra
 
-        calls = {"cli": [], "nestohedra": []}
-        validate = nestohedra.validate_building_set
+        calls = {"axioms": [], "split rule": []}
+        validate, splits = nestohedra.validate_building_set, nestohedra._every_member_splits
 
-        def counted(where):
-            def check(b):
-                calls[where].append(b)
-                return validate(b)
+        def counted_validate(b):
+            calls["axioms"].append(len(b.elements))
+            return validate(b)
 
-            return check
+        def counted_splits(members):
+            calls["split rule"].append(len(members))
+            return splits(members)
 
-        monkeypatch.setattr(cli, "validate_building_set", counted("cli"))
-        monkeypatch.setattr(nestohedra, "validate_building_set", counted("nestohedra"))
+        monkeypatch.setattr(nestohedra, "validate_building_set", counted_validate)
+        monkeypatch.setattr(nestohedra, "_every_member_splits", counted_splits)
+        return calls
+
+    @pytest.mark.parametrize(
+        "elements, code, message, splits",
+        [
+            (INTERVALS4["elements"], 0, "", [10]),
+            ([[1], [2], [3], [4], [1, 2, 3, 4]], 2, "error: not a flag building set\n", [5]),
+            ([[1], [2], [3], [4], [1, 2], [3, 4]], 2, "error: building set is not connected\n", []),
+            ([[1], [2], [3], [1, 2], [2, 3]], 2, "error: input is not a building set\n", []),
+        ],
+    )
+    def test_building_set_is_validated_once(self, capsys, monkeypatch, tmp_path, elements, code, message, splits):
+        # the input is checked once, and the decomposition found for it never
+        calls = self.count_checks(monkeypatch)
         path = write(tmp_path, "bs.json", {"n": 4, "elements": elements})
         got, out, err = run(capsys, "nestohedron", path)
         assert (got, err) == (code, message)
         assert (out != "") == (code == 0)
-        assert len(calls["cli"]) == 1
-        # beyond that, only ``nested_set_complex`` validates, as its flag
-        # rule needs the axioms: the decomposition's in ``ordering_to_sequence``
-        # and the input's in the bridge
-        assert [len(b.elements) for b in calls["nestohedra"]] == ([7, len(elements)] if code == 0 else [])
+        assert calls == {"axioms": [len(elements)], "split rule": splits}
+
+    def test_decomposition_from_a_file_is_validated_once(self, capsys, monkeypatch, tmp_path):
+        calls = self.count_checks(monkeypatch)
+        bs = write(tmp_path, "bs.json", INTERVALS4)
+        ordering = write(tmp_path, "ordering.json", INTERVALS4_ORDERING)
+        assert run(capsys, "nestohedron", bs, ordering)[0] == 0
+        assert calls == {"axioms": [10, 7], "split rule": [10, 7]}
+
+    def test_cli_imports_no_private_name(self):
+        # the building-set policy lives in ``nestohedra``; the CLI only reads files and calls it
+        import ast
+        import inspect
+
+        tree = ast.parse(inspect.getsource(cli))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert "nestohedron_report" in names
+        assert [name for name in names if name.startswith("_")] == []
 
     def test_huge_ground_set_is_rejected_before_it_is_built(self, tmp_path):
         # the ground set of n = 10**12 does not fit under the limit: a check

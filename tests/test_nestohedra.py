@@ -24,6 +24,7 @@ from gammacomplex import (
     is_flag_building_set,
     is_isomorphic_under,
     nested_set_complex,
+    nestohedron_report,
     ordering_to_sequence,
     power_set_building_set,
     random_flag_building_set,
@@ -622,7 +623,7 @@ class TestNestedSetComplex:
         assert [len(sets[n]) for n in (2, 3, 4)] == [1, 8, 378]
         flag = 0
         for b in (b for n in (2, 3, 4) for b in sets[n]):
-            assert partition_search_flag(b) == nestohedra._every_member_splits(b)
+            assert partition_search_flag(b) == is_flag_building_set(b)
             faces = nested_set_faces(b)
             if is_flag(faces):
                 assert nested_set_complex(b) == faces.one_skeleton()
@@ -709,6 +710,46 @@ class TestBridge:
         report = verify_ordering_equivalence(o1)
         assert report["equal"] and report["isomorphic"]
 
+    def test_uv_match_and_isomorphic_fail_together(self, monkeypatch):
+        # U_j | V_j are j's neighbours below j, so one lost index breaks both
+        uv_sets = nestohedra._uv_sets
+        dropped = []
+
+        def drop_one(decomposition, order, j):
+            u, v = uv_sets(decomposition, order, j)
+            if dropped or not u + v:
+                return u, v
+            dropped.append(j)
+            return (u[1:], v) if u else (u, v[1:])
+
+        monkeypatch.setattr(nestohedra, "_uv_sets", drop_one)
+        report = verify_ordering_equivalence(find_flag_ordering(interval_building_set(5)))
+        assert dropped
+        assert report["uv_match"] is False and report["isomorphic"] is False
+        assert report["equal"] and report["bridge"]
+
+
+class TestNestohedronReport:
+    def test_is_the_report_of_the_public_pipeline(self):
+        for b in (power_set_building_set(4), interval_building_set(5), random_flag_building_set(6, 1)):
+            assert nestohedron_report(b) == verify_ordering_equivalence(find_flag_ordering(b))
+            o = find_flag_ordering(b, rng=Random(3))
+            assert nestohedron_report(b, rng=Random(3)) == verify_ordering_equivalence(o)
+            assert nestohedron_report(b, o) == verify_ordering_equivalence(o)
+
+    def test_a_given_ordering_is_validated(self):
+        b = power_set_building_set(3)
+        twice = FlagOrdering(building_set=b, decomposition=LEX_GREEDY_D3, order=(frozenset({1, 3}),) * 2)
+        with pytest.raises(ValueError, match="exactly once"):
+            nestohedron_report(b, twice)
+        other = find_flag_ordering(interval_building_set(3))
+        with pytest.raises(ValueError, match="another building set"):
+            nestohedron_report(b, other)
+
+    def test_ground_set_of_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 elements"):
+            nestohedron_report(BuildingSet.of(1, [[1]]))
+
 
 class TestPublicChecks:
     """Every public entry checks the families it reads, whoever calls it."""
@@ -776,7 +817,8 @@ class TestMaskPath:
 
     def check_family(self, b):
         assert validate_building_set(b) == validate_building_set_sets(b)
-        assert nestohedra._every_member_splits(b) == every_member_splits_sets(b)
+        masks = set(map(nestohedra._member_mask, b.elements))
+        assert nestohedra._every_member_splits(masks) == every_member_splits_sets(b)
         dec = outcome(find_decomposition, b)
         assert dec == outcome(find_decomposition_sets, b)
         return dec
