@@ -88,6 +88,29 @@ NESTO_GOLDEN = {
 }
 
 
+# ``example``, captured while ``cmd_example`` still filtered each K-table by
+# vertex id: the K lines and the gamma edges, then the report in each format.
+EXAMPLE_K_LINES = (
+    "K after step 1:\n"
+    "  K(+e1) = {}\n  K(-e1) = {}\n  K(+e2) = {}\n  K(-e2) = {}\n"
+    "  K(+e3) = {w1}\n  K(-e3) = {w1}\n  K(+e4) = {w1}\n  K(-e4) = {w1}\n"
+    "  K(w1) = {}\n"
+    "K after step 2:\n"
+    "  K(+e1) = {w2}\n  K(-e1) = {w2}\n  K(+e2) = {w2}\n  K(-e2) = {w2}\n"
+    "  K(+e3) = {w1}\n  K(-e3) = {w1}\n  K(+e4) = {w1}\n  K(-e4) = {w1}\n"
+    "  K(w1) = {w2}\n  K(w2) = {w1}\n"
+    "K after step 3:\n"
+    "  K(+e1) = {w2}\n  K(-e1) = {w2}\n  K(+e2) = {w2}\n  K(-e2) = {w2, w3}\n"
+    "  K(+e3) = {w1, w3}\n  K(-e3) = {w1}\n  K(+e4) = {w1, w3}\n  K(-e4) = {w1}\n"
+    "  K(w1) = {w2, w3}\n  K(w2) = {w1}\n  K(w3) = {}\n"
+    "gamma complex edges: {w1, w2}\n"
+)
+EXAMPLE_GOLDEN = {
+    "json": EXAMPLE_K_LINES + '{"d": 4, "equal": true, "f_gamma": [1, 3, 1], "gamma_theta": [1, 3, 1], "k": 3}\n',
+    "table": EXAMPLE_K_LINES + "d=4  equal=True  f_gamma=[1, 3, 1]  gamma_theta=[1, 3, 1]  k=3\n",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -112,6 +135,10 @@ class TestExample:
         verdict = json.loads(out.strip().splitlines()[-1])
         assert verdict["equal"] is True
         assert verdict["f_gamma"] == [1, 3, 1] and verdict["gamma_theta"] == [1, 3, 1]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_golden_bytes(self, capsys, fmt):
+        assert run(capsys, "example", "--format", fmt) == (0, EXAMPLE_GOLDEN[fmt], "")
 
 
 class TestVerify:
