@@ -80,8 +80,9 @@ skipped check is implied by the ones that run:
   neighbors of w, so common neighbors of a and b in C: F - w + b is a face
   of C.  In an F3 face every vertex but w is such a common neighbor, so
   F - w + a + b is a face of C.  So no transformed face needs validation
-  once the premise is checked, once per step.  The premise also asks
-  that the recorded N_j(w) be w's neighbors in step j's complex, so
+  once the premise holds at the step, which the forward pass shows from
+  the delta lemma's comparisons, comparing no complex.  The premise also
+  asks that the recorded N_j(w) be w's neighbors in step j's complex, so
   that a face's class is the same read from either.
 - Vertex lemma (K rules).  Given the premise at step j, suppose that
   w = 2d + j - 1, so that K of the empty face, the w ids, gains exactly
@@ -94,12 +95,13 @@ skipped check is implied by the ones that run:
   for F4, and so it is.  F1: K(a) did not gain w.  F2 and F3: K(w) lacks
   w.  F4: every vertex gained w.  F5: some vertex did not gain w.
 - Memo lemma (W rules).  ``_link_seq`` builds the recipe of (j, F) from
-  the recipe of F's transformed face at j-1 by the W rule itself,
-  classifying F against the same recorded N_j(w): F1 renames ``other``
-  to w, F4 appends w, and the other classes copy.  Recipes are values:
-  each reader builds them afresh, through a memo of its own, so every
-  recipe satisfies the W rule by construction.  ``w_rule_failures``
-  compares each recipe of each step with the rule applied to that of the
+  the recipe of F's transformed face at j-1 by ``subdivision._w_rule``,
+  the W rule written once, classifying F against the same recorded
+  N_j(w): F1 renames the endpoint F lacks to w, F3 adds the pair (a, b),
+  F4 appends the step, and F2 and F5 copy.  Recipes are values: each
+  reader builds them afresh, through a memo of its own, so every recipe
+  satisfies the W rule by construction.  ``w_rule_failures`` compares
+  each recipe of each step with ``_w_rule`` applied to that of the
   transformed face, so it returns [] or raises, and it raises only where
   a transformed face is no face of the previous complex, which the
   subdivision premise rules out.  So the W rules hold wherever the
@@ -148,13 +150,20 @@ skipped check is implied by the ones that run:
   in D, is in X only where ab is no edge of G_j.  Given D = X, C = Y
   exactly when those three cones of the cliques in X make up Y.  Both
   are read off X and Y alone, step by step, with the verdict a replayed
-  face set would give.  The same split gives the f-vectors, with
-  no equality needed: f(G_j) is f(G_{j-1}) less the size count of X plus
-  that of Y.  Where ab is an edge of G_{j-1} and G_j is G_{j-1} with ab
-  subdivided by w, X holds the cliques tau + a + b for the cliques tau of
-  lk(ab), so f(lk ab) is the size count of X shifted down by 2.  So the
-  increment identity is checked on gammas that ``report_from_f`` gives,
-  from f(G_0) counted once and these two deltas per step.
+  face set would give.  They also prove the step an edge subdivision:
+  where ab is an edge of G_{j-1}, w is not one of its vertices, and both
+  hold, {a, b} is in X and every clique in X holds a and b, so no vertex
+  of G_{j-1} is lost and ab is the only edge lost; and Y is the cones,
+  so the only new vertex is w and the only new edges are aw, bw and cw
+  for each common neighbor c of a and b.  So G_j is G_{j-1} with ab
+  subdivided by w, as the subdivision premise asks.  The same split
+  gives the f-vectors, with no equality needed: f(G_j) is f(G_{j-1}) less
+  the size count of X plus that of Y.  Where ab is an edge of G_{j-1} and
+  G_j is G_{j-1} with ab subdivided by w, X holds the cliques tau + a + b
+  for the cliques tau of lk(ab), so f(lk ab) is the size count of X
+  shifted down by 2.  So the increment identity is checked on gammas
+  that ``report_from_f`` gives, from f(G_0) counted once and these two
+  deltas per step.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -178,11 +187,11 @@ from __future__ import annotations
 from collections import Counter
 
 from .complexes import (
+    _mask,
     cross_polytope,
     is_flag,
     is_isomorphic_under,
     link,
-    subdivide_edge,
     subdivide_face_general,
 )
 from .polynomials import f_from_counts, gamma_of, report_from_f
@@ -193,8 +202,11 @@ from .subdivision import (
     _face_class,
     _induced,
     _phi,
+    _recipe_at,
     _shaped,
     _start_recipe,
+    _transformed,
+    _w_rule,
     _w_set_of,
     gamma_complex,
     k_set,
@@ -229,15 +241,6 @@ def increment_identity_failures(seq: SubdivisionSequence) -> list[str]:
     return failures
 
 
-def _transformed(fs, cls, a, b, w):
-    """Face of the previous complex that the case rules compare against."""
-    if cls is FaceClass.F2:
-        return fs - {w} | {b if a in fs else a}
-    if cls is FaceClass.F3:
-        return fs - {w} | {a, b}
-    return fs
-
-
 def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     """The five case rules for K of every face of every complex in the sequence."""
     failures = []
@@ -258,32 +261,20 @@ def k_rule_failures(seq: SubdivisionSequence) -> list[str]:
     return failures
 
 
-def _expected_w(seq, j, fs, before, memo):
-    """Class of a face of state j's complex and the W-set the W case rule of step j gives it.
-
-    ``before`` is state j-1 of ``seq.states()``, and ``memo`` the recipe
-    memo of the sweep.  F1 renames ``other`` to w in W of the transformed
-    face, F4 appends w, and the other classes copy it.
-    """
-    (a, b), w = seq.steps[j - 1]
-    cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
-    prev = _w_set_of(seq, j - 1, before, _transformed(fs, cls, a, b, w), memo)
-    if cls is FaceClass.F1:
-        other = b if a in fs else a
-        return cls, tuple(w if x == other else x for x in prev)
-    if cls is FaceClass.F4:
-        return cls, prev + (w,)
-    return cls, prev
-
-
 def w_rule_failures(seq: SubdivisionSequence) -> list[str]:
-    """The five case rules for W (with orderings) of every face of every complex."""
+    """The five case rules for W (with orderings) of every face of every complex.
+
+    Each face's W is compared with that of the W rule applied to the recipe
+    of its transformed face at step j-1, which must be a face there.
+    """
     failures, memo = [], {}
     states = seq.states()
     before = next(states)
-    for j, after in enumerate(states, start=1):
+    for j, (((a, b), w), after) in enumerate(zip(seq.steps, states), start=1):
         for fs in after.final.faces():
-            cls, expected = _expected_w(seq, j, fs, before, memo)
+            cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
+            prev = _recipe_at(seq, j - 1, before, _transformed(fs, cls, a, b, w), memo)
+            expected = tuple(x for _, x in _w_rule(prev, cls, fs, a, b, w)[1])
             actual = _w_set_of(seq, j, after, fs, memo)
             if actual != expected:
                 failures.append(
@@ -356,11 +347,6 @@ def oracle_failures(seq: SubdivisionSequence) -> list[str]:
             if not is_flag(fc):
                 failures.append(f"step {j}: face set is not flag")
     return failures
-
-
-def _mask(vertices) -> int:
-    """The int with bit v set for each of ``vertices``, distinct ints such as the ids ``extend`` gives."""
-    return sum([1 << v for v in vertices])
 
 
 def _cliques_through(adj, base) -> list[int]:
@@ -464,10 +450,10 @@ def _forward_pass(seq) -> tuple | None:
     comparisons (``_deltas_follow``) fail.  Where it carries the layer to
     the final complex, the W rules hold by the memo lemma and the face-set
     oracle by the delta lemma, so only two verdicts are left to return.
-    The premise is checked with ``subdivide_edge``; the face sets, which
-    follow the graphs by the rule of ``subdivide_face_general``, show that
-    each step is an edge subdivision as the rename lemma needs, whatever
-    ``subdivide_edge`` does.
+    Of the premise, the pass checks that ab is an edge and w is new before
+    the step; the delta lemma's comparisons then show the step is an edge
+    subdivision, as the premise and the rename lemma need, and only then is
+    N_j(w) read, as w is a vertex of step j's complex.
 
     The K rules are read off each step's K-table update by the vertex
     lemma, one comparison per vertex; a missing entry counts as a failure,
@@ -489,12 +475,12 @@ def _forward_pass(seq) -> tuple | None:
     k_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
-        if not (
-            before.final.has_edge(a, b)
-            and w not in before.final.vertices
-            and after.final == subdivide_edge(before.final, (a, b), w)
-            and seq.w_neighbors[j - 1] == after.final.neighbors(w)
-        ):
+        if not (before.final.has_edge(a, b) and w not in before.final.vertices):
+            return None
+        prev, cur = before.final.adjacency(), after.final.adjacency()
+        lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
+        # by the delta lemma, step j's complex is then step j-1's with ab subdivided by w
+        if not (_deltas_follow(lost, gained, step, after.final) and seq.w_neighbors[j - 1] == cur[w]):
             return None
         kb, ka = before.k_table, after.k_table
         common = before.final.common_neighbors((a, b))
@@ -507,10 +493,6 @@ def _forward_pass(seq) -> tuple | None:
                 for v in before.final.vertices
             )
         )
-        prev, cur = before.final.adjacency(), after.final.adjacency()
-        lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
-        if not _deltas_follow(lost, gained, step, after.final):
-            return None
         if increment is not None:
             increment = _increment_step(increment, lost, gained, d)
         # the cliques lost are the faces that held a and b
@@ -561,7 +543,7 @@ def _is_link(shape, labels, nf, nbr) -> bool:
     exactly when each goes to an edge, and onto them exactly when the link
     then has no more edges than the base.
     """
-    if len(labels) != nf.bit_count() or sum([1 << v for v in labels]) != nf:
+    if len(labels) != nf.bit_count() or _mask(labels) != nf:
         return False
     return all(nbr[labels[y]] >> labels[x] & 1 for x, y in zip(shape.ends, shape.other_ends)) and (
         sum([(nbr[v] & nf).bit_count() for v in labels]) == 2 * len(shape.ends)

@@ -103,9 +103,8 @@ def cmd_example(args, out: _Output) -> int:
         out.emit(f"K after step {j}:")
         table = state.k_table
         for v in sorted(table):
-            if v <= 2 * seq.d + j - 1:
-                ks = ", ".join(names(x) for x in sorted(table[v]))
-                out.emit(f"  K({names(v)}) = {{{ks}}}")
+            ks = ", ".join(names(x) for x in sorted(table[v]))
+            out.emit(f"  K({names(v)}) = {{{ks}}}")
     edges = ", ".join(f"{{{names(a)}, {names(b)}}}" for a, b in gamma_complex(seq).edges())
     out.emit(f"gamma complex edges: {edges or '(none)'}")
     report = verify_f_equals_gamma(seq)

@@ -43,6 +43,11 @@ def _vkey(v):
     return (0, v)
 
 
+def _mask(ids: Iterable[int]) -> int:
+    """The int with bit v set for each of ``ids``, distinct ints of at least 0."""
+    return sum([1 << v for v in ids])
+
+
 def _count_order(adj: Mapping) -> list:
     """The vertex numbering of ``clique_count_by_size``, taken from the graph.
 

@@ -20,7 +20,7 @@ enumerates the nested sets and is its oracle.
 
 ``BuildingSet`` and ``FlagOrdering`` hold frozensets, and every public
 function takes and returns them, but works on int bitmasks inside
-(``_member_mask``, bit x is the ground element x): x ⊆ y is ``x & y == x``
+(``_mask``, bit x is the ground element x): x ⊆ y is ``x & y == x``
 and x − y is ``x & ~y``.  Mask order is not the (size, sorted ids) order
 of ``_skey`` ({2, 3} = 12 < {1, 4} = 18), so where ``_skey`` picks, the
 members are sorted by it before they are converted.  ``_checked`` is the
@@ -41,6 +41,7 @@ from typing import Callable, Collection, Hashable, Iterable
 from .complexes import (
     FaceComplex,
     FlagComplex,
+    _mask,
     cross_polytope,
     is_isomorphic_under,
     json_int,
@@ -131,14 +132,9 @@ class BuildingSet:
         return cls.from_json_obj(json.loads(text))
 
 
-def _member_mask(member: Subset) -> int:
-    """A member as an int bitmask: bit x is the ground element x."""
-    return sum(1 << x for x in member)
-
-
 def _by_mask(members: Iterable[Subset]) -> dict[int, Subset]:
     """Each member under its bitmask, in the order given."""
-    return {_member_mask(e): e for e in members}
+    return {_mask(e): e for e in members}
 
 
 def validate_building_set(b: BuildingSet) -> bool:
@@ -148,7 +144,7 @@ def validate_building_set(b: BuildingSet) -> bool:
         return False
     if sum(len(e) == 1 for e in b.elements) != b.n:
         return False
-    members = set(map(_member_mask, b.elements))
+    members = set(map(_mask, b.elements))
     return all(x | y in members for x, y in combinations(members, 2) if x & y)
 
 
@@ -175,7 +171,7 @@ def is_flag_building_set(b: BuildingSet) -> bool:
     """Every non-singleton member is a disjoint union of two members: N(B) is flag."""
     if not validate_building_set(b):
         raise ValueError("not a valid building set")
-    return _every_member_splits(set(map(_member_mask, b.elements)))
+    return _every_member_splits(set(map(_mask, b.elements)))
 
 
 def _every_member_splits(members: Collection[int]) -> bool:
@@ -232,7 +228,7 @@ def find_decomposition(b: BuildingSet) -> frozenset[Subset]:
         split(small)
         split(big)
 
-    split(_member_mask(b.ground))
+    split(_mask(b.ground))
     return frozenset(out)
 
 
@@ -279,7 +275,7 @@ class FlagOrdering:
 def _can_append(current: set[int], new: int) -> bool:
     """Would the family stay a flag building set after adding ``new``?
 
-    Members are int bitmasks (``_member_mask``).  ``new`` must split as a
+    Members are int bitmasks (``_mask``).  ``new`` must split as a
     disjoint union of two members, and its union with every member it
     meets without either holding the other must be a member.
     """
@@ -317,7 +313,7 @@ def find_flag_ordering(
     that is not a connected flag building set.
     """
     decomposition = decomposition if decomposition is not None else find_decomposition(b)
-    current = set(map(_member_mask, decomposition))
+    current = set(map(_mask, decomposition))
     by_mask = _by_mask(sorted(b.elements - decomposition, key=_skey))
     left = list(by_mask)
     order = []
@@ -335,14 +331,18 @@ def find_flag_ordering(
 
 
 def validate_ordering(o: FlagOrdering) -> None:
-    """Raise unless the ordering enumerates the building set with flag prefixes."""
+    """Raise unless the ordering enumerates the building set with flag prefixes.
+
+    The building set is then a connected flag building set too: it is the
+    decomposition, one, grown by members that ``_can_append`` keeps one.
+    """
     b = o.building_set
     family = set(_checked(o.prefix_building_set(0), ("decomposition is not a connected flag building set",) * 3))
     if len(family) != 2 * b.n - 1:
         raise ValueError("decomposition is not minimal")
     if len(set(o.order)) != len(o.order) or o.decomposition | frozenset(o.order) != b.elements:
         raise ValueError("ordering does not enumerate the building set members exactly once")
-    for j, member in enumerate(map(_member_mask, o.order), start=1):
+    for j, member in enumerate(map(_mask, o.order), start=1):
         if member in family or not _can_append(family, member):
             raise ValueError(f"ordering prefix {j} is not a flag building set")
         family.add(member)
@@ -374,7 +374,7 @@ def _uv_sets(
 def _ordering_uv_sets(o: FlagOrdering, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not 1 <= j <= o.k:
         raise ValueError(f"ordering index {j} out of range 1..{o.k}")
-    return _uv_sets(list(map(_member_mask, o.decomposition)), list(map(_member_mask, o.order)), j)
+    return _uv_sets(list(map(_mask, o.decomposition)), list(map(_mask, o.order)), j)
 
 
 def u_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
@@ -393,8 +393,8 @@ def v_set(o: FlagOrdering, j: int) -> tuple[int, ...]:
 
 def gamma_complex_of_ordering(o: FlagOrdering) -> FlagComplex:
     """Graph on vertex indices 1..k; i ~ j exactly when i is in U_j or V_j."""
-    decomposition = list(map(_member_mask, o.decomposition))
-    order = list(map(_member_mask, o.order))
+    decomposition = list(map(_mask, o.decomposition))
+    order = list(map(_mask, o.order))
     edges = [(i, j) for j in range(1, o.k + 1) for uv in _uv_sets(decomposition, order, j) for i in uv]
     return FlagComplex(range(1, o.k + 1), edges)
 
@@ -521,7 +521,8 @@ def ordering_to_sequence(o: FlagOrdering) -> tuple[SubdivisionSequence, dict[Sub
     its unique two-part split in the previous prefix, and the new vertex
     stands for I_j.  Returns the sequence and the member-to-vertex map.
     """
-    return _sequence(o, _checked(o.prefix_building_set(0), _NESTED_ERRORS))
+    validate_ordering(o)
+    return _sequence(o, _by_mask(o.decomposition))
 
 
 def _sequence(o: FlagOrdering, decomposition: dict[int, Subset]) -> tuple[SubdivisionSequence, dict[Subset, int]]:
@@ -534,10 +535,10 @@ def _sequence(o: FlagOrdering, decomposition: dict[int, Subset]) -> tuple[Subdiv
     if _nested_graph(decomposition, ids.__getitem__) != cross_polytope(d):
         raise RuntimeError("internal inconsistency: decomposition complex is not a cross polytope")
     # every member of the prefix but the ground set, which no split uses, by mask
-    vertex = {_member_mask(e): v for e, v in ids.items()}
+    vertex = {_mask(e): v for e, v in ids.items()}
     seq = new_sequence(d)
     for member in o.order:
-        mask = _member_mask(member)
+        mask = _mask(member)
         options = _splits(mask, vertex)
         if len(options) != 1:
             raise ValueError(
@@ -559,8 +560,8 @@ def verify_ordering_equivalence(o: FlagOrdering) -> dict:
     frozen K-set matching its U/V prediction (see ``_report``); and f of
     the gamma complex equals gamma of the final complex.
     """
-    decomposition = _checked(o.prefix_building_set(0), _NESTED_ERRORS)
-    return _report(o, decomposition, _checked(o.building_set, _NESTED_ERRORS))
+    validate_ordering(o)
+    return _report(o, _by_mask(o.decomposition), _by_mask(o.building_set.elements))
 
 
 def nestohedron_report(b: BuildingSet, ordering: FlagOrdering | None = None, rng: random.Random | None = None) -> dict:
@@ -674,9 +675,9 @@ def random_flag_building_set(n: int, seed: int) -> BuildingSet:
     ]
     additions = rng.randint(0, len(all_subsets))
     for _ in range(additions):
-        masks = set(map(_member_mask, elements))
+        masks = set(map(_mask, elements))
         candidates = sorted(
-            (s for s in all_subsets if s not in elements and _can_append(masks, _member_mask(s))),
+            (s for s in all_subsets if s not in elements and _can_append(masks, _mask(s))),
             key=_skey,
         )
         if not candidates:

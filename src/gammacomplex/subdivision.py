@@ -12,7 +12,9 @@ f-polynomial equals the gamma-polynomial of the final complex, which
 Every face F of the final complex also carries an induced sequence of
 edge subdivisions of a smaller cross-polytope whose result is the link of
 F, labeled by ambient vertices.  Its new vertices are the W-set of F, and
-``phi`` is the order-preserving bijection K(F) -> W(F).
+``phi`` is the order-preserving bijection K(F) -> W(F).  Its recipe is the
+plain tuple (pairs, steps) of its antipodal pairs and its steps ((a, b), w),
+in ambient labels: the garbage collector stops tracking such tuples.
 """
 
 from __future__ import annotations
@@ -69,24 +71,8 @@ class SubdivisionStep(NamedTuple):
     new_vertex: int
 
 
-class _LinkSeq(NamedTuple):
-    """Recipe for the induced sequence of a face, in ambient vertex labels.
-
-    ``pairs`` are the antipodal pairs of the starting cross-polytope;
-    ``steps`` are edge subdivisions applied in order, each bringing one
-    new (ambient-labeled) vertex.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    steps: tuple[tuple[tuple[int, int], int], ...]
-
-
 def _rename(recipe: tuple, old: int, new: int) -> tuple:
-    """The pairs and the steps of a recipe with ``old`` renamed to ``new``, as a plain tuple.
-
-    A plain tuple of ints and tuples is one the cyclic garbage collector
-    stops tracking, which matters where many recipes stay alive.
-    """
+    """A recipe with ``old`` renamed to ``new`` in its pairs and its steps."""
 
     def sub(x):
         return new if x == old else x
@@ -283,6 +269,30 @@ def _face_class(fs: frozenset[int], a: int, b: int, w: int, near_w: frozenset[in
     return FaceClass.F4 if fs <= near_w else FaceClass.F5
 
 
+def _transformed(fs: frozenset[int], cls: FaceClass, a: int, b: int, w: int) -> frozenset[int]:
+    """The face of the previous complex that the case rules read for ``fs``, of class ``cls``."""
+    if cls is FaceClass.F2:
+        return fs - {w} | {b if a in fs else a}
+    if cls is FaceClass.F3:
+        return fs - {w} | {a, b}
+    return fs
+
+
+def _w_rule(recipe: tuple, cls: FaceClass, fs: frozenset[int], a: int, b: int, w: int) -> tuple:
+    """The recipe of ``fs``, of class ``cls``, from ``recipe``, that of its transformed face.
+
+    F1 renames the endpoint that ``fs`` lacks to w, F3 adds the pair
+    (a, b), F4 appends the step ((a, b), w), and F2 and F5 copy.
+    """
+    if cls is FaceClass.F1:
+        return _rename(recipe, b if a in fs else a, w)
+    if cls is FaceClass.F3:
+        return recipe[0] + ((a, b),), recipe[1]
+    if cls is FaceClass.F4:
+        return recipe[0], recipe[1] + (((a, b), w),)
+    return recipe
+
+
 def classify_face(seq: SubdivisionSequence, face: Iterable[int]) -> FaceClass:
     """One of the five positions of a face relative to the last step."""
     if seq.k == 0:
@@ -329,31 +339,19 @@ def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int,
         layer[gb] = _rename(layer[gb], a, w)
 
 
-def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int], memo: dict) -> _LinkSeq:
-    """Induced sequence recipe for a face of the j-th complex (recursion on j), memoized in the caller's ``memo``."""
+def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int], memo: dict) -> tuple:
+    """Recipe of a face of the j-th complex, memoized in the caller's ``memo``: by recursion on j,
+    ``_w_rule`` applied to the recipe of its transformed face at j-1, classified against N_j(w_j)."""
     key = (j, fs)
     cached = memo.get(key)
     if cached is not None:
         return cached
     if j == 0:
-        out = _LinkSeq(*_start_recipe(seq.d, fs))
+        out = _start_recipe(seq.d, fs)
     else:
         (a, b), w = seq.steps[j - 1]
         cls = _face_class(fs, a, b, w, seq.w_neighbors[j - 1])
-        if cls is FaceClass.F1:
-            other = b if a in fs else a
-            out = _LinkSeq(*_rename(_link_seq(seq, j - 1, fs, memo), other, w))
-        elif cls is FaceClass.F2:
-            other = b if a in fs else a
-            out = _link_seq(seq, j - 1, fs - {w} | {other}, memo)
-        elif cls is FaceClass.F3:
-            sub = _link_seq(seq, j - 1, fs - {w} | {a, b}, memo)
-            out = _LinkSeq(sub.pairs + ((a, b),), sub.steps)
-        elif cls is FaceClass.F4:
-            sub = _link_seq(seq, j - 1, fs, memo)
-            out = _LinkSeq(sub.pairs, sub.steps + (((a, b), w),))
-        else:
-            out = _link_seq(seq, j - 1, fs, memo)
+        out = _w_rule(_link_seq(seq, j - 1, _transformed(fs, cls, a, b, w), memo), cls, fs, a, b, w)
     memo[key] = out
     return out
 
@@ -401,7 +399,7 @@ class InducedSequence:
         )
 
 
-def _translate(recipe: _LinkSeq) -> tuple:
+def _translate(recipe: tuple) -> tuple:
     """A recipe in canonical ids: (shape, labels), with ``labels[c]`` the ambient vertex of canonical id c.
 
     The base is the cross polytope on the recipe's pairs, the i-th pair
@@ -485,11 +483,16 @@ def w_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int
     return _w_set_of(seq, j, seq.prefix(j), frozenset(face), {})
 
 
-def _w_set_of(seq, j, state, fs, memo) -> tuple[int, ...]:
-    """W of a face of ``state``, which is ``seq.prefix(j)``, its recipe read through ``memo``."""
+def _recipe_at(seq, j, state, fs, memo) -> tuple:
+    """Recipe of a face of ``state``, which is ``seq.prefix(j)``, read through ``memo``; raises where it is no face."""
     if not state.final.is_face(fs):
         raise ValueError(f"{set(fs)!r} is not a face of complex {j}")
-    return tuple(w for _, w in _link_seq(seq, j, fs, memo).steps)
+    return _link_seq(seq, j, fs, memo)
+
+
+def _w_set_of(seq, j, state, fs, memo) -> tuple[int, ...]:
+    """W of a face of ``state``, which is ``seq.prefix(j)``, its recipe read through ``memo``."""
+    return tuple(w for _, w in _recipe_at(seq, j, state, fs, memo)[1])
 
 
 def w_set(seq: SubdivisionSequence, face: Iterable[int]) -> tuple[int, ...]:

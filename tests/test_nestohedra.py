@@ -214,7 +214,7 @@ def partition_search_flag(b):
     """The flag verdict ``nested_set_complex`` reached before the split rule,
     kept as the oracle: no member is a disjoint union of pairwise compatible
     proper members (``_has_compatible_partition``)."""
-    members = set(map(nestohedra._member_mask, b.elements))
+    members = set(map(nestohedra._mask, b.elements))
     return not any(
         _has_compatible_partition(u, [p for p in members if p & u == p and p != u], members) for u in members
     )
@@ -453,9 +453,9 @@ class TestFindFlagOrdering:
         assert o.order == frozenset_flag_ordering(b, dec, None if shuffle is None else Random(shuffle))
         for j in range(o.k + 1):
             family = o.prefix_elements(j)
-            masks = {nestohedra._member_mask(x) for x in family}
+            masks = {nestohedra._mask(x) for x in family}
             for x in b.elements - family:
-                assert nestohedra._can_append(masks, nestohedra._member_mask(x)) == can_append_sets(family, x)
+                assert nestohedra._can_append(masks, nestohedra._mask(x)) == can_append_sets(family, x)
 
     def test_graphical_building_sets_are_flag(self):
         assert graphical_building_set(3, [(1, 2), (2, 3)]).elements == interval_building_set(3).elements
@@ -770,6 +770,22 @@ class TestPublicChecks:
             with pytest.raises(ValueError):
                 call(arg)
 
+    def test_a_decomposition_that_is_not_minimal_is_rejected(self):
+        # the power set of {1, 2, 3} is a connected flag building set of 7
+        # members, not the 2n - 1 = 5 of a binary decomposition
+        b = power_set_building_set(3)
+        o = FlagOrdering(building_set=b, decomposition=b.elements, order=())
+        for call in (validate_ordering, ordering_to_sequence, verify_ordering_equivalence):
+            with pytest.raises(ValueError, match="decomposition is not minimal"):
+                call(o)
+
+    def test_an_ordering_that_leaves_members_out_is_rejected(self):
+        b = interval_building_set(4)
+        o = FlagOrdering(building_set=b, decomposition=find_decomposition(b), order=())
+        for call in (validate_ordering, ordering_to_sequence, verify_ordering_equivalence):
+            with pytest.raises(ValueError, match="exactly once"):
+                call(o)
+
 class TestClosedForms:
     """Bridge gamma vectors against counts that share no code with it."""
 
@@ -817,7 +833,7 @@ class TestMaskPath:
 
     def check_family(self, b):
         assert validate_building_set(b) == validate_building_set_sets(b)
-        masks = set(map(nestohedra._member_mask, b.elements))
+        masks = set(map(nestohedra._mask, b.elements))
         assert nestohedra._every_member_splits(masks) == every_member_splits_sets(b)
         dec = outcome(find_decomposition, b)
         assert dec == outcome(find_decomposition_sets, b)
@@ -867,7 +883,7 @@ class TestMaskPath:
 
     def test_skey_picks_are_not_mask_order(self):
         # {2, 3} = 0b1100 < {1, 4} = 0b10010 as masks, but _skey puts {1, 4} first
-        assert nestohedra._member_mask(frozenset({2, 3})) < nestohedra._member_mask(frozenset({1, 4}))
+        assert nestohedra._mask(frozenset({2, 3})) < nestohedra._mask(frozenset({1, 4}))
         assert nestohedra._skey(frozenset({1, 4})) < nestohedra._skey(frozenset({2, 3}))
         # the ground set splits as {1, 4} + {2, 3, 5} and as {2, 3} + {1, 4, 5}:
         # equally small small parts, and _skey puts the big part {1, 4, 5} first

@@ -49,7 +49,6 @@ from gammacomplex.subdivision import (
     SubdivisionSequence,
     SubdivisionStep,
     _link_seq,
-    _LinkSeq,
     k_set_at,
     w_set_at,
 )
@@ -448,7 +447,7 @@ def commuting_steps_reversed():
     """
     seq = sequence_from_edges(3, [(0, 2), (1, 3)])
     steps = tuple((s.edge, s.new_vertex) for s in reversed(seq.steps))
-    return RecipesReplaced(seq, {(2, frozenset()): _LinkSeq(((0, 1), (2, 3), (4, 5)), steps)})
+    return RecipesReplaced(seq, {(2, frozenset()): (((0, 1), (2, 3), (4, 5)), steps)})
 
 
 def commuting_steps_reversed_at_a_vertex():
@@ -459,16 +458,16 @@ def commuting_steps_reversed_at_a_vertex():
     on the single vertices +e2, -e2, +e3 and -e3, and only at {+e4}.
     """
     seq = sequence_from_edges(4, [(0, 2), (1, 4)])
-    recipe = _link_seq(seq, 2, frozenset({6}), {})
-    return RecipesReplaced(seq, {(2, frozenset({6})): _LinkSeq(recipe.pairs, recipe.steps[::-1])})
+    pairs, steps = _link_seq(seq, 2, frozenset({6}), {})
+    return RecipesReplaced(seq, {(2, frozenset({6})): (pairs, steps[::-1])})
 
 
 def link_pair_dropped():
     """The recipe of {w3} loses one antipodal pair, so its result is a proper part of the link."""
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
     key = (3, frozenset({10}))
-    recipe = _link_seq(seq, *key, {})
-    return RecipesReplaced(seq, {key: _LinkSeq(recipe.pairs[:-1], recipe.steps)})
+    pairs, steps = _link_seq(seq, *key, {})
+    return RecipesReplaced(seq, {key: (pairs[:-1], steps)})
 
 
 def pendant_added_at_step_2():
@@ -544,8 +543,8 @@ def link_vertex_off_the_link():
     Like 0, vertex 1 has no neighbor in the link {0, 4}, so only membership tells them apart.
     """
     seq = sequence_from_edges(2, [(0, 2), (0, 4)])
-    assert _link_seq(seq, 2, frozenset({5}), {}) == _LinkSeq(((0, 4),), ())
-    return RecipesReplaced(seq, {(2, frozenset({5})): _LinkSeq(((1, 4),), ())})
+    assert _link_seq(seq, 2, frozenset({5}), {}) == (((0, 4),), ())
+    return RecipesReplaced(seq, {(2, frozenset({5})): (((1, 4),), ())})
 
 
 def w_label_repeated_then_k_entry_emptied():
@@ -556,9 +555,9 @@ def w_label_repeated_then_k_entry_emptied():
 def link_vertex_renamed_then_k_entry_emptied():
     """``final_k_entry_emptied``, and the recipe of {+e1} names -e1 in place of w1."""
     seq = final_k_entry_emptied()
-    recipe = _link_seq(seq, 3, frozenset({0}), {})
-    assert recipe.pairs[0] == (8, 3)
-    return RecipesReplaced(seq, {(3, frozenset({0})): _LinkSeq(((1, 3),) + recipe.pairs[1:], recipe.steps)})
+    pairs, steps = _link_seq(seq, 3, frozenset({0}), {})
+    assert pairs[0] == (8, 3)
+    return RecipesReplaced(seq, {(3, frozenset({0})): (((1, 3),) + pairs[1:], steps)})
 
 
 def w_in_a_start_k_entry():
@@ -602,17 +601,17 @@ def k_entry_missing():
 def w_label_repeated(seq=None):
     """The empty face's recipe names w1 as the vertex of its third step too."""
     seq = seq or sequence_from_edges(4, EXAMPLE_STEPS)
-    recipe = _link_seq(seq, 3, frozenset(), {})
-    return RecipesReplaced(seq, {(3, frozenset()): _LinkSeq(recipe.pairs, recipe.steps[:-1] + (((0, 9), 8),))})
+    pairs, steps = _link_seq(seq, 3, frozenset(), {})
+    return RecipesReplaced(seq, {(3, frozenset()): (pairs, steps[:-1] + (((0, 9), 8),))})
 
 
 # Ways to replace a recipe: by the one ``_link_seq`` builds, or by one off by one change.
 CORRUPTIONS = [
     lambda r: r,
-    lambda r: _LinkSeq(r.pairs[:-1], r.steps),
-    lambda r: _LinkSeq(r.pairs, r.steps[::-1]),
-    lambda r: _LinkSeq(r.pairs, r.steps[:-1]),
-    lambda r: _LinkSeq(tuple((v, u) for u, v in r.pairs), r.steps),
+    lambda r: (r[0][:-1], r[1]),
+    lambda r: (r[0], r[1][::-1]),
+    lambda r: (r[0], r[1][:-1]),
+    lambda r: (tuple((v, u) for u, v in r[0]), r[1]),
 ]
 
 
@@ -726,8 +725,8 @@ class TestDeepFailures:
     @pytest.mark.parametrize(
         "edges, face, corrupt, failing",
         [
-            ([(0, 2), (1, 4)], {7}, lambda r: _LinkSeq(r.pairs, r.steps[::-1]), "phi_image"),
-            (EXAMPLE_STEPS, {0, 4, 8}, lambda r: _LinkSeq(r.pairs[:-1], r.steps), "link_recursion"),
+            ([(0, 2), (1, 4)], {7}, lambda r: (r[0], r[1][::-1]), "phi_image"),
+            (EXAMPLE_STEPS, {0, 4, 8}, lambda r: (r[0][:-1], r[1]), "link_recursion"),
         ],
         ids=["steps reversed at -e4", "pair dropped at a ridge"],
     )
@@ -1056,7 +1055,11 @@ class TestForwardPass:
 
     @staticmethod
     def patch_subdivide_edge(monkeypatch, drop):
-        """Make every module's ``subdivide_edge`` also drop the edge ``drop(c, edge, s)``."""
+        """Make every module's ``subdivide_edge`` also drop the edge ``drop(c, edge, s)``.
+
+        ``checks`` compares no step with ``subdivide_edge`` (the delta lemma
+        shows the premise), so only the modules that bind it are patched.
+        """
         real = subdivide_edge
 
         def faulty(c, edge, s):
@@ -1064,12 +1067,13 @@ class TestForwardPass:
             gone = drop(c, edge, s)
             return FlagComplex(out.vertices, [e for e in out.edges() if e != gone])
 
-        for module in (gammacomplex, complexes, subdivision, checks):
+        assert not hasattr(checks, "subdivide_edge")
+        for module in (gammacomplex, complexes, subdivision):
             monkeypatch.setattr(module, "subdivide_edge", faulty)
 
     def test_a_graph_rule_that_drops_a_common_neighbor_is_caught(self, monkeypatch):
-        # the premise compares each step with subdivide_edge, so it holds
-        # here; the face set is replayed without it and diverges
+        # every step of the sequence comes from the faulty rule; the delta
+        # check finds that, and the face set, replayed without it, diverges
         self.patch_subdivide_edge(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
         seq = random_sequence(4, 5, 1)
         assert checks._forward_pass(seq) is None
@@ -1112,7 +1116,7 @@ class TestForwardPass:
         )
         assert checks._forward_pass(moved) is None
         assert increment_identity_failures(moved) == []
-        assert _link_seq(moved, 1, frozenset({0, 99}), {}).pairs == ((4, 3),)
+        assert _link_seq(moved, 1, frozenset({0, 99}), {})[0] == ((4, 3),)
 
 
 def toggled(c, at, pick):
@@ -1173,24 +1177,102 @@ class TestIncrementVerdict:
         assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
 
 
+def deltas_follow(before, step, after):
+    """``checks._deltas_follow`` on the clique deltas of two complexes."""
+    prev, cur = before.adjacency(), after.adjacency()
+    return checks._deltas_follow(checks._clique_delta(prev, cur), checks._clique_delta(cur, prev), step, after)
+
+
+def changed_vertex(c, added, rng):
+    """``c`` with one vertex dropped, or with the new vertex 99 joined to a random set of its vertices."""
+    vertices = sorted(c.vertices)
+    if not added:
+        gone = rng.choice(vertices)
+        return FlagComplex([v for v in vertices if v != gone], [e for e in c.edges() if gone not in e])
+    return FlagComplex(vertices + [99], c.edges() + [(v, 99) for v in vertices if rng.random() < 0.5])
+
+
+class TestPremiseFromDeltas:
+    """Where ab is an edge and w is new, the delta check holds exactly where the step is ``subdivide_edge``.
+
+    The forward pass compares no step with ``subdivide_edge``, as the delta
+    lemma shows the step from the delta check; that comparison is the
+    oracle here.
+    """
+
+    @staticmethod
+    def assert_premise_follows(before, step, after):
+        (a, b), w = step
+        if before.has_edge(a, b) and w not in before.vertices:
+            assert deltas_follow(before, step, after) == (after == subdivide_edge(before, (a, b), w))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pendant_at_the_start,
+            k_entry_dropped,
+            pendant_added_at_step_2,
+            pendant_moved_at_step_1,
+            endpoint_swapped_at_step_1,
+            w_in_a_start_k_entry,
+            new_vertex_off_its_id,
+            new_vertex_k_entry_emptied,
+            k_entry_missing,
+        ],
+    )
+    def test_corrupted_histories(self, corrupt):
+        seq = corrupt()
+        states = [state.final for state in seq.states()]
+        for before, step, after in zip(states, seq.steps, states[1:]):
+            self.assert_premise_follows(before, step, after)
+
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 8),
+        st.integers(0, 10**6),
+        st.floats(0, 1),
+        st.sampled_from(["before", "after"]),
+        st.sampled_from(["edge", "vertex dropped", "vertex added", "step skipped"]),
+        st.floats(0, 1),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_single_corruptions_of_real_steps(self, d, k, seed, at, side, kind, where, pick):
+        seq = random_sequence(d, k, seed)
+        j = round(at * (k - 1))
+        states = [state.final for state in seq.states()]
+        pair = {"before": states[j], "after": states[j + 1]}
+        c = pair[side]
+        if kind == "edge":
+            pair[side] = toggled(c, where, pick)
+        elif kind == "step skipped":
+            pair["after"] = pair["before"]
+        else:
+            pair[side] = changed_vertex(c, kind == "vertex added", Random(pick))
+        self.assert_premise_follows(pair["before"], seq.steps[j], pair["after"])
+        # the real step passes both
+        self.assert_premise_follows(states[j], seq.steps[j], states[j + 1])
+        assert deltas_follow(states[j], seq.steps[j], states[j + 1])
+
+
 def induced_reference(seq, fs):
     """(base, w_labels, label_of, canonical_of) of a face of the final complex, built as before bases were shared.
 
     One ``extend`` per recipe step from a fresh cross polytope, each new
     vertex's canonical id read off the base.
     """
-    recipe = _link_seq(seq, seq.k, fs, {})
-    if not recipe.pairs:
+    pairs, steps = _link_seq(seq, seq.k, fs, {})
+    if not pairs:
         return None, (), {}, {}
     canonical_of = {}
-    for i, (u, v) in enumerate(recipe.pairs):
+    for i, (u, v) in enumerate(pairs):
         canonical_of[u], canonical_of[v] = 2 * i, 2 * i + 1
-    base = new_sequence(len(recipe.pairs))
-    for (u, v), w in recipe.steps:
+    base = new_sequence(len(pairs))
+    for (u, v), w in steps:
         base = extend(base, (canonical_of[u], canonical_of[v]))
         canonical_of[w] = base.steps[-1].new_vertex
     label_of = {c: amb for amb, c in canonical_of.items()}
-    return base, tuple(w for _, w in recipe.steps), label_of, canonical_of
+    return base, tuple(w for _, w in steps), label_of, canonical_of
 
 
 class TestSharedBases:
