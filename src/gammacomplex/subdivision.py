@@ -314,9 +314,9 @@ def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int,
 
     Faces are int masks over some numbering of the vertices, and ``bits``
     are the masks of a, b and w.  ``layer`` maps every face of step j-1 to
-    the recipe ``_link_seq`` gives it, as a plain tuple (pairs, steps);
+    the recipe ``_link_seq`` gives it;
     ``spanned`` are the faces that hold a and b: tau + a + b for each
-    clique tau of lk(ab).  The W rule of ``_link_seq`` changes only the
+    clique tau of lk(ab).  The W rule (``_w_rule``) changes only the
     faces built on some tau.  tau + a + b is dropped; tau + a + w and
     tau + b + w copy its recipe (F2), and tau + w copies it with the pair
     (a, b) added (F3); tau gains the step ((a, b), w) (F4); tau + a
