@@ -5,6 +5,7 @@ expected values: ids 0..7 are the antipodal pairs (0,1), (2,3), (4,5),
 (6,7) and the steps subdivide {0,2}, {4,6}, {0,9}, creating 8, 9, 10.
 """
 
+import hashlib
 import sys
 from random import Random
 
@@ -328,6 +329,23 @@ class TestRandomSequence:
 
     def test_matches_the_rebuild_every_step_loop_long(self):
         assert random_sequence(5, 200, 3).steps == reference_random_sequence(5, 200, 3).steps
+
+    @pytest.mark.parametrize(
+        "d, k, seed, digest",
+        [
+            (4, 6, 0, "d71b0c5f88c93891da95cbd243e7de5c8e5cf871fb1dab1d9dbc5f9627fb97d4"),
+            (4, 6, 1, "cf7e2226ec00f388778f3bcef1be3ce188d344e34fc53669a2f1cf44f64ab375"),
+            (4, 6, 2, "d134217ac4597552c3eece42145d84e8360b9af16c9aeb1c857c724d532f27e1"),
+            (5, 200, 1, "743d925bf9f22e487652c7c6b2a2a2d157e12300d7bee24d2524678d048d5769"),
+            (5, 200, 2, "8454b5a8329321ebfb489aa4803496e179b627fb475af5daa27c579eee4e6921"),
+            (10, 16, 1, "9e361cdc5226123e8f3b0d7c09a0c924060d879035c01f5d1e2ef7777ebef85f"),
+            (10, 16, 3, "80791f67b132b8066ebc2bba4b07471aa53a185043ffa520cbc2e3cb8c237a2d"),
+        ],
+    )
+    def test_the_draws_are_pinned(self, d, k, seed, digest):
+        # the same draws for every seed: a change to how the edges are drawn
+        # or kept changes these bytes, and with them every seeded report
+        assert hashlib.sha256(random_sequence(d, k, seed).to_json().encode()).hexdigest() == digest
 
 
 class TestGammaComplex:
