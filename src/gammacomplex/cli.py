@@ -50,10 +50,7 @@ def example_vertex_name(d: int, v: int) -> str:
 
 
 def build_example_sequence() -> SubdivisionSequence:
-    seq = new_sequence(EXAMPLE_D)
-    for edge in EXAMPLE_STEPS:
-        seq = extend(seq, edge)
-    return seq
+    return extend(new_sequence(EXAMPLE_D), *EXAMPLE_STEPS)
 
 
 class _Output:

@@ -536,8 +536,9 @@ def _sequence(o: FlagOrdering, decomposition: dict[int, Subset]) -> tuple[Subdiv
         raise RuntimeError("internal inconsistency: decomposition complex is not a cross polytope")
     # every member of the prefix but the ground set, which no split uses, by mask
     vertex = {_mask(e): v for e, v in ids.items()}
-    seq = new_sequence(d)
-    for member in o.order:
+    edges = []
+    # the j-th member added becomes the j-th new vertex, 2d + j - 1
+    for w, member in enumerate(o.order, start=2 * d):
         mask = _mask(member)
         options = _splits(mask, vertex)
         if len(options) != 1:
@@ -546,9 +547,9 @@ def _sequence(o: FlagOrdering, decomposition: dict[int, Subset]) -> tuple[Subdiv
                 f"in its prefix; expected exactly one"
             )
         small, big = options[0]
-        seq = extend(seq, (vertex[small], vertex[big]))
-        vertex[mask] = ids[member] = seq.steps[-1].new_vertex
-    return seq, ids
+        edges.append((vertex[small], vertex[big]))
+        vertex[mask] = ids[member] = w
+    return extend(new_sequence(d), *edges), ids
 
 
 def verify_ordering_equivalence(o: FlagOrdering) -> dict:

@@ -34,7 +34,6 @@ from .complexes import (
     json_edge,
     json_int,
     link,
-    subdivide_edge,
 )
 from .polynomials import f_from_counts, gamma_of
 
@@ -116,6 +115,9 @@ class SubdivisionSequence:
 
         Nothing is kept: each state is built from the one before, so a
         reader that walks consecutive pairs holds two states at a time.
+        Each is one ``extend`` call of one edge, so consecutive states share
+        every neighbor set the step leaves alone, as ``checks._clique_delta``
+        reads them.
         """
         if self.steps:
             state = new_sequence(self.d)
@@ -148,18 +150,20 @@ class SubdivisionSequence:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SubdivisionSequence":
+        """The sequence a JSON object gives: every step's JSON is checked, then ``extend`` subdivides all of them."""
         seq = new_sequence(json_int(obj["d"], "d"))
         steps = obj["steps"]
         if not isinstance(steps, list):
             raise ValueError(f"steps must be an array, got {json.dumps(steps)}")
+        edges = []
         for i, step in enumerate(steps, start=1):
             if not isinstance(step, dict):
                 raise ValueError(f"step {i} must be an object, got {json.dumps(step)}")
             try:
-                seq = extend(seq, json_edge(step["edge"]))
+                edges.append(json_edge(step["edge"]))
             except ValueError as exc:
                 raise ValueError(f"step {i}: {exc}") from None
-        return seq
+        return extend(seq, *edges)
 
     @classmethod
     def from_json(cls, text: str) -> "SubdivisionSequence":
@@ -180,64 +184,131 @@ def new_sequence(d: int) -> SubdivisionSequence:
     )
 
 
-def extend(seq: SubdivisionSequence, edge: Iterable[int]) -> SubdivisionSequence:
-    """Subdivide one more edge, updating the K-table and the gamma edges.
+def _change(entries: dict, own: dict, v, gain, lose=None) -> None:
+    """Add ``gain`` to ``entries[v]`` and remove ``lose``, in a call that owns the entries in ``own``.
 
-    K is unchanged for the two endpoints and for vertices not adjacent to
-    the new vertex; every common neighbor of the endpoints gains the new
-    vertex; the new vertex starts with the intersection of the endpoints'
-    pre-step K-sets, and that frozen intersection is what contributes
-    gamma edges; afterwards it is the set of gamma-complex neighbors of w
-    below w.
+    ``own`` maps each entry the call has changed to whether it is thawed.
+    The first change makes a new frozenset, as a lone step would; the
+    second thaws it into a set, and later ones change that set in place.
     """
-    ends = tuple(edge)
-    try:
-        a, b = ends
-    except ValueError:
-        raise edge_arity_error(ends) from None
-    cur = seq.final
-    if not cur.has_edge(a, b):
-        raise ValueError(f"({a}, {b}) is not an edge of the current complex")
-    w = 2 * seq.d + seq.k
-    table = dict(seq.k_table)
-    kw = table[a] & table[b]
-    for v in cur.common_neighbors((a, b)):
-        table[v] = table[v] | {w}
-    table[w] = kw
-    final = subdivide_edge(cur, (a, b), w)
+    thawed = own.get(v)
+    if thawed is None:
+        own[v] = False
+        old = entries[v]
+        entries[v] = (old if lose is None else old - {lose}) | {gain}
+        return
+    if not thawed:
+        own[v] = True
+        entries[v] = set(entries[v])
+    ns = entries[v]
+    ns.discard(lose)
+    ns.add(gain)
+
+
+def _frozen(entries: dict, own: dict) -> dict:
+    """``entries`` with every thawed entry in ``own`` frozen again."""
+    for v, thawed in own.items():
+        if thawed:
+            entries[v] = frozenset(entries[v])
+    return entries
+
+
+def extend(seq: SubdivisionSequence, *edges: Iterable[int]) -> SubdivisionSequence:
+    """Subdivide ``edges`` in order, one step each, updating the K-table and the gamma edges.
+
+    At each step, K is unchanged for the two endpoints and for vertices not
+    adjacent to the new vertex; every common neighbor of the endpoints
+    gains the new vertex; the new vertex starts with the intersection of
+    the endpoints' pre-step K-sets, and that frozen intersection is what
+    contributes gamma edges; afterwards it is the set of gamma-complex
+    neighbors of w below w.
+
+    ``seq`` is not changed.  The steps share one private state: the
+    adjacency and the K-table are copied once, and every entry no step
+    changes stays shared with ``seq``.  The first change to an entry makes
+    a new frozenset, as a lone step would; the second thaws it into a set
+    that later steps change in place, and the thawed entries are frozen
+    once at the end (``_change``).  So a call copies an entry at most three
+    times, and k steps cost two dict copies and O(k * degree) set work,
+    where k one-edge calls copy both dicts k times and a growing entry at
+    every change.  An edge that is not an edge of the current complex is
+    named by its step, numbered as in the result.
+    """
+    adj, table = seq.final.adjacency().copy(), dict(seq.k_table)
+    own_adj, own_k = {}, {}
+    steps, w_neighbors, gamma = [], [], []
+    first = 2 * seq.d
+    for w, edge in enumerate(edges, start=first + seq.k):
+        ends = tuple(edge)
+        try:
+            a, b = ends
+        except ValueError:
+            raise edge_arity_error(ends) from None
+        if b not in adj.get(a, ()):
+            raise ValueError(f"step {w - first + 1}: ({a}, {b}) is not an edge of the current complex")
+        if w in adj:
+            raise ValueError(f"step {w - first + 1}: subdivision vertex {w} already present")
+        common = adj[a] & adj[b]
+        table[w] = kw = frozenset(table[a] & table[b])
+        for v in common:
+            _change(adj, own_adj, v, w)
+            _change(table, own_k, v, w)
+        _change(adj, own_adj, a, w, b)
+        _change(adj, own_adj, b, w, a)
+        adj[w] = near = frozenset((a, b, *common))
+        steps.append(SubdivisionStep((a, b), w))
+        w_neighbors.append(near)
+        gamma.extend((x, w) for x in kw)
     return SubdivisionSequence(
         d=seq.d,
-        steps=seq.steps + (SubdivisionStep((a, b), w),),
-        final=final,
-        k_table=table,
-        gamma_edges=seq.gamma_edges | {(x, w) for x in kw},
-        w_neighbors=seq.w_neighbors + (final.neighbors(w),),
+        steps=seq.steps + tuple(steps),
+        final=FlagComplex._from_adj(_frozen(adj, own_adj)),
+        k_table=_frozen(table, own_k),
+        gamma_edges=seq.gamma_edges.union(gamma),
+        w_neighbors=seq.w_neighbors + tuple(w_neighbors),
     )
 
 
 def random_sequence(d: int, k: int, seed: int) -> SubdivisionSequence:
     """k uniformly chosen valid edge subdivisions, deterministic in the seed.
 
-    Each step draws from the current complex's ``edges()`` list, kept up to
-    date in place instead of rebuilt: the subdivided edge leaves it and the
-    edges (v, w) to the new vertex w join it.  w is larger than every other
-    id, so plain tuple order is the order of ``edges()``.
+    The edges are drawn first (``_draws``); one ``extend`` call then builds
+    the sequence and checks every drawn edge.
     """
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
     if d < 2 and k > 0:
         raise ValueError(f"d={d} has no edges to subdivide")
-    rng = random.Random(seed)
-    seq = new_sequence(d)
-    edges = seq.final.edges()
-    for _ in range(k):
-        edge = rng.choice(edges)
-        seq = extend(seq, edge)
+    return extend(new_sequence(d), *_draws(d, k, random.Random(seed)))
+
+
+def _draws(d: int, k: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of k steps from the cross polytope, each drawn uniformly from the complex the steps before built.
+
+    Each step draws from the current complex's ``edges()`` list, kept up to
+    date in place instead of rebuilt: the subdivided edge leaves it and the
+    edges (v, w) to the new vertex w join it.  w is larger than every other
+    id, so plain tuple order is the order of ``edges()``.  The graph is
+    followed on neighbor sets of this call's own, freed when it returns.
+    """
+    start = cross_polytope(d)
+    adj = {v: set(ns) for v, ns in start.adjacency().items()}
+    edges = start.edges()
+    drawn = []
+    for w in range(2 * d, 2 * d + k):
+        edge = a, b = rng.choice(edges)
+        drawn.append(edge)
         del edges[bisect_left(edges, edge)]
-        w = seq.steps[-1].new_vertex
-        for v in seq.final.neighbors(w):
+        common = adj[a] & adj[b]
+        for v in common:
+            adj[v].add(w)
+        for u, v in ((a, b), (b, a)):
+            adj[u].remove(v)
+            adj[u].add(w)
+        adj[w] = near = common | {a, b}
+        for v in near:
             insort(edges, (v, w))
-    return seq
+    return drawn
 
 
 def k_set_at(seq: SubdivisionSequence, j: int, face: Iterable[int]) -> tuple[int, ...]:
@@ -432,10 +503,7 @@ def _translate(recipe: tuple) -> tuple:
 def _build_base(shape: tuple) -> SubdivisionSequence:
     """The base sequence of a shape from ``_translate``."""
     n, edges = shape
-    base = new_sequence(n)
-    for edge in edges:
-        base = extend(base, edge)
-    return base
+    return extend(new_sequence(n), *edges)
 
 
 def _shaped(recipe: tuple, bases: dict, tables) -> tuple:

@@ -62,10 +62,7 @@ def random_flag_graph(rng: Random, max_vertices: int = 5) -> FlagComplex:
 
 
 def sequence_from_edges(d: int, edges) -> "SubdivisionSequence":
-    seq = new_sequence(d)
-    for e in edges:
-        seq = extend(seq, e)
-    return seq
+    return extend(new_sequence(d), *edges)
 
 
 def all_bijections(src, dst):

@@ -33,8 +33,7 @@ from gammacomplex import (
     verify_f_equals_gamma,
     w_set,
 )
-import gammacomplex
-from gammacomplex import checks, complexes, subdivision
+from gammacomplex import checks, subdivision
 from gammacomplex.checks import (
     deep_failures,
     deep_report,
@@ -100,11 +99,16 @@ def gamma_complex_from_k_tables(seq):
 
 
 def reference_random_sequence(d, k, seed):
-    """The rebuild-every-step loop that ``random_sequence`` must reproduce."""
+    """The rebuild-every-step loop that ``random_sequence`` must reproduce.
+
+    Each edge is drawn from the complex that ``subdivision.extend`` built
+    so far, so under a patched graph rule the draws follow the patched
+    complex, as ``random_sequence``'s, drawn on a graph of its own, do not.
+    """
     rng = Random(seed)
     seq = new_sequence(d)
     for _ in range(k):
-        seq = extend(seq, rng.choice(seq.final.edges()))
+        seq = subdivision.extend(seq, rng.choice(seq.final.edges()))
     return seq
 
 
@@ -165,6 +169,52 @@ class TestExtend:
     def test_an_edge_of_three_vertices_is_named(self):
         with pytest.raises(ValueError, match=r"^an edge needs 2 vertices, \[0, 2, 4\] has 3$"):
             extend(new_sequence(3), (0, 2, 4))
+
+    def test_a_non_edge_is_named_by_its_step_in_the_result(self):
+        prefix = extend(new_sequence(2), (0, 2))
+        with pytest.raises(ValueError, match=r"^step 3: \(0, 2\) is not an edge of the current complex$"):
+            extend(prefix, (0, 3), (0, 2))
+
+    def test_a_new_vertex_already_present_is_named_by_its_step(self):
+        # a hand-built sequence whose complex already holds the id 2d + k
+        start = new_sequence(2)
+        square = start.final
+        crowded = SubdivisionSequence(
+            2, (), FlagComplex(range(5), square.edges() + [(0, 4)]), {**start.k_table, 4: frozenset()}, frozenset(), ()
+        )
+        with pytest.raises(ValueError, match=r"^step 1: subdivision vertex 4 already present$"):
+            extend(crowded, (0, 2))
+
+    @given(st.integers(2, 6), st.integers(0, 30), st.integers(0, 10**6), st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_batch_is_the_fold_of_single_steps(self, d, k, seed, at):
+        # extend(prefix, *rest), at any split and on a prefix that is itself
+        # a batch, gives field by field what one edge per call gives; each
+        # state's complex is subdivide_edge of the one before, an oracle
+        # that extend does not call
+        edges = [step.edge for step in random_sequence(d, k, seed).steps]
+        split = round(at * k)
+        folded = [new_sequence(d)]
+        for edge in edges:
+            folded.append(extend(folded[-1], edge))
+        for before, after in zip(folded, folded[1:]):
+            (a, b), w = after.steps[-1]
+            assert after.final == subdivide_edge(before.final, (a, b), w)
+        prefix = extend(new_sequence(d), *edges[:split])
+        slots = {slot: getattr(prefix, slot) for slot in SubdivisionSequence.__slots__}
+        entries = dict(prefix.final.adjacency()), dict(prefix.k_table)
+        batch = extend(prefix, *edges[split:])
+        for got in (prefix, batch):
+            expected = folded[got.k]
+            for slot in SubdivisionSequence.__slots__:
+                assert getattr(got, slot) == getattr(expected, slot), slot
+            assert type(got.steps) is type(got.w_neighbors) is tuple
+            assert type(got.gamma_edges) is frozenset
+            for entry in (*got.final.adjacency().values(), *got.k_table.values(), *got.w_neighbors):
+                assert type(entry) is frozenset
+        # the batch read the prefix and changed none of its slots or entries
+        assert all(getattr(prefix, slot) is value for slot, value in slots.items())
+        assert (dict(prefix.final.adjacency()), dict(prefix.k_table)) == entries
 
     def test_later_k_growth_adds_no_gamma_edges(self, example):
         # K(w1) ends as {9, 10} but the only gamma edge is the one recorded
@@ -404,8 +454,17 @@ class TestVerify:
     def test_bad_step_names_its_index(self):
         from gammacomplex import SubdivisionSequence
 
-        with pytest.raises(ValueError, match="step 2"):
+        with pytest.raises(ValueError) as got:
             SubdivisionSequence.from_json('{"d": 2, "steps": [{"edge": [0, 2]}, {"edge": [0, 2]}]}')
+        assert str(got.value) == "step 2: (0, 2) is not an edge of the current complex"
+
+    def test_every_step_is_read_before_any_is_subdivided(self):
+        # step 1 is no edge, but the malformed step 2 is what is reported
+        from gammacomplex import SubdivisionSequence
+
+        with pytest.raises(ValueError) as got:
+            SubdivisionSequence.from_json('{"d": 2, "steps": [{"edge": [0, 1]}, {"edge": [0]}]}')
+        assert str(got.value) == "step 2: an edge needs 2 vertex ids, [0] has 1"
 
 
 @pytest.mark.parametrize(
@@ -992,14 +1051,18 @@ class TestDeepWalksDecide:
     def test_an_extend_that_skips_a_common_neighbor_is_caught(self, seed, monkeypatch):
         real = subdivision.extend
 
-        def faulty(seq, edge):
-            # only steps whose edge has a common neighbor: the base of a
-            # link on two pairs is a square, whose edges have none
-            out = real(seq, edge)
-            common = seq.final.common_neighbors(tuple(edge))
-            if common:
-                out.k_table[min(common)] = seq.k_table[min(common)]
-            return out
+        def faulty(seq, *edges):
+            # the real extend one edge at a time, so that every step, not
+            # only a batch's last, skips; only steps whose edge has a common
+            # neighbor: the base of a link on two pairs is a square, whose
+            # edges have none
+            for edge in edges:
+                out = real(seq, edge)
+                common = seq.final.common_neighbors(tuple(edge))
+                if common:
+                    out.k_table[min(common)] = seq.k_table[min(common)]
+                seq = out
+            return seq
 
         monkeypatch.setattr(subdivision, "extend", faulty)
         seq = random_sequence(4, 5, seed)
@@ -1072,28 +1135,38 @@ class TestForwardPass:
         assert len(called) == 1
 
     @staticmethod
-    def patch_subdivide_edge(monkeypatch, drop):
-        """Make every module's ``subdivide_edge`` also drop the edge ``drop(c, edge, s)``.
+    def patch_graph_rule(monkeypatch, drop):
+        """Make ``subdivision.extend`` drop the edge ``drop(c, edge, w)`` at every step, c the complex before it.
 
-        ``checks`` compares no step with ``subdivide_edge`` (the delta lemma
-        shows the premise), so only the modules that bind it are patched.
+        The real ``extend`` runs one edge at a time, so every step of a
+        batch, not only its last, drops its edge, and the next step reads
+        the complex with the edge dropped; N_j(w) is read from that complex
+        too.  ``checks`` compares no step with a graph rule (the delta
+        lemma shows the premise), and reaches ``extend`` only through
+        ``states()``.  A sequence to test is drawn by
+        ``reference_random_sequence``, from each patched complex in turn.
         """
-        real = subdivide_edge
+        real = subdivision.extend
 
-        def faulty(c, edge, s):
-            out = real(c, edge, s)
-            gone = drop(c, edge, s)
-            return FlagComplex(out.vertices, [e for e in out.edges() if e != gone])
+        def faulty(seq, *edges):
+            for edge in edges:
+                out = real(seq, edge)
+                (a, b), w = out.steps[-1]
+                gone = drop(seq.final, (a, b), w)
+                final = FlagComplex(out.final.vertices, [e for e in out.final.edges() if e != gone])
+                seq = SubdivisionSequence(
+                    out.d, out.steps, final, out.k_table, out.gamma_edges, seq.w_neighbors + (final.neighbors(w),)
+                )
+            return seq
 
-        assert not hasattr(checks, "subdivide_edge")
-        for module in (gammacomplex, complexes, subdivision):
-            monkeypatch.setattr(module, "subdivide_edge", faulty)
+        assert not hasattr(checks, "extend")
+        monkeypatch.setattr(subdivision, "extend", faulty)
 
     def test_a_graph_rule_that_drops_a_common_neighbor_is_caught(self, monkeypatch):
         # every step of the sequence comes from the faulty rule; the delta
         # check finds that, and the face set, replayed without it, diverges
-        self.patch_subdivide_edge(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
-        seq = random_sequence(4, 5, 1)
+        self.patch_graph_rule(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
+        seq = reference_random_sequence(4, 5, 1)
         assert checks._forward_pass(seq) is None
         assert oracle_failures(seq)[0] == "step 1: face sets diverge from graph subdivision"
 
@@ -1108,8 +1181,8 @@ class TestForwardPass:
         ids=["coned", "dropped"],
     )
     def test_each_delta_is_compared(self, drop, monkeypatch):
-        self.patch_subdivide_edge(monkeypatch, drop)
-        seq = random_sequence(4, 1, 1)
+        self.patch_graph_rule(monkeypatch, drop)
+        seq = reference_random_sequence(4, 1, 1)
         assert seq.steps[0] == ((0, 6), 8)
         assert not seq.final.has_edge(*drop(seq.prefix(0).final, (0, 6), 8))
         # where the face sets diverge the pass carries no layer and decides nothing
@@ -1154,7 +1227,7 @@ class TestIncrementVerdict:
         st.integers(2, 6),
         st.integers(0, 12),
         st.integers(0, 10**6),
-        st.sampled_from(["none", "history", "final", "subdivide_edge"]),
+        st.sampled_from(["none", "history", "final", "graph_rule"]),
         st.floats(0, 1),
         st.floats(0, 1),
         st.integers(0, 30),
@@ -1165,11 +1238,13 @@ class TestIncrementVerdict:
         # the delta lemma fails, and returns None; elsewhere its verdict is
         # True exactly where the suite returns []
         with pytest.MonkeyPatch.context() as mp:
-            if corrupt == "subdivide_edge":
-                TestForwardPass.patch_subdivide_edge(
+            if corrupt == "graph_rule":
+                TestForwardPass.patch_graph_rule(
                     mp, lambda c, edge, s: (min(c.common_neighbors(edge), default=edge[0]), s)
                 )
-            seq = random_sequence(d, k, seed)
+                seq = reference_random_sequence(d, k, seed)
+            else:
+                seq = random_sequence(d, k, seed)
             if corrupt == "history" and k:
                 seq = KeptHistory(seq)
                 state = seq.history[int(step * (k - 1))]
