@@ -1142,9 +1142,10 @@ class TestForwardPass:
         batch, not only its last, drops its edge, and the next step reads
         the complex with the edge dropped; N_j(w) is read from that complex
         too.  ``checks`` compares no step with a graph rule (the delta
-        lemma shows the premise), and reaches ``extend`` only through
-        ``states()``.  A sequence to test is drawn by
-        ``reference_random_sequence``, from each patched complex in turn.
+        lemma shows the premise) and binds no ``extend`` of its own, so
+        the patch reaches every replay and every base it builds.  A
+        sequence to test is drawn by ``reference_random_sequence``, from
+        each patched complex in turn.
         """
         real = subdivision.extend
 
