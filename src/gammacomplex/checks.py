@@ -19,10 +19,12 @@ on the way; where it carries that layer to the end, the W case rules
 and the face-set oracle hold by the lemmas below.  Step j changes only
 the faces around the subdivided edge ab, built on the cliques tau of
 lk(ab) in step j-1's complex, so the pass touches those faces and no
-other, by the lemmas below.  It counts the
-cliques of the start complex alone: the f-vector of each later complex,
-and that of lk(ab), are read off the clique deltas of the step (the
-delta lemma), so no later state's cliques are counted and no link is
+other, by the lemmas below.  It checks each step against the
+edge-subdivision rule, as entries set on the adjacency before it, and
+counts the cliques of the start complex alone: the f-vector of each
+later complex, and that of lk(ab), are read off the cliques through ab
+that the step loses, each giving way to three cones over w, so no later
+state's cliques are counted, no gained clique is listed and no link is
 built.  The other three suites are decided by one depth-first clique
 walk over the final complex, in ``faces()`` order, carrying
 K(F + v) = K(F) & K(v) and N(F), the common neighbors of F, as running
@@ -59,7 +61,7 @@ A check only says whether its suites hold.  A suite that fails gets its
 list, or its error, from its own ``*_failures`` function, which also
 names the failing step and face; where the forward pass carries no
 layer (the start is not the cross polytope, or the subdivision premise
-or a delta comparison fails at some step), every suite function runs.
+fails at some step), every suite function runs.
 Those functions share no walk with ``deep_failures`` and are the oracle
 it is tested against.
 
@@ -80,8 +82,11 @@ skipped check is implied by the ones that run:
   neighbors of w, so common neighbors of a and b in C: F - w + b is a face
   of C.  In an F3 face every vertex but w is such a common neighbor, so
   F - w + a + b is a face of C.  So no transformed face needs validation
-  once the premise holds at the step, which the forward pass shows from
-  the delta lemma's comparisons, comparing no complex.  The premise also
+  once the premise holds at the step, which the forward pass checks on
+  the adjacencies as the rule itself: ab is an edge of C and w is not a
+  vertex of it; a and b swap each other for w, every common neighbor of
+  a and b gains w, w gets those and a and b, and no other entry changes.
+  No complex is built to compare with.  The premise also
   asks that the recorded N_j(w) be w's neighbors in step j's complex, so
   that a face's class is the same read from either.
 - Vertex lemma (K rules).  Given the premise at step j, suppose that
@@ -110,10 +115,10 @@ skipped check is implied by the ones that run:
   recipes of step j from those of step j-1 by the same rule
   (``subdivision._advance_recipes``), on the faces built on a clique tau
   of lk(ab), and by the rename lemma the rule copies every other recipe.
-  Where the start complex is the cross polytope and the premise and the
-  delta lemma's comparisons hold at every step, the final layer it carries
-  is the one the recursion of ``_link_seq`` builds, and the final walk
-  reads it; elsewhere the pass carries none.
+  Where the start complex is the cross polytope and the premise holds at
+  every step, the final layer it carries is the one the recursion of
+  ``_link_seq`` builds, and the final walk reads it; elsewhere the pass
+  carries none.
 - Rename lemma (recipes).  Where every step subdivides an edge of the
   previous complex, from the cross polytope on, the vertices of the recipe of a face F of step j,
   its pairs' and its steps' new vertices, are the vertices of F's link,
@@ -128,47 +133,24 @@ skipped check is implied by the ones that run:
   are joined to tau.  An F3 face tau + w has those and a and b, the pair
   that F3 adds.  So the W rule changes only the recipes of the faces
   built on some tau.
-- Delta lemma (face sets).  Let the face set S of step j-1 be the clique
-  set of the graph G_{j-1}, and let w not be one of its vertices.
-  Subdividing ab in S drops the faces D that hold a and b and adds the
-  faces C that hold w, so S_j is S less D plus C, with D inside S and C
-  disjoint from it.  The cliques of G_j are those of G_{j-1} less the
-  set X of those that use a vertex or an edge missing from G_j, plus the
-  set Y of those that use a vertex or an edge missing from G_{j-1}, with
-  X inside and Y outside the cliques of G_{j-1}.  Comparing the parts
-  inside and outside the cliques of G_{j-1}, S_j is the clique set of
-  G_j exactly when D = X and C = Y.  Step 0's face set is the clique set
-  of G_0 by construction, so checking D = X and C = Y at every step shows
-  the face sets equal the graphs' cliques throughout, which is all
-  ``oracle_failures`` checks.  That check needs no face set.  Where it
-  has held so far, S is the clique set of G_{j-1}, in which the premise
-  makes ab an edge, so D holds the cliques of G_{j-1} through a and b,
-  tau + a + b for the cliques tau of lk(ab), and C holds tau + w,
-  tau + a + w and tau + b + w for each of them.  So D = X exactly when ab
-  is no edge of G_j and every clique in X holds a and b: where ab is no
-  edge of G_j, every clique through a and b is in X; and {a, b}, which is
-  in D, is in X only where ab is no edge of G_j.  Given D = X, C = Y
-  exactly when those three cones of the cliques in X make up Y.  That
-  comparison alone makes every clique in X hold a and b: a clique g in X
-  without b has g + b + w among the cones, a clique of G_j that holds g,
-  so g is a clique of G_j and is not lost; likewise without a.  So
-  D = X and C = Y exactly when ab is no edge of G_j and the cones of the
-  cliques in X make up Y.  Both are read off X and Y alone, step by
-  step, with the verdict a replayed face set would give.  They also
-  prove the step an edge subdivision: where ab is an edge of G_{j-1}, w
-  is not one of its vertices, and both hold, {a, b} is in X and every
-  clique in X holds a and b, so no vertex of G_{j-1} is lost and ab is
-  the only edge lost; and Y is the cones,
-  so the only new vertex is w and the only new edges are aw, bw and cw
-  for each common neighbor c of a and b.  So G_j is G_{j-1} with ab
-  subdivided by w, as the subdivision premise asks.  The same split
-  gives the f-vectors, with no equality needed: f(G_j) is f(G_{j-1}) less
-  the size count of X plus that of Y.  Where ab is an edge of G_{j-1} and
-  G_j is G_{j-1} with ab subdivided by w, X holds the cliques tau + a + b
-  for the cliques tau of lk(ab), so f(lk ab) is the size count of X
-  shifted down by 2.  So the increment identity is checked on gammas
-  that ``report_from_f`` gives, from f(G_0) counted once and these two
-  deltas per step.
+- Edge-subdivision lemma (face sets).  Let the graph G_j be G_{j-1} with
+  the edge ab subdivided by w, and let the face set S_{j-1} be the clique
+  set of G_{j-1}.  Then S_j is the clique set of G_j.  Subdividing ab in
+  S_{j-1} drops the faces tau + a + b, for the cliques tau of lk(ab), and
+  adds tau + w, tau + a + w and tau + b + w for each.  The cliques of G_j
+  avoiding w are those of G_{j-1} that do not hold both a and b, as ab is
+  the only edge lost; those holding w hold at most one of a and b, and
+  their other vertices are common neighbors of a and b, which make a
+  clique tau of lk(ab) in G_{j-1}: they are the three cones.  Step 0's
+  face set is the clique set of G_0 by construction, so where the premise
+  holds at every step, the face sets equal the graphs' cliques
+  throughout, which is all ``oracle_failures`` checks.  The same split
+  gives the f-vectors: each tau + a + b lost, of size s, gives way to one
+  clique of size s - 1 and two of size s, so f(G_j) is f(G_{j-1}) plus one
+  clique of each of the sizes s - 1 and s per lost clique; and f(lk ab) is
+  the size count of the lost cliques shifted down by 2.  So the increment
+  identity is checked on gammas that ``report_from_f`` gives, from f(G_0)
+  counted once and the cliques through ab, listed once per step.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -372,43 +354,38 @@ def _cliques_through(adj, base) -> list[int]:
     return out
 
 
-def _clique_delta(adj, other) -> set[int]:
-    """The cliques of the graph ``adj`` that use a vertex or an edge missing from the graph ``other``.
+def _is_update(before, after, new) -> bool:
+    """Whether the mapping ``after`` is ``before`` with the entries of ``new`` set and no other entry changed.
 
-    Both graphs are adjacency mappings.  The missing vertices and edges are
-    found by comparing the two, entry by entry; an entry that ``other``
-    shares with ``adj`` is the same neighbor set.
+    That is ``dict(after) == {**before, **new}``.  Each entry is compared
+    by identity first and by value only where that fails, so an entry that
+    ``after`` shares with ``before`` costs no set comparison.
     """
-    out, edges = set(), set()
-    for v, ns in adj.items():
-        if v not in other:
-            out.update(_cliques_through(adj, (v,)))
-        elif ns is not other[v]:
-            edges.update(frozenset((u, v)) for u in ns - other[v] if u in other)
-    for edge in edges:
-        out.update(_cliques_through(adj, edge))
-    return out
+    if len(after) != len(before) + len(new.keys() - before.keys()):
+        return False
+    missing = object()
+    for v, x in after.items():
+        y = new[v] if v in new else before.get(v, missing)
+        if x is not y and x != y:
+            return False
+    return True
 
 
-def _deltas_follow(lost, gained, step, after) -> bool:
-    """Whether the face set follows the graphs at step j, where it is step j-1's clique set (delta lemma).
+def _subdivides(prev, cur, step) -> bool:
+    """Whether the graph ``cur`` is ``prev`` with the edge ab subdivided by w, ``step`` being ((a, b), w).
 
-    ``lost`` and ``gained`` are the clique deltas X and Y of the graphs of
-    steps j-1 and j, and ``after`` is step j's complex; ``step`` subdivides
-    ab by w, with ab an edge and w new before it (the premise).  Then the
-    faces dropped, D, are the cliques through a and b, and D = X exactly
-    when ab is no edge after the step and every clique in X holds a and b.
-    The faces coned, C, are tau + w, tau + a + w and tau + b + w for each
-    tau + a + b in D, so given D = X, C = Y exactly when those cones of the
-    cliques in X are Y.  Where they are, every clique in X holds a and b,
-    so that is not checked: a clique g in X without b has g + b + w among
-    the cones, a clique of step j's graph that holds g, so g would not be
-    lost; likewise without a.
+    Both graphs are adjacency mappings.  This is the edge-subdivision rule:
+    ab is an edge of ``prev`` and w is not one of its vertices; a and b
+    swap each other for w, every common neighbor of a and b gains w, w gets
+    those common neighbors and a and b, and no other entry changes.
     """
     (a, b), w = step
-    ba, bb, bw = 1 << a, 1 << b, 1 << w
-    ab = ba | bb
-    return not after.has_edge(a, b) and {f | bw for g in lost for f in (g ^ ab, g ^ ba, g ^ bb)} == gained
+    if b not in prev.get(a, ()) or w in prev:
+        return False
+    common = prev[a] & prev[b]
+    new = {c: prev[c] | {w} for c in common}
+    new.update({a: prev[a] - {b} | {w}, b: prev[b] - {a} | {w}, w: common | {a, b}})
+    return _is_update(prev, cur, new)
 
 
 def _sizes(masks) -> Counter:
@@ -416,21 +393,21 @@ def _sizes(masks) -> Counter:
     return Counter(m.bit_count() for m in masks)
 
 
-def _increment_step(carried, lost, gained, d):
+def _increment_step(carried, lost, d):
     """f and gamma of step j from step j-1's, or None where the increment identity is not shown there.
 
     ``carried`` is (f, gamma) of step j-1, with f a size count that is
-    updated in place, and ``lost`` and ``gained`` are the step's clique
-    deltas: f_j is f_{j-1} less the sizes of ``lost`` plus those of
-    ``gained`` (delta lemma).  ``lost`` holds the cliques through ab,
-    tau + a + b for each clique tau of lk(ab), so f(lk ab) is their size
+    updated in place, and ``lost`` are the cliques through ab, tau + a + b
+    for each clique tau of lk(ab).  Each gives way to tau + w, tau + a + w
+    and tau + b + w, so f_j is f_{j-1} plus, for each g in ``lost``, one
+    clique of size |g| - 1 and one of size |g|; and f(lk ab) is their size
     count less 2.  The gammas come from ``report_from_f``, as in
     ``gamma_of``; None also where a transform raises.
     """
     f, gamma = carried
     lost_sizes = _sizes(lost)
-    f.update(_sizes(gained))
-    f.subtract(lost_sizes)
+    f.update(lost_sizes)
+    f.update({size - 1: n for size, n in lost_sizes.items()})
     link_f = {size - 2: n for size, n in lost_sizes.items()}
     try:
         after = report_from_f(f_from_counts(f), d).gamma
@@ -450,22 +427,21 @@ def _forward_pass(seq) -> tuple | None:
     rename lemma those are the recipes ``_link_seq`` would build.  The pass
     returns None, and so leaves every suite to its own function, where the
     start complex is not the cross polytope, or where at some step the
-    subdivision premise of the module docstring or the delta lemma's
-    comparisons (``_deltas_follow``) fail.  Where it carries the layer to
-    the final complex, the W rules hold by the memo lemma and the face-set
-    oracle by the delta lemma, so only two verdicts are left to return.
-    Of the premise, the pass checks that ab is an edge and w is new before
-    the step; the delta lemma's comparisons then show the step is an edge
-    subdivision, as the premise and the rename lemma need, and only then is
-    N_j(w) read, as w is a vertex of step j's complex.
+    subdivision premise of the module docstring fails.  Where it carries
+    the layer to the final complex, the W rules hold by the memo lemma and
+    the face-set oracle by the edge-subdivision lemma, so only two verdicts
+    are left to return.  The premise is checked by ``_subdivides``, the
+    edge-subdivision rule on the adjacencies of steps j-1 and j; only then
+    is N_j(w) read, as w is a vertex of step j's complex.
 
     The K rules are read off each step's K-table update by the vertex
-    lemma, one comparison per vertex; a missing entry counts as a failure,
-    so that ``k_rule_failures`` raises its own ``KeyError``.  The increment
-    identity holds where, from f and gamma of the start as ``gamma_of``
-    gives them, the gammas that ``_increment_step`` carries satisfy it at
-    every step.  Otherwise it is False, which says only that
-    ``increment_identity_failures`` must decide.
+    lemma, as one ``_is_update`` of the table: w gets K(a) & K(b), the
+    common neighbors of a and b gain w, and no other entry changes.  The
+    table must cover the vertices first, so that ``k_rule_failures`` raises
+    its own ``KeyError``.  The increment identity holds where, from f and
+    gamma of the start as ``gamma_of`` gives them, the gammas that
+    ``_increment_step`` carries satisfy it at every step.  Otherwise it is
+    False, which says only that ``increment_identity_failures`` must decide.
     """
     d = seq.d
     states = seq.states()
@@ -479,27 +455,20 @@ def _forward_pass(seq) -> tuple | None:
     k_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
-        if not (before.final.has_edge(a, b) and w not in before.final.vertices):
-            return None
         prev, cur = before.final.adjacency(), after.final.adjacency()
-        lost, gained = _clique_delta(prev, cur), _clique_delta(cur, prev)
-        # by the delta lemma, step j's complex is then step j-1's with ab subdivided by w
-        if not (_deltas_follow(lost, gained, step, after.final) and seq.w_neighbors[j - 1] == cur[w]):
+        if not (_subdivides(prev, cur, step) and seq.w_neighbors[j - 1] == cur[w]):
             return None
-        kb, ka = before.k_table, after.k_table
-        common = before.final.common_neighbors((a, b))
+        kb, common = before.k_table, prev[a] & prev[b]
         k_ok = k_ok and (
             w == seq.w_id(j)
-            and kb.keys() >= before.final.vertices
-            and ka.get(w) == kb[a] & kb[b]
-            and all(
-                w not in kb[v] and ka.get(v) == (kb[v] | {w} if v in common else kb[v])
-                for v in before.final.vertices
-            )
+            and kb.keys() >= prev.keys()
+            and not any(w in ks for ks in kb.values())
+            and _is_update(kb, after.k_table, {w: kb[a] & kb[b], **{c: kb[c] | {w} for c in common}})
         )
-        if increment is not None:
-            increment = _increment_step(increment, lost, gained, d)
         # the cliques lost are the faces that held a and b
+        lost = _cliques_through(prev, (a, b))
+        if increment is not None:
+            increment = _increment_step(increment, lost, d)
         _advance_recipes(layer, lost, step, (1 << a, 1 << b, 1 << w))
         before = after
     return increment is not None, k_ok, layer
@@ -685,13 +654,14 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
 
     Where ``_forward_pass`` carries the final layer, it decides the
     increment identity and the K rules, the W rules and the face-set oracle
-    hold by the memo and delta lemmas, and ``_final_verdicts`` decides the
-    other three suites from the layer.  So the W list is [] by construction
-    there; ``w_rule_failures``, which compares recipes with the W rule, is
-    the exhaustive test oracle of ``_link_seq``.  Where the pass carries no
-    layer, every suite function runs.  Nothing is kept on ``seq``.  On a
-    valid sequence history is replayed once, by the forward pass, and
-    nothing of it is kept; a suite function that runs replays it again.
+    hold by the memo and edge-subdivision lemmas, and ``_final_verdicts``
+    decides the other three suites from the layer.  So the W list is [] by
+    construction there; ``w_rule_failures``, which compares recipes with
+    the W rule, is the exhaustive test oracle of ``_link_seq``.  Where the
+    pass carries no layer, every suite function runs.  Nothing is kept on
+    ``seq``.  On a valid sequence history is replayed once, by the forward
+    pass, and nothing of it is kept; a suite function that runs replays it
+    again.
     """
     carried = _forward_pass(seq)
     if carried is None:

@@ -116,8 +116,9 @@ class SubdivisionSequence:
         Nothing is kept: each state is built from the one before, so a
         reader that walks consecutive pairs holds two states at a time.
         Each is one ``extend`` call of one edge, so consecutive states share
-        every neighbor set the step leaves alone, as ``checks._clique_delta``
-        reads them.
+        every neighbor set and K entry the step leaves alone; that only
+        speeds up ``checks._is_update``, which compares an entry by value
+        where it is not shared.
         """
         if self.steps:
             state = new_sequence(self.d)

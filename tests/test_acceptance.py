@@ -24,8 +24,8 @@ deep suite, to one clique walk per prefix for the case rules, to
 checking phi on every pair (F, G), to rebuilding each face's link, phi
 or restricted Γ, to one base per face, to keeping the deep memos or the
 replayed prefixes, to rebuilding each step's face set, to a recipe for
-every face of every prefix or to counting every state's cliques for the
-increment identity, fails here.
+every face of every prefix, to counting every state's cliques for the
+increment identity or to enumerating the cliques a step gains, fails here.
 """
 
 import time
@@ -437,12 +437,14 @@ def test_scale_guard_final_walk(monkeypatch):
 
 def test_scale_guard_increment_in_forward_pass(monkeypatch):
     # counts, not times: the forward pass carries f from the start's
-    # clique count through the clique deltas of each step, so a passing run
-    # counts the cliques of no later state, builds no link of ab and
-    # replays history once (the increment suite counted all 9 states,
-    # built 8 links and replayed history a second time)
+    # clique count through the cliques each step loses, those through ab,
+    # so a passing run counts the cliques of no later state, builds no link
+    # of ab, lists the cliques through ab once per step and none that a
+    # step gains, and replays history once (the increment suite counted
+    # all 9 states, built 8 links and replayed history a second time)
     start = time.perf_counter()
-    calls = dict.fromkeys(["increment_identity_failures", "link", "gamma_of", "states"], 0)
+    names = ["increment_identity_failures", "link", "gamma_of", "_cliques_through"]
+    calls = dict.fromkeys([*names, "states"], 0)
 
     def counting(real, name):
         def count(*args):
@@ -451,7 +453,7 @@ def test_scale_guard_increment_in_forward_pass(monkeypatch):
 
         return count
 
-    for name in ("increment_identity_failures", "link", "gamma_of"):
+    for name in names:
         monkeypatch.setattr(checks, name, counting(getattr(checks, name), name))
     monkeypatch.setattr(subdivision, "gamma_of", counting(subdivision.gamma_of, "gamma_of"))
     monkeypatch.setattr(
@@ -460,7 +462,13 @@ def test_scale_guard_increment_in_forward_pass(monkeypatch):
         counting(subdivision.SubdivisionSequence.states, "states"),
     )
     ok = all(deep_report(random_sequence(5, 8, 1)).values())
-    ok &= calls == {"increment_identity_failures": 0, "link": 0, "gamma_of": 1, "states": 1}
+    ok &= calls == {
+        "increment_identity_failures": 0,
+        "link": 0,
+        "gamma_of": 1,
+        "_cliques_through": 8,
+        "states": 1,
+    }
     _report(
         "scale guard (increment identity in the forward pass, d=5, k=8)",
         ok,

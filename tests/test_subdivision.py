@@ -8,6 +8,7 @@ expected values: ids 0..7 are the antipodal pairs (0,1), (2,3), (4,5),
 import hashlib
 import sys
 from random import Random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -1141,9 +1142,10 @@ class TestForwardPass:
         The real ``extend`` runs one edge at a time, so every step of a
         batch, not only its last, drops its edge, and the next step reads
         the complex with the edge dropped; N_j(w) is read from that complex
-        too.  ``checks`` compares no step with a graph rule (the delta
-        lemma shows the premise) and binds no ``extend`` of its own, so
-        the patch reaches every replay and every base it builds.  A
+        too.  ``checks`` writes the edge-subdivision rule out itself
+        (``_subdivides``), calls no ``extend`` to check a step and binds no
+        ``extend`` of its own, so the patch reaches every replay and every
+        base it builds, and the rule check sees each dropped edge.  A
         sequence to test is drawn by ``reference_random_sequence``, from
         each patched complex in turn.
         """
@@ -1164,7 +1166,7 @@ class TestForwardPass:
         monkeypatch.setattr(subdivision, "extend", faulty)
 
     def test_a_graph_rule_that_drops_a_common_neighbor_is_caught(self, monkeypatch):
-        # every step of the sequence comes from the faulty rule; the delta
+        # every step of the sequence comes from the faulty rule; the rule
         # check finds that, and the face set, replayed without it, diverges
         self.patch_graph_rule(monkeypatch, lambda c, edge, s: (min(c.common_neighbors(edge)), s))
         seq = reference_random_sequence(4, 5, 1)
@@ -1174,9 +1176,9 @@ class TestForwardPass:
     @pytest.mark.parametrize(
         "drop",
         [
-            # the cliques gained lack those on (+e2, w1): the coned faces differ
+            # w1 misses +e2, a common neighbor of the edge: an entry the rule sets differs
             lambda c, edge, s: (min(c.common_neighbors(edge)), s),
-            # the cliques lost gain those on (-e1, -e4), away from the edge: the dropped faces differ
+            # -e1 and -e4 part, away from the edge: entries the rule keeps differ
             lambda c, edge, s: (1, 7),
         ],
         ids=["coned", "dropped"],
@@ -1186,7 +1188,8 @@ class TestForwardPass:
         seq = reference_random_sequence(4, 1, 1)
         assert seq.steps[0] == ((0, 6), 8)
         assert not seq.final.has_edge(*drop(seq.prefix(0).final, (0, 6), 8))
-        # where the face sets diverge the pass carries no layer and decides nothing
+        # where the step breaks the rule, the face sets diverge, and the pass
+        # carries no layer and decides nothing
         assert checks._forward_pass(seq) is None
 
     def test_a_start_off_the_cross_polytope_carries_no_layer(self):
@@ -1235,9 +1238,9 @@ class TestIncrementVerdict:
     )
     @settings(max_examples=60, deadline=None)
     def test_the_verdict_holds_exactly_where_the_suite_passes(self, d, k, seed, corrupt, step, at, pick):
-        # the pass leaves every suite to its function where the premise or
-        # the delta lemma fails, and returns None; elsewhere its verdict is
-        # True exactly where the suite returns []
+        # the pass leaves every suite to its function where the premise
+        # fails, and returns None; elsewhere its verdict is True exactly
+        # where the suite returns []
         with pytest.MonkeyPatch.context() as mp:
             if corrupt == "graph_rule":
                 TestForwardPass.patch_graph_rule(
@@ -1271,10 +1274,9 @@ class TestIncrementVerdict:
         assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
 
 
-def deltas_follow(before, step, after):
-    """``checks._deltas_follow`` on the clique deltas of two complexes."""
-    prev, cur = before.adjacency(), after.adjacency()
-    return checks._deltas_follow(checks._clique_delta(prev, cur), checks._clique_delta(cur, prev), step, after)
+def subdivides(before, step, after):
+    """``checks._subdivides``, the forward pass's rule check, on the adjacencies of two complexes."""
+    return checks._subdivides(before.adjacency(), after.adjacency(), step)
 
 
 def changed_vertex(c, added, rng):
@@ -1287,18 +1289,19 @@ def changed_vertex(c, added, rng):
 
 
 class TestPremiseFromDeltas:
-    """Where ab is an edge and w is new, the delta check holds exactly where the step is ``subdivide_edge``.
+    """Where ab is an edge and w is new, the rule check holds exactly where the step is ``subdivide_edge``.
 
-    The forward pass compares no step with ``subdivide_edge``, as the delta
-    lemma shows the step from the delta check; that comparison is the
-    oracle here.
+    The forward pass compares no step with ``subdivide_edge``: it checks the
+    edge-subdivision rule as entries set on the adjacency before the step
+    (``_is_update``).  The comparison with ``subdivide_edge`` is the oracle
+    here.
     """
 
     @staticmethod
     def assert_premise_follows(before, step, after):
         (a, b), w = step
         if before.has_edge(a, b) and w not in before.vertices:
-            assert deltas_follow(before, step, after) == (after == subdivide_edge(before, (a, b), w))
+            assert subdivides(before, step, after) == (after == subdivide_edge(before, (a, b), w))
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -1346,7 +1349,123 @@ class TestPremiseFromDeltas:
         self.assert_premise_follows(pair["before"], seq.steps[j], pair["after"])
         # the real step passes both
         self.assert_premise_follows(states[j], seq.steps[j], states[j + 1])
-        assert deltas_follow(states[j], seq.steps[j], states[j + 1])
+        assert subdivides(states[j], seq.steps[j], states[j + 1])
+
+
+class TestIsUpdate:
+    """``checks._is_update``, the forward pass's one rule check, against ``dict(after) == {**before, **new}``."""
+
+    @given(
+        st.dictionaries(st.integers(0, 5), st.frozensets(st.integers(0, 3)), max_size=5),
+        st.dictionaries(st.integers(0, 7), st.frozensets(st.integers(0, 3)), max_size=3),
+        st.lists(st.sampled_from(["shared", "equal", "changed", "missing"]), min_size=8, max_size=8),
+        st.dictionaries(st.integers(6, 9), st.frozensets(st.integers(0, 3)), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_merged_mapping(self, before, new, kinds, extra):
+        # each entry of the merged mapping is in ``after`` as the same
+        # object, as an equal but distinct one, changed, or not at all;
+        # ``extra`` adds keys that neither mapping has
+        merged = {**before, **new}
+        after = {}
+        for (v, x), kind in zip(merged.items(), kinds):
+            if kind == "shared":
+                after[v] = x
+            elif kind == "equal":
+                after[v] = frozenset(list(x))
+            elif kind == "changed":
+                after[v] = x ^ {9}
+        after.update((v, x) for v, x in extra.items() if v not in merged)
+        expected = dict(after) == merged
+        assert checks._is_update(before, after, new) == expected
+        # the forward pass passes adjacencies as read-only proxies
+        assert checks._is_update(MappingProxyType(before), MappingProxyType(after), new) == expected
+
+
+def k_update_by_vertex(seq, j, before, after):
+    """The vertex lemma at step j, vertex by vertex, as the forward pass once checked it.
+
+    The oracle of the pass's one ``_is_update`` of the K-table.
+    """
+    (a, b), w = seq.steps[j - 1]
+    kb, ka = before.k_table, after.k_table
+    common = before.final.common_neighbors((a, b))
+    return (
+        w == seq.w_id(j)
+        and kb.keys() >= before.final.vertices
+        and ka.get(w) == kb[a] & kb[b]
+        and all(
+            w not in kb[v] and ka.get(v) == (kb[v] | {w} if v in common else kb[v])
+            for v in before.final.vertices
+        )
+    )
+
+
+def k_rules_by_vertex(seq):
+    """Whether ``k_update_by_vertex`` holds at every step."""
+    states = list(seq.states())
+    return all(k_update_by_vertex(seq, j, states[j - 1], states[j]) for j in range(1, seq.k + 1))
+
+
+class TestKVerdictByVertex:
+    """The K verdict of ``checks._forward_pass`` against the vertex-by-vertex loop.
+
+    The two agree wherever each table's keys are its complex's vertices.  A
+    key off the vertices fails only the table check, which is stricter; the
+    report is the same, as ``k_rule_failures`` then decides.
+    """
+
+    @given(st.integers(2, 6), st.integers(0, 10), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_real_steps(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        assert checks._forward_pass(seq)[1] is True
+        assert k_rules_by_vertex(seq)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            k_entry_dropped,
+            w_in_a_start_k_entry,
+            new_vertex_off_its_id,
+            new_vertex_k_entry_emptied,
+            k_entry_missing,
+        ],
+    )
+    def test_corrupted_k_updates(self, corrupt):
+        seq = corrupt()
+        assert checks._forward_pass(seq)[1] is False
+        assert not k_rules_by_vertex(seq)
+
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 6),
+        st.integers(0, 10**6),
+        st.floats(0, 1),
+        st.sampled_from(["emptied", "gains the next w", "dropped", "off the vertices"]),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_corrupted_entry(self, d, k, seed, at, kind, pick):
+        seq = KeptHistory(random_sequence(d, k, seed))
+        j = round(at * (k - 1))
+        state = seq.history[j]
+        table, vertices = state.k_table, sorted(state.final.vertices)
+        v = vertices[pick % len(vertices)]
+        if kind == "emptied":
+            table[v] = frozenset()
+        elif kind == "gains the next w":
+            table[v] = table[v] | {seq.w_id(j + 1)}
+        elif kind == "dropped":
+            del table[v]
+        else:
+            table[99] = frozenset()
+        k_ok, by_vertex = checks._forward_pass(seq)[1], k_rules_by_vertex(seq)
+        if kind == "off the vertices":
+            assert by_vertex and not k_ok
+        else:
+            assert k_ok == by_vertex
+        TestDeepFailures.assert_same_or_raised_alike(seq)
 
 
 def induced_reference(seq, fs):
