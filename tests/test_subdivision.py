@@ -389,6 +389,8 @@ class TestRandomSequence:
             (4, 6, 2, "d134217ac4597552c3eece42145d84e8360b9af16c9aeb1c857c724d532f27e1"),
             (5, 200, 1, "743d925bf9f22e487652c7c6b2a2a2d157e12300d7bee24d2524678d048d5769"),
             (5, 200, 2, "8454b5a8329321ebfb489aa4803496e179b627fb475af5daa27c579eee4e6921"),
+            (5, 2000, 1, "202884cb655187edd3ead9a3e014ac2505d67dbe164ebee9c6028c0443c98a1c"),
+            (2, 400, 1, "a919de46e3aa463a90e06927085ef974a1db96cf1cbdcc0afc76b5c73e347f33"),
             (10, 16, 1, "9e361cdc5226123e8f3b0d7c09a0c924060d879035c01f5d1e2ef7777ebef85f"),
             (10, 16, 3, "80791f67b132b8066ebc2bba4b07471aa53a185043ffa520cbc2e3cb8c237a2d"),
         ],
