@@ -438,7 +438,16 @@ def _forward_pass(seq) -> tuple | None:
     lemma, as one ``_is_update`` of the table: w gets K(a) & K(b), the
     common neighbors of a and b gain w, and no other entry changes.  The
     table must cover the vertices first, so that ``k_rule_failures`` raises
-    its own ``KeyError``.  The increment identity holds where, from f and
+    its own ``KeyError``.  That no K entry held w before the step is one
+    check of the start table, that no K_0 entry holds a w id of the
+    sequence, by induction: while ``k_ok`` holds, every earlier step i
+    passed ``_is_update`` and its w_i is ``seq.w_id(i)``, so every id in a
+    K_{j-1} entry is in a K_0 entry or is one of w_1..w_{j-1}, which are
+    smaller than w_j = ``seq.w_id(j)``.  So wherever a scan of every
+    K_{j-1} entry would find w_j, the start check has failed.  It fails
+    where no scan would only if a start key off the vertices is a w id
+    whose entry a step replaced, and that False leaves the K rules to
+    ``k_rule_failures``.  The increment identity holds where, from f and
     gamma of the start as ``gamma_of`` gives them, the gammas that
     ``_increment_step`` carries satisfy it at every step.  Otherwise it is
     False, which says only that ``increment_identity_failures`` must decide.
@@ -452,7 +461,8 @@ def _forward_pass(seq) -> tuple | None:
     report = gamma_of(start, d)
     increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
     layer = {_mask(fs): _start_recipe(d, fs) for fs in start.faces()}
-    k_ok = True
+    ws = set(seq.w_ids())
+    k_ok = all(ws.isdisjoint(ks) for ks in before.k_table.values())
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
         prev, cur = before.final.adjacency(), after.final.adjacency()
@@ -462,7 +472,6 @@ def _forward_pass(seq) -> tuple | None:
         k_ok = k_ok and (
             w == seq.w_id(j)
             and kb.keys() >= prev.keys()
-            and not any(w in ks for ks in kb.values())
             and _is_update(kb, after.k_table, {w: kb[a] & kb[b], **{c: kb[c] | {w} for c in common}})
         )
         # the cliques lost are the faces that held a and b

@@ -61,31 +61,33 @@ def _count_order(adj: Mapping) -> list:
     moved down to its current degree only when it reaches the top bucket.
     A vertex whose current degree is the top one is a largest, since no
     degree exceeds its bucket, and scanning the top bucket from its high
-    bit finds the largest of them.  Every pop removes a vertex or moves
-    one down by at least one lost neighbour, so after the sort the cost
-    is O(n + m) mask operations.
+    bit finds the largest of them.  The current degrees are counters: a
+    removal takes one from each neighbour's, and a removed vertex is in no
+    bucket, so its counter is never read again.  Every pop removes a
+    vertex or moves one down by at least one lost neighbour, so after the
+    sort the cost is O(n + m) counter steps and bucket operations, and the
+    buckets are the only n-bit ints it builds.
     """
     vs = sorted(adj, key=_vkey)
-    bits = {v: 1 << i for i, v in enumerate(vs)}
-    nbr = [sum(map(bits.__getitem__, adj[v])) for v in vs]
+    degree = {v: len(adj[v]) for v in vs}
     buckets = [0] * len(vs)
     for i, v in enumerate(vs):
-        buckets[len(adj[v])] |= 1 << i
-    alive = (1 << len(vs)) - 1
+        buckets[degree[v]] |= 1 << i
     top = len(vs) - 1
     removed = []
-    while alive:
+    while len(removed) < len(vs):
         while not buckets[top]:
             top -= 1
         i = buckets[top].bit_length() - 1
         bit = 1 << i
         buckets[top] ^= bit
-        degree = (nbr[i] & alive).bit_count()
-        if degree < top:
-            buckets[degree] |= bit
+        v = vs[i]
+        if degree[v] < top:
+            buckets[degree[v]] |= bit
         else:
-            alive ^= bit
-            removed.append(vs[i])
+            removed.append(v)
+            for u in adj[v]:
+                degree[u] -= 1
     removed.reverse()
     return removed
 
@@ -207,7 +209,9 @@ class FlagComplex:
         ``_count_order`` numbers vertices of large degree last, so the
         later neighbourhoods, and with them the masks, stay small: at d=16,
         k=30 the memo holds 19,692 masks instead of the 308,426 that the
-        ``_vkey`` numbering, cross-polytope ids first, gives.
+        ``_vkey`` numbering, cross-polytope ids first, gives.  The order
+        is found on degree counters, so the neighbourhood masks are built
+        once, here, in the numbering the kernel uses.
 
         A polynomial is one packed int with coefficient i in bits
         [i*width, (i+1)*width): adding is ``+`` and multiplying by t is

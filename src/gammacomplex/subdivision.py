@@ -22,9 +22,9 @@ from __future__ import annotations
 import enum
 import json
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .complexes import (
@@ -185,33 +185,13 @@ def new_sequence(d: int) -> SubdivisionSequence:
     )
 
 
-def _change(entries: dict, own: dict, v, gain, lose=None) -> None:
-    """Add ``gain`` to ``entries[v]`` and remove ``lose``, in a call that owns the entries in ``own``.
-
-    ``own`` maps each entry the call has changed to whether it is thawed.
-    The first change makes a new frozenset, as a lone step would; the
-    second thaws it into a set, and later ones change that set in place.
-    """
-    thawed = own.get(v)
-    if thawed is None:
-        own[v] = False
-        old = entries[v]
-        entries[v] = (old if lose is None else old - {lose}) | {gain}
-        return
-    if not thawed:
-        own[v] = True
-        entries[v] = set(entries[v])
-    ns = entries[v]
-    ns.discard(lose)
-    ns.add(gain)
-
-
-def _frozen(entries: dict, own: dict) -> dict:
-    """``entries`` with every thawed entry in ``own`` frozen again."""
-    for v, thawed in own.items():
-        if thawed:
-            entries[v] = frozenset(entries[v])
-    return entries
+def _thawed(entries: dict, own: set, v) -> set:
+    """``entries[v]`` as a set this call may change: thawed into one the first time, and ``v`` added to ``own``."""
+    if v in own:
+        return entries[v]
+    own.add(v)
+    ns = entries[v] = set(entries[v])
+    return ns
 
 
 def extend(seq: SubdivisionSequence, *edges: Iterable[int]) -> SubdivisionSequence:
@@ -226,17 +206,16 @@ def extend(seq: SubdivisionSequence, *edges: Iterable[int]) -> SubdivisionSequen
 
     ``seq`` is not changed.  The steps share one private state: the
     adjacency and the K-table are copied once, and every entry no step
-    changes stays shared with ``seq``.  The first change to an entry makes
-    a new frozenset, as a lone step would; the second thaws it into a set
-    that later steps change in place, and the thawed entries are frozen
-    once at the end (``_change``).  So a call copies an entry at most three
-    times, and k steps cost two dict copies and O(k * degree) set work,
-    where k one-edge calls copy both dicts k times and a growing entry at
-    every change.  An edge that is not an edge of the current complex is
-    named by its step, numbered as in the result.
+    changes stays shared with ``seq``.  The first change to an entry thaws
+    it into a set (``_thawed``), later steps change that set in place, and
+    every thawed entry is frozen once at the end.  So a call copies an
+    entry at most twice, and k steps cost two dict copies and
+    O(k * degree) set work, where k one-edge calls copy both dicts k times
+    and a growing entry at every change.  An edge that is not an edge of
+    the current complex is named by its step, numbered as in the result.
     """
     adj, table = seq.final.adjacency().copy(), dict(seq.k_table)
-    own_adj, own_k = {}, {}
+    own_adj, own_k = set(), set()
     steps, w_neighbors, gamma = [], [], []
     first = 2 * seq.d
     for w, edge in enumerate(edges, start=first + seq.k):
@@ -252,19 +231,24 @@ def extend(seq: SubdivisionSequence, *edges: Iterable[int]) -> SubdivisionSequen
         common = adj[a] & adj[b]
         table[w] = kw = frozenset(table[a] & table[b])
         for v in common:
-            _change(adj, own_adj, v, w)
-            _change(table, own_k, v, w)
-        _change(adj, own_adj, a, w, b)
-        _change(adj, own_adj, b, w, a)
+            _thawed(adj, own_adj, v).add(w)
+            _thawed(table, own_k, v).add(w)
+        for u, x in ((a, b), (b, a)):
+            ns = _thawed(adj, own_adj, u)
+            ns.remove(x)
+            ns.add(w)
         adj[w] = near = frozenset((a, b, *common))
         steps.append(SubdivisionStep((a, b), w))
         w_neighbors.append(near)
         gamma.extend((x, w) for x in kw)
+    for entries, own in ((adj, own_adj), (table, own_k)):
+        for v in own:
+            entries[v] = frozenset(entries[v])
     return SubdivisionSequence(
         d=seq.d,
         steps=seq.steps + tuple(steps),
-        final=FlagComplex._from_adj(_frozen(adj, own_adj)),
-        k_table=_frozen(table, own_k),
+        final=FlagComplex._from_adj(adj),
+        k_table=table,
         gamma_edges=seq.gamma_edges.union(gamma),
         w_neighbors=seq.w_neighbors + tuple(w_neighbors),
     )
@@ -283,23 +267,50 @@ def random_sequence(d: int, k: int, seed: int) -> SubdivisionSequence:
     return extend(new_sequence(d), *_draws(d, k, random.Random(seed)))
 
 
-def _draws(d: int, k: int, rng: random.Random) -> list[tuple[int, int]]:
-    """The edges of k steps from the cross polytope, each drawn uniformly from the complex the steps before built.
+class _Edges:
+    """The edges of a complex on ids 0..n-1, as a sequence in ``edges()`` order, kept up to date under edge subdivisions.
 
-    Each step draws from the current complex's ``edges()`` list, kept up to
-    date in place instead of rebuilt: the subdivided edge leaves it and the
-    edges (v, w) to the new vertex w join it.  w is larger than every other
-    id, so plain tuple order is the order of ``edges()``.  The graph is
-    followed on neighbor sets of this call's own, freed when it returns.
+    ``later[u]`` holds u's larger neighbours in increasing order,
+    ``counts[u]`` their number, and ``sums[i]`` the counts of the block of
+    ids 64i..64i+63.  Edge i is found by one ``accumulate`` and ``bisect``
+    over the block sums and one over the counts of a block, so a lookup
+    costs O(n / 64 + 64) and each count change O(1).  The neighbour sets
+    ``adj`` are this object's own.
     """
-    start = cross_polytope(d)
-    adj = {v: set(ns) for v, ns in start.adjacency().items()}
-    edges = start.edges()
-    drawn = []
-    for w in range(2 * d, 2 * d + k):
-        edge = a, b = rng.choice(edges)
-        drawn.append(edge)
-        del edges[bisect_left(edges, edge)]
+
+    __slots__ = ("adj", "later", "counts", "sums", "size")
+
+    def __init__(self, start: FlagComplex):
+        self.adj = {v: set(ns) for v, ns in start.adjacency().items()}
+        n = len(self.adj)
+        self.later = [[] for _ in range(n)]
+        for u, v in start.edges():
+            self.later[u].append(v)
+        self.counts = [len(vs) for vs in self.later]
+        self.sums = [sum(self.counts[i : i + 64]) for i in range(0, n, 64)]
+        self.size = sum(self.sums)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < self.size:
+            raise IndexError(i)
+        upto = list(accumulate(self.sums, initial=0))
+        block = bisect_right(upto, i) - 1
+        i -= upto[block]
+        first = block << 6
+        upto = list(accumulate(self.counts[first : first + 64], initial=0))
+        u = bisect_right(upto, i) - 1
+        return first + u, self.later[first + u][i - upto[u]]
+
+    def subdivide(self, a: int, b: int, w: int) -> None:
+        """Subdivide the edge ab, a < b, by the new vertex w, the next id."""
+        adj, later, counts, sums = self.adj, self.later, self.counts, self.sums
+        ends = later[a]
+        del ends[bisect_left(ends, b)]
+        counts[a] -= 1
+        sums[a >> 6] -= 1
         common = adj[a] & adj[b]
         for v in common:
             adj[v].add(w)
@@ -307,8 +318,34 @@ def _draws(d: int, k: int, rng: random.Random) -> list[tuple[int, int]]:
             adj[u].remove(v)
             adj[u].add(w)
         adj[w] = near = common | {a, b}
+        later.append([])
+        counts.append(0)
+        if not w & 63:
+            sums.append(0)
         for v in near:
-            insort(edges, (v, w))
+            later[v].append(w)
+            counts[v] += 1
+            sums[v >> 6] += 1
+        self.size += len(near) - 1
+
+
+def _draws(d: int, k: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of k steps from the cross polytope, each drawn uniformly from the complex the steps before built.
+
+    Each step draws from the current complex's ``edges()`` list through
+    ``_Edges``, which the draw's subdivision then updates in place: the
+    subdivided edge leaves it and the edges (v, w) to the new vertex w join
+    it.  ``rng.choice`` takes the same index from it as from the list, so
+    the draws are those of a list rebuilt every step.  A draw costs
+    O(n / 64 + 64) and an update O(degree), so k draws cost O(k * k / 64)
+    where keeping the list sorted cost O(k * m), m edges.
+    """
+    edges = _Edges(cross_polytope(d))
+    drawn = []
+    for w in range(2 * d, 2 * d + k):
+        edge = rng.choice(edges)
+        drawn.append(edge)
+        edges.subdivide(*edge, w)
     return drawn
 
 

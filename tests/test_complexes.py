@@ -292,6 +292,20 @@ class TestCountOrder:
         flipped = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
         assert _count_order(FlagComplex(vs, flipped).adjacency()) == order
 
+    @pytest.mark.parametrize("d, k, seed", [(3, 200, 1), (4, 250, 2), (6, 220, 3)])
+    def test_long_sequences_and_their_gamma_complexes(self, d, k, seed):
+        # hundreds of vertices and few distinct degrees: ties decide most removals
+        seq = random_sequence(d, k, seed)
+        for c in (seq.final, gamma_complex(seq)):
+            assert len(c.vertices) >= 200
+            assert _count_order(c.adjacency()) == largest_degree_last(c)
+
+    def test_isolated_vertices_and_the_empty_graph(self):
+        assert _count_order(FlagComplex().adjacency()) == []
+        assert _count_order(FlagComplex([5, 2, 9]).adjacency()) == [2, 5, 9]
+        c = FlagComplex([0, 1, 2, 3, 4, 7], [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert _count_order(c.adjacency()) == largest_degree_last(c)
+
     def test_frozenset_labels_follow_the_same_rule(self):
         b = random_flag_building_set(6, 3)
         c = nested_set_complex(b)

@@ -7,6 +7,7 @@ expected values: ids 0..7 are the antipodal pairs (0,1), (2,3), (4,5),
 
 import hashlib
 import sys
+from bisect import bisect_left, insort
 from random import Random
 from types import MappingProxyType
 
@@ -111,6 +112,33 @@ def reference_random_sequence(d, k, seed):
     for _ in range(k):
         seq = subdivision.extend(seq, rng.choice(seq.final.edges()))
     return seq
+
+
+def reference_draws(d, k, rng):
+    """The sorted-list loop that ``subdivision._draws`` must reproduce draw for draw.
+
+    Each step draws from the current edge list, kept sorted in place: the
+    subdivided edge leaves it and every (v, w) to the new vertex w is
+    inserted at its place.
+    """
+    start = cross_polytope(d)
+    adj = {v: set(ns) for v, ns in start.adjacency().items()}
+    edges = start.edges()
+    drawn = []
+    for w in range(2 * d, 2 * d + k):
+        edge = a, b = rng.choice(edges)
+        drawn.append(edge)
+        del edges[bisect_left(edges, edge)]
+        common = adj[a] & adj[b]
+        for v in common:
+            adj[v].add(w)
+        for u, v in ((a, b), (b, a)):
+            adj[u].remove(v)
+            adj[u].add(w)
+        adj[w] = near = common | {a, b}
+        for v in near:
+            insort(edges, (v, w))
+    return drawn
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +408,24 @@ class TestRandomSequence:
 
     def test_matches_the_rebuild_every_step_loop_long(self):
         assert random_sequence(5, 200, 3).steps == reference_random_sequence(5, 200, 3).steps
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_the_draws_are_the_sorted_list_loops(self, d):
+        # k = 300 at d = 2 gives ids up to 303, across five 64-id blocks
+        for k, seed in ((1, 0), (40, 1), (130, 2), (300, 3), (300, 4)):
+            assert subdivision._draws(d, k, Random(seed)) == reference_draws(d, k, Random(seed))
+
+    def test_the_index_lists_the_edges_at_every_step(self):
+        seq = random_sequence(3, 400, 5)
+        index = subdivision._Edges(cross_polytope(3))
+        states = seq.states()
+        next(states)
+        for step, state in zip(seq.steps, states):
+            index.subdivide(*step.edge, step.new_vertex)
+            assert len(index) == len(state.final.edges())
+            assert [index[i] for i in range(len(index))] == state.final.edges()
+        with pytest.raises(IndexError):
+            index[len(index)]
 
     @pytest.mark.parametrize(
         "d, k, seed, digest",
