@@ -191,7 +191,7 @@ from .subdivision import (
     _phi,
     _recipe_at,
     _shaped,
-    _start_recipe,
+    _start_layer,
     _transformed,
     _w_rule,
     _w_set_of,
@@ -422,11 +422,12 @@ def _forward_pass(seq) -> tuple | None:
 
     The pass walks consecutive pairs of ``seq.states()``, so two states
     are alive at a time.  The layer maps the mask of every face to its
-    recipe, a plain tuple.  It starts as the cross polytope's and is carried
-    by the W rule on the changed faces only (``_advance_recipes``); by the
-    rename lemma those are the recipes ``_link_seq`` would build.  The pass
-    returns None, and so leaves every suite to its own function, where the
-    start complex is not the cross polytope, or where at some step the
+    recipe, a plain tuple.  It starts as the cross polytope's, built
+    without a walk by ``_start_layer``, and is carried by the W rule on
+    the changed faces only (``_advance_recipes``); by the rename lemma
+    those are the recipes ``_link_seq`` would build.  The pass returns
+    None, and so leaves every suite to its own function, where the start
+    complex is not the cross polytope, or where at some step the
     subdivision premise of the module docstring fails.  Where it carries
     the layer to the final complex, the W rules hold by the memo lemma and
     the face-set oracle by the edge-subdivision lemma, so only two verdicts
@@ -460,7 +461,7 @@ def _forward_pass(seq) -> tuple | None:
         return None
     report = gamma_of(start, d)
     increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
-    layer = {_mask(fs): _start_recipe(d, fs) for fs in start.faces()}
+    layer = _start_layer(d)
     ws = set(seq.w_ids())
     k_ok = all(ws.isdisjoint(ks) for ks in before.k_table.values())
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):

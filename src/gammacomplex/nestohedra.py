@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Collection, Hashable, Iterable
+from typing import Callable, Collection, Hashable, Iterable, NamedTuple
 
 from .complexes import (
     FaceComplex,
@@ -99,9 +98,11 @@ def _json_members(rows, field: str) -> list[Subset]:
     return members
 
 
-@dataclass(frozen=True)
-class BuildingSet:
-    """Family of nonempty subsets of the ground set {1, ..., n}."""
+class BuildingSet(NamedTuple):
+    """Family of nonempty subsets of the ground set {1, ..., n}.
+
+    As a NamedTuple it is also ``==`` to a plain tuple of the same field values.
+    """
 
     n: int
     elements: frozenset[Subset]
@@ -232,12 +233,12 @@ def find_decomposition(b: BuildingSet) -> frozenset[Subset]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FlagOrdering:
+class FlagOrdering(NamedTuple):
     """Binary decomposition plus an order on the remaining members.
 
     Every prefix (decomposition plus the first j ordered members) is again
-    a flag building set.
+    a flag building set.  As a NamedTuple it is also ``==`` to a plain
+    tuple of the same field values.
     """
 
     building_set: BuildingSet

@@ -7,10 +7,9 @@ complex does not know the dimension it is meant to have, the caller does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import FlagComplex
 
@@ -159,9 +158,11 @@ def _gamma_basis(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(IntPolynomial.binomial_power(d - 2 * i).coeffs for i in range(d // 2 + 1))
 
 
-@dataclass(frozen=True)
-class FHGammaReport:
-    """f, h and gamma of one complex at an explicitly chosen dimension."""
+class FHGammaReport(NamedTuple):
+    """f, h and gamma of one complex at an explicitly chosen dimension.
+
+    As a NamedTuple it is also ``==`` to a plain tuple of the same field values.
+    """
 
     f: IntPolynomial
     h: IntPolynomial

@@ -23,7 +23,6 @@ import enum
 import json
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -418,6 +417,28 @@ def _start_recipe(d: int, fs: frozenset[int]) -> tuple:
     return tuple((2 * i, 2 * i + 1) for i in range(d) if 2 * i not in fs and 2 * i + 1 not in fs), ()
 
 
+def _start_layer(d: int) -> dict[int, tuple]:
+    """``_start_recipe`` of every face of the cross polytope on d pairs, under the face's mask.
+
+    Built one antipodal pair at a time rather than by walking the 3^d
+    faces: a face holds neither vertex of pair i, and the pair stays in
+    its recipe, or holds 2i or 2i + 1, and the pair is dropped.  Faces
+    that keep the same pairs share one recipe.
+    """
+    groups = [((), [0])]  # (pairs kept, masks of the faces that keep exactly those pairs)
+    for i in range(d):
+        a, b = 1 << 2 * i, 2 << 2 * i
+        groups = [
+            group
+            for kept, masks in groups
+            for group in (
+                (kept + ((2 * i, 2 * i + 1),), masks),
+                (kept, [m | a for m in masks] + [m | b for m in masks]),
+            )
+        ]
+    return {m: recipe for kept, masks in groups for recipe in [(kept, ())] for m in masks}
+
+
 def _advance_recipes(layer: dict, spanned: Iterable[int], step, bits: tuple[int, int, int]) -> None:
     """Turn the recipes of step j-1's faces into step j's, in place; ``step`` subdivides ab by w.
 
@@ -465,14 +486,14 @@ def _link_seq(seq: SubdivisionSequence, j: int, fs: frozenset[int], memo: dict) 
     return out
 
 
-@dataclass(frozen=True)
-class InducedSequence:
+class InducedSequence(NamedTuple):
     """Subdivision sequence of a face's link, with ambient vertex labels.
 
     ``base`` is the sequence in canonical ids (None when the link is the
     empty complex), ``label_of`` translates canonical ids back to ambient
     vertices, and ``w_labels`` are the link's subdivision vertices in
-    creation order: the W-set of the face.
+    creation order: the W-set of the face.  As a NamedTuple it is also
+    ``==`` to a plain tuple of the same field values.
     """
 
     base: SubdivisionSequence | None

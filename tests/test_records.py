@@ -1,4 +1,9 @@
-"""Value semantics of the four frozen records: FHGammaReport, InducedSequence, BuildingSet, FlagOrdering."""
+"""The four frozen records, FHGammaReport, InducedSequence, BuildingSet and FlagOrdering: their value
+semantics, and a start-up that does not load ``dataclasses``."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +121,16 @@ def test_ordering_of_another_building_set_is_rejected():
     assert other.building_set.n == b.n
     with pytest.raises(ValueError, match="another building set"):
         nestohedron_report(b, other)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # ``python -I`` as the benchmark's workers start; the modules are compared
+    # before and after the import, so a ``site`` that loads them does not count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import gammacomplex.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True).stdout.split()
+    assert "gammacomplex.cli" in added
+    assert "dataclasses" not in added, added

@@ -51,6 +51,8 @@ from gammacomplex.subdivision import (
     SubdivisionSequence,
     SubdivisionStep,
     _link_seq,
+    _start_layer,
+    _start_recipe,
     k_set_at,
     w_set_at,
 )
@@ -1125,6 +1127,13 @@ class TestDeepWalksDecide:
 
 class TestForwardPass:
     """The recipes and the face set that ``checks._forward_pass`` carries from step to step."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_the_start_layer_is_the_walk_over_the_cross_polytope(self, d):
+        walked = {checks._mask(fs): _start_recipe(d, fs) for fs in cross_polytope(d).faces()}
+        layer = _start_layer(d)
+        assert layer == walked
+        assert len(layer) == 3**d
 
     @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
