@@ -1131,9 +1131,7 @@ class TestForwardPass:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_the_start_layer_is_the_walk_over_the_cross_polytope(self, d):
         walked = {checks._mask(fs): _start_recipe(d, fs) for fs in cross_polytope(d).faces()}
-        layer = _start_layer(d)
-        assert layer == walked
-        assert len(layer) == 3**d
+        assert _start_layer(d) == walked
 
     @given(st.integers(2, 6), st.integers(0, 12), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
