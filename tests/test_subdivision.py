@@ -631,6 +631,27 @@ def endpoint_swapped_at_step_1():
     return seq
 
 
+def step_2_logged_as(step):
+    """The worked example's genuine replayed states, kept, under a step log whose step 2 reads ``step``."""
+    genuine = KeptHistory(sequence_from_edges(4, EXAMPLE_STEPS))
+    steps = list(genuine.steps)
+    steps[1] = SubdivisionStep(*step)
+    seq = SubdivisionSequence(
+        4, tuple(steps), genuine.final, genuine.k_table, genuine.gamma_edges, genuine.w_neighbors
+    )
+    return KeptHistory(seq, genuine.history)
+
+
+def non_edge_logged_at_step_2():
+    """Step 2 is logged as subdividing {+e1, -e1}, an antipodal pair and so no edge of prefix(1)."""
+    return step_2_logged_as(((0, 1), 9))
+
+
+def existing_id_logged_at_step_2():
+    """Step 2 is logged as creating 8, which is w1, already a vertex of prefix(1)."""
+    return step_2_logged_as(((4, 6), 8))
+
+
 def gamma_edge_added():
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
     return SubdivisionSequence(
@@ -1370,6 +1391,8 @@ class TestPremiseFromDeltas:
             new_vertex_off_its_id,
             new_vertex_k_entry_emptied,
             k_entry_missing,
+            non_edge_logged_at_step_2,
+            existing_id_logged_at_step_2,
         ],
     )
     def test_corrupted_histories(self, corrupt):
@@ -1377,6 +1400,32 @@ class TestPremiseFromDeltas:
         states = [state.final for state in seq.states()]
         for before, step, after in zip(states, seq.steps, states[1:]):
             self.assert_premise_follows(before, step, after)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (non_edge_logged_at_step_2, "{0, 1} is not a face of the complex"),
+            (existing_id_logged_at_step_2, "{0, 9, 3, 4} is not a face of complex 1"),
+        ],
+    )
+    def test_a_step_off_an_edge_or_onto_an_old_id_breaks_the_premise(self, corrupt, message):
+        # the states are genuine, so only the logged step 2 is wrong: its ab
+        # is no edge of prefix(1), or its w is already a vertex there; the
+        # rule check refuses it before comparing any entry, the pass carries
+        # no layer, and deep_failures raises as the first suite that raises
+        seq = corrupt()
+        states = [state.final for state in seq.states()]
+        assert [subdivides(*triple) for triple in zip(states, seq.steps, states[1:])] == [True, False, True]
+        assert checks._forward_pass(seq) is None
+        with pytest.raises(ValueError) as got:
+            deep_failures(seq)
+        raised = []
+        for suite in SUITES.values():
+            try:
+                suite(seq)
+            except (KeyError, RuntimeError, ValueError) as exc:
+                raised.append((type(exc), str(exc)))
+        assert (ValueError, str(got.value)) == raised[0] == (ValueError, message)
 
     @given(
         st.integers(2, 5),
