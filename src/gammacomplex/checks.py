@@ -21,15 +21,15 @@ the faces around the subdivided edge ab, built on the cliques tau of
 lk(ab) in step j-1's complex, so the pass touches those faces and no
 other, by the lemmas below.  It checks each step against the
 edge-subdivision rule, as entries set on the adjacency before it, and
-counts the cliques of the start complex alone: the f-vector of each
-later complex, and that of lk(ab), are read off the cliques through ab
-that the step loses, each giving way to three cones over w, so no later
-state's cliques are counted, no gained clique is listed and no link is
-built.  The other three suites are decided by one depth-first clique
-walk over the final complex, in ``faces()`` order, carrying
-K(F + v) = K(F) & K(v) and N(F), the common neighbors of F, as running
-intersections of int masks, bit v standing for vertex v (the ids
-``extend`` gives).  It reads each face's recipe from the final layer
+reads f(lk ab) off the cliques through ab that the step loses; by the
+linearity of the edge-subdivision lemma the increment identity holds
+exactly where each such f has a gamma, so no state's cliques are
+counted, no f or gamma is carried from step to step, no gained clique
+is listed and no link is built.  The other three suites are decided by
+one depth-first clique walk over the final complex, in ``faces()``
+order, carrying K(F + v) = K(F) & K(v) and N(F), the common neighbors
+of F, as running intersections of int masks, bit v standing for vertex
+v (the ids ``extend`` gives).  It reads each face's recipe from the final layer
 that the forward pass returns, and decides each distinct triple of
 K(F), N(F) and recipe once (the verdict lemma below); every other face
 takes the verdicts of the first face with its triple.  To decide a face,
@@ -146,11 +146,21 @@ skipped check is implied by the ones that run:
   holds at every step, the face sets equal the graphs' cliques
   throughout, which is all ``oracle_failures`` checks.  The same split
   gives the f-vectors: each tau + a + b lost, of size s, gives way to one
-  clique of size s - 1 and two of size s, so f(G_j) is f(G_{j-1}) plus one
-  clique of each of the sizes s - 1 and s per lost clique; and f(lk ab) is
-  the size count of the lost cliques shifted down by 2.  So the increment
-  identity is checked on gammas that ``report_from_f`` gives, from f(G_0)
-  counted once and the cliques through ab, listed once per step.
+  clique of size s - 1 and two of size s, so with F = f(lk ab), the size
+  count of the lost cliques shifted down by 2, f(G_j) = f(G_{j-1}) +
+  t(1 + t)F.  The f -> h -> gamma transforms are linear, and
+  h_d(t(1 + t)F) = t h_{d-2}(F) term by term, as t^(i+1) (1 - t)^(d-i-1) +
+  t^(i+2) (1 - t)^(d-i-2) = t^(i+1) (1 - t)^(d-i-2): the shift.  F has
+  degree at most d - 2 exactly when f(G_j) has degree at most d, given
+  f(G_{j-1}) does, as no count is negative: the degree.  And t h_{d-2}(F)
+  is symmetric at d exactly when h_{d-2}(F) is at d - 2, so h_d(f(G_j)) is
+  symmetric exactly when h_d(f(G_{j-1})) and h_{d-2}(F) are: the
+  symmetry.  As gamma_d(t h) = t gamma_{d-2}(h) on symmetric h, gamma(G_j)
+  - gamma(G_{j-1}) = t gamma(lk ab) wherever both sides are defined.  By
+  induction from the cross polytope, whose h = (1 + t)^d is symmetric, the
+  increment identity holds at every step exactly where every step's F
+  has degree at most d - 2 and a symmetric h_{d-2}(F), which is all the
+  forward pass checks of it.
 - Flag by equality (face sets).  A face set equal to the clique set of a
   graph is flag, so ``is_flag`` runs only where the replayed face set and
   the graph's cliques diverge.
@@ -181,7 +191,7 @@ from .complexes import (
     link,
     subdivide_face_general,
 )
-from .polynomials import f_from_counts, gamma_of, report_from_f
+from .polynomials import f_from_counts, gamma_of, h_from_f, is_symmetric
 from .subdivision import (
     FaceClass,
     SubdivisionSequence,
@@ -388,33 +398,14 @@ def _subdivides(prev, cur, step) -> bool:
     return _is_update(prev, cur, new)
 
 
-def _sizes(masks) -> Counter:
-    """Number of the vertex sets ``masks`` of each size."""
-    return Counter(m.bit_count() for m in masks)
+def _link_has_gamma(lost, d) -> bool:
+    """Whether lk(ab) has a gamma at d - 2, its f read off ``lost``, the cliques tau + a + b through ab as masks.
 
-
-def _increment_step(carried, lost, d):
-    """f and gamma of step j from step j-1's, or None where the increment identity is not shown there.
-
-    ``carried`` is (f, gamma) of step j-1, with f a size count that is
-    updated in place, and ``lost`` are the cliques through ab, tau + a + b
-    for each clique tau of lk(ab).  Each gives way to tau + w, tau + a + w
-    and tau + b + w, so f_j is f_{j-1} plus, for each g in ``lost``, one
-    clique of size |g| - 1 and one of size |g|; and f(lk ab) is their size
-    count less 2.  The gammas come from ``report_from_f``, as in
-    ``gamma_of``; None also where a transform raises.
+    That is, f(lk ab), the size count of ``lost`` less 2, has degree at
+    most d - 2 and a symmetric h_{d-2}.
     """
-    f, gamma = carried
-    lost_sizes = _sizes(lost)
-    f.update(lost_sizes)
-    f.update({size - 1: n for size, n in lost_sizes.items()})
-    link_f = {size - 2: n for size, n in lost_sizes.items()}
-    try:
-        after = report_from_f(f_from_counts(f), d).gamma
-        link_gamma = report_from_f(f_from_counts(link_f), d - 2).gamma
-    except ValueError:
-        return None
-    return (f, after) if after - gamma == link_gamma.shift(1) else None
+    link_f = f_from_counts(Counter(m.bit_count() - 2 for m in lost))
+    return link_f.degree <= d - 2 and is_symmetric(h_from_f(link_f, d - 2), d - 2)
 
 
 def _forward_pass(seq) -> tuple | None:
@@ -448,22 +439,28 @@ def _forward_pass(seq) -> tuple | None:
     K_{j-1} entry would find w_j, the start check has failed.  It fails
     where no scan would only if a start key off the vertices is a w id
     whose entry a step replaced, and that False leaves the K rules to
-    ``k_rule_failures``.  The increment identity holds where, from f and
-    gamma of the start as ``gamma_of`` gives them, the gammas that
-    ``_increment_step`` carries satisfy it at every step.  Otherwise it is
-    False, which says only that ``increment_identity_failures`` must decide.
+    ``k_rule_failures``.
+
+    The increment identity is decided by the linearity lemma, within the
+    edge-subdivision lemma of the module docstring: f(G_j) - f(G_{j-1}) is
+    t(1 + t)F, F = f(lk ab), and h_d(t(1 + t)F) = t h_{d-2}(F) (the shift),
+    F has degree at most d - 2 exactly when f(G_j) has at most d (the
+    degree), and h_d(f(G_j)) is symmetric exactly when h_{d-2}(F) is, given
+    that h_d(f(G_{j-1})) is (the symmetry).  From the cross polytope on,
+    gamma(G_j) - gamma(G_{j-1}) = t gamma(lk ab) then holds at every step
+    exactly where each step's lk(ab) has a gamma, which ``_link_has_gamma``
+    reads off the cliques the step loses; so no f or gamma is carried.
+    Where it is False, ``increment_identity_failures`` decides.
     """
     d = seq.d
     states = seq.states()
     before = next(states)
-    start = before.final
-    if start != cross_polytope(d):
+    if before.final != cross_polytope(d):
         return None
-    report = gamma_of(start, d)
-    increment = Counter(dict(enumerate(report.f.coeffs))), report.gamma
     layer = _start_layer(d)
     ws = set(seq.w_ids())
     k_ok = all(ws.isdisjoint(ks) for ks in before.k_table.values())
+    increment_ok = True
     for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
         (a, b), w = step
         prev, cur = before.final.adjacency(), after.final.adjacency()
@@ -477,11 +474,10 @@ def _forward_pass(seq) -> tuple | None:
         )
         # the cliques lost are the faces that held a and b
         lost = _cliques_through(prev, (a, b))
-        if increment is not None:
-            increment = _increment_step(increment, lost, d)
+        increment_ok = increment_ok and _link_has_gamma(lost, d)
         _advance_recipes(layer, lost, step, (1 << a, 1 << b, 1 << w))
         before = after
-    return increment is not None, k_ok, layer
+    return increment_ok, k_ok, layer
 
 
 class _Shape:

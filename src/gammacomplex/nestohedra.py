@@ -542,10 +542,17 @@ def _sequence(o: FlagOrdering, decomposition: dict[int, Subset]) -> tuple[Subdiv
     for w, member in enumerate(o.order, start=2 * d):
         mask = _mask(member)
         options = _splits(mask, vertex)
+        # The prefix C is a building set lacking X = member, and X splits in
+        # it (``validate_ordering`` and ``find_flag_ordering`` both keep to
+        # ``_can_append``).  Two splits A + A' = B + B' of X would put X in C.
+        # Say A meets B (else swap B and B'), and A != B (else the splits are
+        # one).  If A is inside B, B meets A' and B | A' = X; if B is inside
+        # A, A meets B' and A | B' = X; else B meets A', and A | B and A' | B
+        # meet in B, so their union X is in C.
         if len(options) != 1:
-            raise ValueError(
-                f"member {sorted(member)} has {len(options)} two-part splits "
-                f"in its prefix; expected exactly one"
+            raise RuntimeError(
+                f"internal inconsistency: member {sorted(member)} has {len(options)} "
+                f"two-part splits in its prefix; expected exactly one"
             )
         small, big = options[0]
         edges.append((vertex[small], vertex[big]))

@@ -436,12 +436,13 @@ def test_scale_guard_final_walk(monkeypatch):
 
 
 def test_scale_guard_increment_in_forward_pass(monkeypatch):
-    # counts, not times: the forward pass carries f from the start's
-    # clique count through the cliques each step loses, those through ab,
-    # so a passing run counts the cliques of no later state, builds no link
-    # of ab, lists the cliques through ab once per step and none that a
-    # step gains, and replays history once (the increment suite counted
-    # all 9 states, built 8 links and replayed history a second time)
+    # counts, not times: the forward pass reads f(lk ab) off the cliques
+    # each step loses, those through ab, and by the linearity lemma checks
+    # only that it has a gamma, so a passing run counts the cliques of no
+    # state, builds no link of ab, lists the cliques through ab once per
+    # step and none that a step gains, and replays history once (the
+    # increment suite counted all 9 states, built 8 links and replayed
+    # history a second time)
     start = time.perf_counter()
     names = ["increment_identity_failures", "link", "gamma_of", "_cliques_through"]
     calls = dict.fromkeys([*names, "states"], 0)
@@ -465,7 +466,7 @@ def test_scale_guard_increment_in_forward_pass(monkeypatch):
     ok &= calls == {
         "increment_identity_failures": 0,
         "link": 0,
-        "gamma_of": 1,
+        "gamma_of": 0,
         "_cliques_through": 8,
         "states": 1,
     }

@@ -609,6 +609,19 @@ class TestNestohedron:
         code, _, err = run(capsys, "nestohedron", bs, ordering)
         assert code == 2
 
+    def test_ordering_file_with_a_prefix_that_is_not_flag_rejected(self, capsys, tmp_path):
+        bs = write(tmp_path, "bs.json", INTERVALS4)
+        ordering = write(
+            tmp_path,
+            "ordering.json",
+            {"decomposition": INTERVALS4_ORDERING["decomposition"], "order": [[2, 3, 4], [3, 4], [2, 3]]},
+        )
+        assert run(capsys, "nestohedron", bs, ordering) == (
+            2,
+            "",
+            "error: ordering prefix 1 is not a flag building set\n",
+        )
+
     def test_seeded_search(self, capsys, tmp_path):
         elements = [[1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]
         path = write(tmp_path, "bs.json", {"n": 3, "elements": elements})

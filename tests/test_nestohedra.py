@@ -45,6 +45,7 @@ def fs(*items):
 
 
 LEX_GREEDY_D3 = fs([1], [2], [3], [1, 2], [1, 2, 3])
+INTERVALS4_DECOMPOSITION = fs([1], [2], [3], [4], [1, 2], [1, 2, 3], [1, 2, 3, 4])
 
 
 def union_closure_building_set(n, rng):
@@ -494,6 +495,33 @@ class TestFindFlagOrdering:
         )
         with pytest.raises(ValueError):
             validate_ordering(bad)
+
+    def test_validate_ordering_rejects_a_prefix_that_is_not_flag(self):
+        # {2, 3, 4} has no two-part split in the decomposition, so the first
+        # prefix is no flag building set
+        o = FlagOrdering(
+            building_set=interval_building_set(4),
+            decomposition=INTERVALS4_DECOMPOSITION,
+            order=(frozenset({2, 3, 4}), frozenset({3, 4}), frozenset({2, 3})),
+        )
+        with pytest.raises(ValueError, match=r"^ordering prefix 1 is not a flag building set$"):
+            validate_ordering(o)
+
+    def test_a_member_with_two_splits_is_an_internal_inconsistency(self):
+        # {1, 2, 3} is in the decomposition already; ordered after {2, 3} it
+        # splits as {1} + {2, 3} and as {1, 2} + {3}.  No validated or found
+        # ordering has such a member, so only an unvalidated one gets here
+        o = FlagOrdering(
+            building_set=interval_building_set(4),
+            decomposition=INTERVALS4_DECOMPOSITION,
+            order=(frozenset({2, 3}), frozenset({1, 2, 3})),
+        )
+        with pytest.raises(ValueError, match="ordering does not enumerate"):
+            validate_ordering(o)
+        with pytest.raises(
+            RuntimeError, match=r"^internal inconsistency: member \[1, 2, 3\] has 2 two-part splits in its prefix"
+        ):
+            nestohedra._sequence(o, nestohedra._by_mask(o.decomposition))
 
 
 class TestUVSets:

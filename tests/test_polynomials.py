@@ -216,6 +216,54 @@ class TestGammaIncrement:
         assert increment_identity_failures(sequence_from_edges(2, [(0, 2)])) == []
 
 
+class TestIncrementLinearity:
+    """The linearity lemma behind the --deep increment verdict, on the expansion oracle.
+
+    An edge subdivision adds t(1+t)F to f, F = f(lk ab); the lemma says
+    h_d(t(1+t)F) = t h_{d-2}(F) and gamma_d(t h) = t gamma_{d-2}(h), so
+    the gamma increment is t gamma(lk ab) wherever gamma(lk ab) exists.
+    """
+
+    @given(st.integers(2, 10), st.lists(st.integers(-50, 50), max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_h_of_the_increment_is_the_shifted_link_h(self, d, coeffs):
+        link_f = IntPolynomial(coeffs[: d - 1])
+        increment = link_f.shift(1) + link_f.shift(2)
+        assert h_by_expansion(increment, d) == h_by_expansion(link_f, d - 2).shift(1)
+        assert h_from_f(increment, d) == h_from_f(link_f, d - 2).shift(1)
+
+    @given(st.integers(2, 10), st.lists(st.integers(-50, 50), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_the_gamma_increment_is_the_shifted_link_gamma(self, d, coeffs):
+        # the link's gamma is arbitrary; its h, and the f with that h at
+        # d - 2 (f = sum_j h_j t^j (1+t)^(d-2-j)), are built from it
+        link_gamma = IntPolynomial(coeffs[: (d - 2) // 2 + 1])
+        link_h = IntPolynomial()
+        for i, g in enumerate(link_gamma.coeffs):
+            link_h = link_h + (g * IntPolynomial.binomial_power(d - 2 - 2 * i)).shift(i)
+        link_f = IntPolynomial()
+        for j, h in enumerate(link_h.coeffs):
+            link_f = link_f + (h * IntPolynomial.binomial_power(d - 2 - j)).shift(j)
+        assert h_by_expansion(link_f, d - 2) == link_h
+        assert gamma_from_h(link_h.shift(1), d) == link_gamma.shift(1)
+        # from the cross polytope, f = (1+2t)^d and h = (1+t)^d
+        start = IntPolynomial(comb(d, i) * 2**i for i in range(d + 1))
+        after = start + link_f.shift(1) + link_f.shift(2)
+        increment = gamma_from_h(h_by_expansion(after, d), d) - gamma_from_h(h_by_expansion(start, d), d)
+        assert increment == link_gamma.shift(1)
+
+    def test_an_asymmetric_or_over_degree_link_has_no_gamma_after_the_step(self):
+        # at d=4, lost {ab, abc} gives F = 1 + t, and h_2(F) = 1 - t
+        start = IntPolynomial(comb(4, i) * 2**i for i in range(5))
+        link_f = IntPolynomial([1, 1])
+        assert h_by_expansion(link_f, 2) == IntPolynomial([1, -1])
+        assert not is_symmetric(h_by_expansion(start + link_f.shift(1) + link_f.shift(2), 4), 4)
+        # a lost clique of 7 vertices gives F = t^5, past degree d - 2 = 2
+        link_f = IntPolynomial([1]).shift(5)
+        with pytest.raises(ValueError, match="degree 7 > d=4"):
+            h_from_f(start + link_f.shift(1) + link_f.shift(2), 4)
+
+
 class TestSphereSymmetry:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

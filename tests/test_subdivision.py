@@ -8,6 +8,7 @@ expected values: ids 0..7 are the antipodal pairs (0,1), (2,3), (4,5),
 import hashlib
 import sys
 from bisect import bisect_left, insort
+from collections import Counter
 from random import Random
 from types import MappingProxyType
 
@@ -36,6 +37,7 @@ from gammacomplex import (
     w_set,
 )
 from gammacomplex import checks, subdivision
+from gammacomplex.polynomials import f_from_counts, gamma_of, report_from_f
 from gammacomplex.checks import (
     deep_failures,
     deep_report,
@@ -1348,6 +1350,123 @@ class TestIncrementVerdict:
         seq = pendant_at_the_start()
         assert checks._forward_pass(seq) is None
         assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
+
+
+def carried_increment_verdict(start, d, losts):
+    """The increment verdict as the forward pass once decided it: f and gamma carried from ``start``, step by step.
+
+    ``losts`` lists, per step, the cliques through ab that the step loses,
+    as masks.  Each lost clique of size s gives way to one clique of each
+    of the sizes s - 1 and s, so f of a step is f of the step before plus
+    those; f(lk ab) is the lost cliques' size count less 2.  The verdict is
+    False from the first step where a transform raises or the gamma
+    increment is not t * gamma(lk ab).  The oracle of ``_link_has_gamma``.
+    """
+    report = gamma_of(start, d)
+    f, gamma = Counter(dict(enumerate(report.f.coeffs))), report.gamma
+    for lost in losts:
+        sizes = Counter(m.bit_count() for m in lost)
+        f.update(sizes)
+        f.update({size - 1: n for size, n in sizes.items()})
+        try:
+            after = report_from_f(f_from_counts(f), d).gamma
+            link_gamma = report_from_f(f_from_counts({size - 2: n for size, n in sizes.items()}), d - 2).gamma
+        except ValueError:
+            return False
+        if after - gamma != link_gamma.shift(1):
+            return False
+        gamma = after
+    return True
+
+
+def lost_cliques(seq):
+    """Per step, the faces of the complex before it that hold both ends of its edge, as masks; a filter, not a walk through ab."""
+    states = seq.states()
+    before = next(states).final
+    losts = []
+    for ((a, b), _), after in zip(seq.steps, states):
+        losts.append([checks._mask(fs) for fs in before.faces() if a in fs and b in fs])
+        before = after.final
+    return losts
+
+
+# Lost cliques of one step at d=4, with ab = {0, 1}: F = f(lk ab) and whether lk(ab) has a gamma at d - 2.
+SQUARE_LINK = [0b11, 0b111, 0b1011, 0b10011, 0b100011, 0b1111, 0b11011, 0b110011, 0b100111]  # F = 1 + 4t + 4t^2
+ASYMMETRIC_LINK = [0b11, 0b111]  # F = 1 + t, h = 1 - t
+OVER_DEGREE_LINK = [0b1111111]  # F = t^5
+
+
+class TestIncrementByLinearity:
+    """The per-step increment verdict, ``_link_has_gamma`` of each step, against carrying f and gamma."""
+
+    @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sequences(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        assert checks._forward_pass(seq)[0] is carried_increment_verdict(cross_polytope(d), d, lost_cliques(seq)) is True
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pendant_at_the_start,
+            k_entry_dropped,
+            pendant_added_at_step_2,
+            pendant_moved_at_step_1,
+            endpoint_swapped_at_step_1,
+            w_in_a_start_k_entry,
+            new_vertex_off_its_id,
+            new_vertex_k_entry_emptied,
+            k_entry_missing,
+            non_edge_logged_at_step_2,
+            existing_id_logged_at_step_2,
+            link_pair_dropped,
+            commuting_steps_reversed_at_a_vertex,
+            gamma_edge_added,
+            final_k_entry_moved,
+        ],
+    )
+    def test_corrupted_fixtures(self, corrupt, replaced_recipes):
+        # each start has a gamma, so the carried comparison and the per-step
+        # check agree on every history, whether or not the pass carries it
+        seq = corrupt()
+        losts = lost_cliques(seq)
+        expected = carried_increment_verdict(next(seq.states()).final, seq.d, losts)
+        assert all(checks._link_has_gamma(lost, seq.d) for lost in losts) == expected
+        carried = checks._forward_pass(seq)
+        if carried is not None:
+            assert carried[0] == expected
+
+    @pytest.mark.parametrize(
+        "losts, expected",
+        [
+            ([SQUARE_LINK], True),
+            ([SQUARE_LINK, SQUARE_LINK], True),
+            ([ASYMMETRIC_LINK], False),
+            ([OVER_DEGREE_LINK], False),
+            ([SQUARE_LINK, ASYMMETRIC_LINK], False),
+            ([OVER_DEGREE_LINK, SQUARE_LINK], False),
+        ],
+        ids=["square", "two squares", "asymmetric", "over degree", "asymmetric second", "over degree first"],
+    )
+    def test_synthetic_lost_cliques(self, losts, expected):
+        # lost cliques that no valid step loses, fed to both verdicts
+        assert carried_increment_verdict(cross_polytope(4), 4, losts) is expected
+        assert all(checks._link_has_gamma(lost, 4) for lost in losts) is expected
+
+    @pytest.mark.parametrize("bad", [1, 2, 3])
+    def test_one_step_without_a_link_gamma_fails_the_pass(self, bad):
+        # the pass reads ASYMMETRIC_LINK in place of the cliques step ``bad``
+        # of the worked example loses; the other steps pass, before or after
+        seq = sequence_from_edges(4, EXAMPLE_STEPS)
+        real, seen = checks._link_has_gamma, []
+
+        def replaced(lost, d):
+            seen.append(lost)
+            return real(ASYMMETRIC_LINK if len(seen) == bad else lost, d)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_link_has_gamma", replaced)
+            assert checks._forward_pass(seq)[0] is False
 
 
 def subdivides(before, step, after):
