@@ -36,11 +36,13 @@ takes the verdicts of the first face with its triple.  To decide a face,
 it translates the recipe into one label list, ``labels[c]`` the ambient
 vertex of canonical id c.  The translation's shape (the number of pairs
 and the steps' edges in those ids) fixes the base sequence, so the walk
-builds each base once per shape, and from it the per-shape tables the
-three suites read: the base's edges, and its K-table and gamma adjacency
-over the ranks of its new vertices (id - 2n, their creation order).  For
-each face it decides, it compares masks with those tables, and rebuilds
-nothing:
+reads, once per shape, the tables the three suites read: the base's
+edges, and its K-table and gamma adjacency over the ranks of its new
+vertices (id - 2n, their creation order).  It builds no base for them:
+``_Shape`` applies each step's edge-subdivision rule to the cross
+polytope on int masks, and a shape with a step off an edge, which has no
+base, fails the three suites.  For each face it decides, the walk
+compares masks with those tables, and rebuilds nothing:
 
 - lk(F), the subgraph induced on N(F), is the induced result exactly
   when the labels are distinct with N(F) as their mask, every edge of
@@ -168,7 +170,7 @@ skipped check is implied by the ones that run:
   recipe, through its labels and its shape's tables, K(F) and N(F), and
   besides them only what is fixed for the whole walk: the neighbor masks
   of the final complex, its K-table and gamma adjacency as masks, and the
-  tables of each shape, which its base alone fixes.  So they are a
+  tables of each shape, which the shape alone fixes.  So they are a
   function of the recipe, K(F) and N(F), and two faces that agree on all
   three get the same verdicts.  The walk keeps, for each pair (K(F), N(F))
   it meets, the first recipe met with it and that face's verdicts; a later
@@ -200,9 +202,9 @@ from .subdivision import (
     _induced,
     _phi,
     _recipe_at,
-    _shaped,
     _start_layer,
     _transformed,
+    _translate,
     _w_rule,
     _w_set_of,
     gamma_complex,
@@ -480,34 +482,71 @@ def _forward_pass(seq) -> tuple | None:
     return increment_ok, k_ok, layer
 
 
-class _Shape:
-    """The tables a shape's base fixes, built once per shape and final walk: its edges, K-table and gamma adjacency.
+def _bits(m: int) -> list[int]:
+    """The positions of the bits set in ``m``, in increasing order."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
-    A new vertex's rank is its id less 2n, its place in creation order, so
-    phi sends the r-th element of K(F), in increasing order, to the new
-    vertex of rank r.  The base's edges are the pairs ``zip(ends,
-    other_ends)``; ``k_ranks[c]`` are the ranks in K(c), for every
-    canonical id c, and ``gamma_ranks[r]`` those of the gamma neighbors of
-    rank r, as many as the base has steps; the empty link, which has no
-    base, has none of them.  Lists, not the base, are kept, one entry per
-    shape; not tuples, as a walk frees them all at its end, and so many
-    small tuples would stay in CPython's free lists until a full collection.
+
+class _Shape:
+    """The tables a shape fixes, built once per shape and final walk: its base's edges, K-table and gamma adjacency.
+
+    ``shape`` is (n, edges) from ``_translate``, None for the empty link,
+    whose base is the cross polytope on no pair.  No base is built: the
+    tables follow the edge-subdivision rule that ``extend`` applies, on
+    int masks.  Start from the cross polytope on n pairs in canonical ids,
+    where v is joined to every id but v and v ^ 1, and K is empty.  The
+    step of rank r subdivides ab by w = 2n + r: w gets the common
+    neighbors of a and b, and a and b, which swap each other for w; the
+    common neighbors gain w, and r in K; K(w) = K(a) & K(b), and each
+    rank in K(w) is a gamma neighbor of r.  A new vertex's rank is its id
+    less 2n, its place in creation order, so phi sends the r-th element
+    of K(F), in increasing order, to the new vertex of rank r.
+
+    The base's edges are the pairs ``zip(ends, other_ends)``;
+    ``k_ranks[c]`` are the ranks in K(c), for every canonical id c, and
+    ``gamma_ranks[r]`` those of the gamma neighbors of rank r, as many as
+    the base has steps; all in increasing order.  Where a step's edge is
+    no edge of the base so far, ``extend`` raises and there is no base:
+    ``ends`` is then None, and every face of the shape fails the three
+    suites, whose functions raise ``extend``'s error.  Lists, not the base,
+    are kept, one entry per shape; not tuples, as a walk frees them all at
+    its end, and so many small tuples would stay in CPython's free lists
+    until a full collection.
     """
 
     __slots__ = ("ends", "other_ends", "k_ranks", "gamma_ranks")
 
-    def __init__(self, base):
-        self.ends, self.other_ends, self.k_ranks, self.gamma_ranks = (), (), (), ()
-        if base is None:
-            return
-        low = 2 * base.d
-        edges = [(x, y) for x, ns in base.final.adjacency().items() for y in ns if x < y]
+    def __init__(self, shape):
+        n, steps = shape or (0, ())
+        low = 2 * n
+        every = (1 << low) - 1
+        adj = [every ^ 3 << (v & ~1) for v in range(low)]
+        k, below = [0] * low, []  # K in ranks; each step's K(w) as made, its gamma neighbors below it
+        for r, (a, b) in enumerate(steps):
+            if not adj[a] >> b & 1:
+                self.ends = None
+                return
+            bw, common = 1 << low + r, adj[a] & adj[b]
+            for c in _bits(common):
+                adj[c] |= bw
+                k[c] |= 1 << r
+            adj[a] ^= 1 << b | bw
+            adj[b] ^= 1 << a | bw
+            adj.append(common | 1 << a | 1 << b)
+            k.append(k[a] & k[b])
+            below.append(k[-1])
+        edges = [(x, x + 1 + y) for x, ns in enumerate(adj) for y in _bits(ns >> x + 1)]
         self.ends, self.other_ends = [x for x, _ in edges], [y for _, y in edges]
-        self.k_ranks = [[x - low for x in base.k_table[c]] for c in range(low + base.k)]
-        self.gamma_ranks = [[] for _ in range(base.k)]
-        for x, w in base.gamma_edges:
-            self.gamma_ranks[x - low].append(w - low)
-            self.gamma_ranks[w - low].append(x - low)
+        self.k_ranks = [_bits(ks) for ks in k]
+        self.gamma_ranks = [_bits(ks) for ks in below]
+        for r, ks in enumerate(below):
+            for x in _bits(ks):
+                self.gamma_ranks[x].append(r)
 
 
 def _is_link(shape, labels, nf, nbr) -> bool:
@@ -577,8 +616,11 @@ def _final_verdicts(seq, layer) -> tuple[bool, bool, bool]:
     met with it and that face's verdicts, as bits; a later face reuses them
     only where its masks match and its recipe equals that one, and every
     other face is decided in full.  ``seen`` is local to the walk, and so
-    is ``bases``, which maps each shape met to its ``_Shape``, the tables
-    of its base, built the first time.
+    is ``shapes``, which maps each shape met, the empty link's None
+    included, to its ``_Shape``, its base's tables read off the shape the
+    first time.  A shape with a step off an edge has no base and no
+    tables, so each face with it fails all three suites, whose functions
+    then raise the error ``extend`` raises on that step.
 
     To decide a face, the walk translates its recipe into one label list,
     ``labels[c]`` the ambient vertex of canonical id c, and reads the three
@@ -597,12 +639,16 @@ def _final_verdicts(seq, layer) -> tuple[bool, bool, bool]:
     kmask = {v: _mask(ks) for v, ks in seq.k_table.items()}
     gamma_nbr = {1 << x: _mask(ns) for x, ns in gamma_complex(seq).adjacency().items()}
     every_k, every_v = _mask(seq.w_ids()), _mask(final.vertices)
-    bases, empty = {}, _Shape(None)
+    shapes = {}
 
     def decide(recipe, kf, nf) -> int:
         """The face's verdicts as bits: 1 the link recursion, 2 the phi image, 4 the gamma restriction."""
-        shape, labels = _shaped(recipe, bases, _Shape)
-        shape = shape or empty
+        key, labels = _translate(recipe)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _Shape(key)
+        if shape.ends is None:
+            return 0
         ks, nf = (every_k, every_v) if kf < 0 else (kf, nf)
         dep, rest = [], ks
         while rest:

@@ -82,18 +82,22 @@ def _skey(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-def _json_members(rows, field: str) -> list[Subset]:
+def _json_members(rows, field: str, distinct: bool = True) -> list[Subset]:
     """The members in the JSON value ``rows`` of ``field``: an array of
-    arrays of integer ids, no id twice within one member."""
+    arrays of integer ids, no id twice within one member and, where
+    ``distinct``, no member twice, whatever the order of its ids."""
     if not isinstance(rows, list):
         raise ValueError(f"{field} must be an array of members, got {json.dumps(rows)}")
-    members = []
+    members, seen = [], set()
     for row in rows:
         if not isinstance(row, list):
             raise ValueError(f"each member in {field} must be an array of ids, got {json.dumps(row)}")
         member = frozenset(json_int(x, "member id") for x in row)
         if len(member) != len(row):
             raise ValueError(f"member {json.dumps(row)} in {field} repeats an id")
+        if distinct and member in seen:
+            raise ValueError(f"member {json.dumps(row)} in {field} is listed twice")
+        seen.add(member)
         members.append(member)
     return members
 
@@ -269,7 +273,8 @@ class FlagOrdering(NamedTuple):
         return cls(
             building_set=b,
             decomposition=frozenset(_json_members(obj["decomposition"], "decomposition")),
-            order=tuple(_json_members(obj["order"], "order")),
+            # a member repeated in the order is left to validate_ordering
+            order=tuple(_json_members(obj["order"], "order", distinct=False)),
         )
 
 

@@ -560,25 +560,9 @@ def _translate(recipe: tuple) -> tuple:
 
 
 def _build_base(shape: tuple) -> SubdivisionSequence:
-    """The base sequence of a shape from ``_translate``."""
+    """The base sequence of a shape from ``_translate``; ``checks._Shape`` reads its tables off the shape without it."""
     n, edges = shape
     return extend(new_sequence(n), *edges)
-
-
-def _shaped(recipe: tuple, bases: dict, tables) -> tuple:
-    """(entry, labels) for a face with this recipe: its shape's entry and its labels.
-
-    ``bases`` maps each shape met so far to ``tables(base)``, built once,
-    when the shape is first met; the entry is None for the empty link,
-    which has no base.
-    """
-    shape, labels = _translate(recipe)
-    if shape is None:
-        return None, labels
-    entry = bases.get(shape)
-    if entry is None:
-        entry = bases[shape] = tables(_build_base(shape))
-    return entry, labels
 
 
 def _labeled(base: SubdivisionSequence | None, labels) -> InducedSequence:
@@ -593,9 +577,13 @@ def _induced(seq: SubdivisionSequence, j: int, fs: frozenset[int], bases: dict, 
     """Induced sequence for a face of the j-th complex, taken to be one, its recipe read through ``memo``.
 
     ``bases`` maps shapes to their built bases: a shape it holds is not
-    built again, and one it lacks is built and added.
+    built again, and one it lacks is built and added.  The empty link has
+    no base.
     """
-    return _labeled(*_shaped(_link_seq(seq, j, fs, memo), bases, lambda base: base))
+    shape, labels = _translate(_link_seq(seq, j, fs, memo))
+    if shape is not None and shape not in bases:
+        bases[shape] = _build_base(shape)
+    return _labeled(bases.get(shape), labels)
 
 
 def induced_sequence(seq: SubdivisionSequence, face: Iterable[int]) -> InducedSequence:

@@ -80,6 +80,31 @@ def final_k_entry_moved():
     return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
 
 
+def shape_tables(base) -> tuple[list, list, list, list]:
+    """The tables of a built base that ``checks._Shape`` reads off its shape: (ends, other_ends, k_ranks, gamma_ranks).
+
+    The reference the final walk's tables are tested against, each list in
+    increasing order.  A new vertex's rank is its id less 2n; the edges are
+    the pairs ``zip(ends, other_ends)``, ``k_ranks[c]`` the ranks in K(c)
+    for every id c, and ``gamma_ranks[r]`` the ranks of the gamma neighbors
+    of rank r.  ``base`` None, the empty link, has empty tables.
+    """
+    if base is None:
+        return [], [], [], []
+    low = 2 * base.d
+    edges = sorted((x, y) for x, ns in base.final.adjacency().items() for y in ns if x < y)
+    gamma_ranks = [[] for _ in range(base.k)]
+    for x, w in base.gamma_edges:
+        gamma_ranks[x - low].append(w - low)
+        gamma_ranks[w - low].append(x - low)
+    return (
+        [x for x, _ in edges],
+        [y for _, y in edges],
+        [sorted(x - low for x in base.k_table[c]) for c in range(low + base.k)],
+        [sorted(ranks) for ranks in gamma_ranks],
+    )
+
+
 class KeptHistory(SubdivisionSequence):
     """``seq`` with its states 0..k-1 replayed once and kept, so that a test can corrupt them.
 

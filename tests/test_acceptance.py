@@ -311,48 +311,51 @@ def test_scale_guard_power_set_bridge():
     )
 
 
-def _count_induced(monkeypatch):
-    """Record each recipe translation's shape and each base build, in ``subdivision``."""
-    shapes, builds = [], []
-    translate, build = subdivision._translate, subdivision._build_base
+def _count_shapes(monkeypatch):
+    """Record, in ``checks``, the shape of each recipe the final walk translates, and each shape it builds tables for."""
+    shapes, tables = [], []
+    translate, shape_tables = checks._translate, checks._Shape
 
     def counting_translate(recipe):
         out = translate(recipe)
         shapes.append(out[0])
         return out
 
-    def counting_build(shape):
-        builds.append(shape)
-        return build(shape)
+    def counting_tables(shape):
+        tables.append(shape)
+        return shape_tables(shape)
 
-    monkeypatch.setattr(subdivision, "_translate", counting_translate)
-    monkeypatch.setattr(subdivision, "_build_base", counting_build)
-    return shapes, builds
+    monkeypatch.setattr(checks, "_translate", counting_translate)
+    monkeypatch.setattr(checks, "_Shape", counting_tables)
+    return shapes, tables
 
 
 def test_scale_guard_deep_suites(monkeypatch):
     # a count, not a time: one recipe translation per distinct (K(F), N(F),
     # recipe) of the final complex, 323 of its 783 faces, shared by the
     # link, phi and restriction suites (one sweep per suite built three per
-    # face), and one base per distinct shape (one per face built 783 here)
+    # face), and one set of tables per distinct shape, the empty link's
+    # included, read off the shape with no base built (one base per face
+    # built 783 here)
     start = time.perf_counter()
-    shapes, builds = _count_induced(monkeypatch)
+    shapes, tables = _count_shapes(monkeypatch)
     seq = random_sequence(5, 8, 1)
     faces = sum(seq.final.clique_count_by_size().values())
     report = deep_report(seq)
     distinct = {shape for shape in shapes if shape is not None}
+    built = [shape for shape in tables if shape is not None]
     monkeypatch.undo()
     big_start = time.perf_counter()
     big = deep_report(random_sequence(6, 20, 1))
     big_s = time.perf_counter() - big_start
     ok = all(report.values()) and all(big.values()) and (len(shapes), faces) == (323, 783)
-    ok &= sorted(builds) == sorted(distinct)
+    ok &= sorted(built) == sorted(distinct) and len(tables) == len(set(tables)) and set(tables) == set(shapes)
     _report(
         "scale guard (induced sequences built by the deep suites, d=5, k=8)",
         ok,
         time.perf_counter() - start,
         60.0,
-        f"{len(shapes)} translations for {faces} faces, {len(builds)} bases for "
+        f"{len(shapes)} translations for {faces} faces, {len(built)} tables for "
         f"{len(distinct)} shapes; d=6, k=20 took {big_s:.2f}s",
     )
 
@@ -399,13 +402,14 @@ def test_scale_guard_phi_singletons(monkeypatch):
 def test_scale_guard_final_walk(monkeypatch):
     # counts, not times: the final walk carries K(F) and the common
     # neighbours of F, and reads the link, phi and the restricted gamma
-    # complex off one induced sequence per distinct (K(F), N(F), recipe),
-    # 323 of the 783 faces, so a passing run makes no per-face link, phi or
-    # isomorphism call; the increment identity is decided in the forward
-    # pass, which calls no link either (the increment suite made 8, one per
-    # step)
+    # complex off one recipe translation per distinct (K(F), N(F), recipe),
+    # 323 of the 783 faces, and the tables of its shape, 67 shapes, so a
+    # passing run makes no per-face link, phi or isomorphism call and
+    # builds no induced sequence; the increment identity is decided in the
+    # forward pass, which calls no link either (the increment suite made 8,
+    # one per step)
     start = time.perf_counter()
-    shapes, builds = _count_induced(monkeypatch)
+    shapes, tables = _count_shapes(monkeypatch)
     calls = dict.fromkeys(["link", "_phi", "is_isomorphic_under", "_induced"], 0)
     for name in calls:
         real = getattr(checks, name)
@@ -416,16 +420,17 @@ def test_scale_guard_final_walk(monkeypatch):
 
         monkeypatch.setattr(checks, name, counting)
     ok = all(deep_report(random_sequence(5, 8, 1)).values())
-    calls.update(translations=len(shapes), bases=len(builds))
+    built = [shape for shape in tables if shape is not None]
+    calls.update(translations=len(shapes), tables=len(built))
     ok &= calls == {
         "link": 0,
         "_phi": 0,
         "is_isomorphic_under": 0,
         "_induced": 0,
         "translations": 323,
-        "bases": 67,
+        "tables": 67,
     }
-    ok &= len(builds) == len({shape for shape in shapes if shape is not None})
+    ok &= len(built) == len({shape for shape in shapes if shape is not None})
     _report(
         "scale guard (per-face rebuilds in the deep walks, d=5, k=8)",
         ok,

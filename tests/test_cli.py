@@ -457,11 +457,20 @@ class TestNestohedron:
             ([1, 2], "each member in elements must be an array of ids, got 1"),
             ([[1], [2], {"1": 2}], 'each member in elements must be an array of ids, got {"1": 2}'),
             ([[1], [2], [1, 2, 2]], "member [1, 2, 2] in elements repeats an id"),
+            ([[1], [2], [1, 2], [1, 2]], "member [1, 2] in elements is listed twice"),
+            ([[1], [2], [1, 2], [2, 1]], "member [2, 1] in elements is listed twice"),
         ],
     )
     def test_malformed_elements_rejected(self, capsys, tmp_path, elements, message):
         path = write(tmp_path, "bs.json", {"n": 2, "elements": elements})
         assert run(capsys, "nestohedron", path) == (2, "", f"error: {message}\n")
+
+    def test_a_member_listed_twice_is_not_collapsed(self, capsys, tmp_path):
+        # read as a set, the repeat collapsed into one member, and the run
+        # reported the building set without it, k=0, with exit status 0
+        elements = [[1], [2], [3], [1, 2], [1, 2, 3], [1, 2]]
+        path = write(tmp_path, "bs.json", {"n": 3, "elements": elements})
+        assert run(capsys, "nestohedron", path) == (2, "", "error: member [1, 2] in elements is listed twice\n")
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -469,6 +478,11 @@ class TestNestohedron:
             ("decomposition", {"a": 1}, 'decomposition must be an array of members, got {"a": 1}'),
             ("decomposition", [[1], [2], [3], 12], "each member in decomposition must be an array of ids, got 12"),
             ("decomposition", [[1], [2], [3], [1, 2, 3, 3]], "member [1, 2, 3, 3] in decomposition repeats an id"),
+            (
+                "decomposition",
+                [[1], [2], [3], [1, 2], [1, 2, 3], [2, 1]],
+                "member [2, 1] in decomposition is listed twice",
+            ),
             ("order", [2, 3], "each member in order must be an array of ids, got 2"),
             ("order", [[2, 3, 2]], "member [2, 3, 2] in order repeats an id"),
         ],

@@ -64,6 +64,7 @@ from helpers import (
     final_k_entry_moved,
     read_replaced_recipes,
     sequence_from_edges,
+    shape_tables,
 )
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
@@ -756,6 +757,13 @@ def w_label_repeated(seq=None):
     return RecipesReplaced(seq, {(3, frozenset()): (pairs, steps[:-1] + (((0, 9), 8),))})
 
 
+def step_off_an_edge():
+    """The empty face's recipe subdivides its first antipodal pair, which is no edge, at its first step."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    pairs, steps = _link_seq(seq, 3, frozenset(), {})
+    return RecipesReplaced(seq, {(3, frozenset()): (pairs, ((pairs[0], steps[0][1]),) + steps[1:])})
+
+
 # Ways to replace a recipe: by the one ``_link_seq`` builds, or by one off by one change.
 CORRUPTIONS = [
     lambda r: r,
@@ -936,17 +944,26 @@ class TestDeepFailures:
         # vertices, under distinct labels, and either only edges of the link,
         # one too few, or as many edges as the link, one of them no edge of
         # it; so of the mask link check only the edge count, or only the
-        # edge map, tells it from the link
-        real = subdivision._build_base
+        # edge map, tells it from the link.  The final walk's tables and the
+        # suites' bases lose the same edge
+        build, tables = subdivision._build_base, checks._Shape
 
-        def one_edge_off(shape):
-            base = real(shape)
-            edges = base.final.edges()
-            if edges:
-                base.final = FlagComplex(base.final.vertices, edges[:-1] + [(0, 1)] * moved)
+        def one_edge_off(edges):
+            return edges[:-1] + [(0, 1)] * moved if edges else edges
+
+        def base_off(shape):
+            base = build(shape)
+            base.final = FlagComplex(base.final.vertices, one_edge_off(base.final.edges()))
             return base
 
-        monkeypatch.setattr(subdivision, "_build_base", one_edge_off)
+        def tables_off(shape):
+            out = tables(shape)
+            edges = one_edge_off(sorted(zip(out.ends, out.other_ends)))
+            out.ends, out.other_ends = [x for x, _ in edges], [y for _, y in edges]
+            return out
+
+        monkeypatch.setattr(subdivision, "_build_base", base_off)
+        monkeypatch.setattr(checks, "_Shape", tables_off)
         seq = random_sequence(4, 3, 1)
         failing = [fs for fs in seq.final.faces() if link(seq.final, fs).edges()]
         for fs in failing:
@@ -968,8 +985,9 @@ class TestDeepFailures:
         # the link of a ridge is two points; its base gains an isolated third
         # vertex, labeled as the first: the labels then cover N(F), the base
         # has no edge and the link none, so of the mask link check only the
-        # bijection condition tells them apart, and relabeling raises
-        translate, build = subdivision._translate, subdivision._build_base
+        # bijection condition tells them apart, and relabeling raises.  The
+        # final walk translates and tables the same way as the suites
+        translate, build, tables = subdivision._translate, subdivision._build_base, checks._Shape
 
         def twice(recipe):
             shape, labels = translate(recipe)
@@ -981,8 +999,16 @@ class TestDeepFailures:
                 base.final = FlagComplex([0, 1, 2])
             return base
 
+        def isolated_tables(shape):
+            out = tables(shape)
+            if shape == (1, ()):
+                out.k_ranks.append([])
+            return out
+
         monkeypatch.setattr(subdivision, "_translate", twice)
+        monkeypatch.setattr(checks, "_translate", twice)
         monkeypatch.setattr(subdivision, "_build_base", isolated)
+        monkeypatch.setattr(checks, "_Shape", isolated_tables)
         seq = sequence_from_edges(4, EXAMPLE_STEPS)
         ridge = next(fs for fs in seq.final.faces() if len(fs) == 3)
         labels = twice(_link_seq(seq, 3, ridge, {}))[1]
@@ -1712,7 +1738,7 @@ def induced_reference(seq, fs):
 
 
 class TestSharedBases:
-    """The final walk builds one base per shape, and its induced sequences are ``induced_sequence``'s."""
+    """The final walk builds one set of tables per shape, and its induced sequences are ``induced_sequence``'s."""
 
     @staticmethod
     def decided_faces(seq):
@@ -1737,36 +1763,31 @@ class TestSharedBases:
     def test_every_face_gets_the_induced_sequence(self, d, k, seed):
         # the walk reads the labels and the shape's tables of each face it
         # decides, the first to show each (K(F), N(F), recipe); with the base
-        # they are the face's induced sequence, and the tables are the base's
-        # edges, K-table and gamma adjacency in ranks
+        # they are the face's induced sequence, and the tables, built once
+        # per shape from the shape alone, are the base's edges, K-table and
+        # gamma adjacency in ranks
         seq = random_sequence(d, k, seed)
-        walked, shapes, builds = [], [], []
-        shaped, translate, build = checks._shaped, subdivision._translate, subdivision._build_base
-
-        def walking(recipe, *rest):
-            entry, labels = shaped(recipe, *rest)
-            walked.append((recipe, entry, labels))
-            return entry, labels
+        walked, tables = [], {}
+        translate, tables_of = checks._translate, checks._Shape
 
         def translating(recipe):
-            out = translate(recipe)
-            shapes.append(out[0])
-            return out
+            shape, labels = translate(recipe)
+            walked.append((recipe, shape, labels))
+            return shape, labels
 
-        def building(shape):
-            builds.append(shape)
-            return build(shape)
+        def tabling(shape):
+            assert shape not in tables
+            tables[shape] = tables_of(shape)
+            return tables[shape]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "_shaped", walking)
-            mp.setattr(subdivision, "_translate", translating)
-            mp.setattr(subdivision, "_build_base", building)
+            mp.setattr(checks, "_translate", translating)
+            mp.setattr(checks, "_Shape", tabling)
             assert all(deep_report(seq).values())
-        assert sorted(builds) == sorted({shape for shape in shapes if shape is not None})
+        assert set(tables) == {shape for _, shape, _ in walked}
         decided = self.decided_faces(seq)
         assert [recipe for recipe, _, _ in walked] == [recipe for _, recipe in decided]
-        for (fs, recipe), (_, entry, labels) in zip(decided, walked):
-            shape = subdivision._translate(recipe)[0]
+        for (fs, recipe), (_, shape, labels) in zip(decided, walked):
             got = subdivision._labeled(shape and subdivision._build_base(shape), labels)
             expected = induced_sequence(seq, fs)
             reference = induced_reference(seq, fs)
@@ -1777,7 +1798,9 @@ class TestSharedBases:
                     continue
                 for field in ("d", "steps", "final", "k_table", "gamma_edges", "w_neighbors"):
                     assert getattr(ind.base, field) == getattr(reference[0], field), (sorted(fs), field)
-            if entry is None:
+            entry = tables[shape]
+            assert (entry.ends, entry.other_ends, entry.k_ranks, entry.gamma_ranks) == shape_tables(got.base)
+            if got.base is None:
                 continue
             base, low = got.base, 2 * got.base.d
             assert sorted(zip(entry.ends, entry.other_ends)) == base.final.edges()
@@ -1795,6 +1818,60 @@ class TestSharedBases:
         got = [subdivision._induced(seq, seq.k, fs, bases, memo) for fs in seq.final.faces()]
         assert len(got) == 783 and len(bases) == 67
         assert len({id(ind.base) for ind in got if ind.base is not None}) == 67
+
+
+class TestShapeTables:
+    """``checks._Shape`` reads a shape's tables off the shape, as ``helpers.shape_tables`` reads them off its built base."""
+
+    @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_the_tables_are_the_built_bases(self, d, k, seed):
+        # every shape the final walk meets, the empty link's included
+        seq = random_sequence(d, k, seed)
+        met, tables_of = [], checks._Shape
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "_Shape", lambda shape: met.append(shape) or tables_of(shape))
+            assert all(deep_report(seq).values())
+        assert None in met
+        for shape in met:
+            got = checks._Shape(shape)
+            base = shape and subdivision._build_base(shape)
+            assert (got.ends, got.other_ends, got.k_ranks, got.gamma_ranks) == shape_tables(base), shape
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, ((0, 1),)), (2, ((0, 1),)), (2, ((0, 2), (0, 2))), (2, ((0, 2), (4, 4))), (3, ((0, 2), (4, 5), (6, 1)))],
+        ids=["antipodes, one pair", "antipodes", "an edge subdivided twice", "a loop at w", "antipodes at step 2"],
+    )
+    def test_a_step_off_an_edge_has_no_tables(self, shape):
+        # where extend raises, there is no base, and the tables say so
+        with pytest.raises(ValueError, match="is not an edge of the current complex"):
+            subdivision._build_base(shape)
+        assert checks._Shape(shape).ends is None
+
+    def test_a_face_with_a_step_off_an_edge_fails_the_walked_suites(self, replaced_recipes):
+        seq = step_off_an_edge()
+        assert checks._final_verdicts(seq, checks._forward_pass(seq)[2]) == (False, False, False)
+
+    @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_a_passing_report_extends_nothing_after_the_forward_pass(self, d, k, seed):
+        # the forward pass replays history, one extend call per step but the
+        # last; the final walk builds no base
+        seq = random_sequence(d, k, seed)
+        calls, at_return = [], []
+        real_extend, real_pass = subdivision.extend, checks._forward_pass
+
+        def forward_pass(s):
+            out = real_pass(s)
+            at_return.append(len(calls))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subdivision, "extend", lambda *args: calls.append(args) or real_extend(*args))
+            mp.setattr(checks, "_forward_pass", forward_pass)
+            assert all(deep_report(seq).values())
+        assert at_return == [len(calls)] == [max(k - 1, 0)]
 
 
 class TestFinalWalkRaisesAlike:
@@ -1816,6 +1893,14 @@ class TestFinalWalkRaisesAlike:
                 link_recursion_failures,
                 ValueError,
                 "relabel mapping is not a bijection on the vertex set",
+            ),
+            # the walk's tables of the shape say it has no base; the suites
+            # build it and raise
+            (
+                step_off_an_edge,
+                link_recursion_failures,
+                ValueError,
+                "step 1: (0, 1) is not an edge of the current complex",
             ),
             # the link's sizes and adjacency match, but one vertex is off the link
             (link_vertex_off_the_link, phi_image_failures, ValueError, "{1, 5} is not a face of complex 2"),
