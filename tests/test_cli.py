@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, determinism, error paths."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,18 @@ DEEP_GOLDEN_NO_STEPS = (
     ', "k": 0, "k_recursion": true, "link_recursion": true, "oracle_equivalence": true, "phi_image": true, "seed": 1, "w_recursion": true}}\n'
 )
 
+
+# sha256 of the stdout of each command, captured before the --deep forward
+# pass stopped replaying history; "<example file>" is the worked example's
+# sequence file, as in the CI smoke test.
+REPORT_DIGESTS = {
+    ("verify", "--deep", "--random", "4", "6", "1", "3"): "7903d008988dd88dfc4c646e47c2322295a3c6a8b3cb9c9b5d627719339cd835",
+    ("verify", "--deep", "--random", "5", "80", "1", "2"): "c26a411d1a7e4a5daf26033e50e76a449ff05ba50d3b8c27246d148a5ad58184",
+    ("verify", "--deep", "--random", "7", "30", "1", "1"): "a11338f9439f7393a05a73d6e7a44fc1f3d56ca0a8bc72a811c9a13ea64047d6",
+    ("example",): "a070e4137224e0941bcbaf87fd2a9268771d0e9c16e6830126830e87dadc0e4b",
+    ("verify", "--deep", "<example file>"): "ab119524b95e74bcd6f67749312a8c4dff4fd0d9026ec0241dc7742e10294207",
+}
+EXAMPLE_SEQUENCE = {"d": 4, "steps": [{"edge": [0, 2]}, {"edge": [4, 6]}, {"edge": [0, 9]}]}
 
 # The building set and ordering file of the CI smoke test: the intervals of
 # {1..4}, and an ordering of them.
@@ -217,6 +230,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--deep", "--random", "5", "8", "1", "2")
         assert code == 0
         assert out == DEEP_GOLDEN_D5
+
+    @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+    def test_report_digests_are_pinned(self, capsys, tmp_path, argv):
+        path = write(tmp_path, "example.json", EXAMPLE_SEQUENCE)
+        code, out, err = run(capsys, *(path if arg == "<example file>" else arg for arg in argv))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
     def test_invalid_step_names_the_step(self, capsys, tmp_path):
         path = write(tmp_path, "bad.json", {"d": 2, "steps": [{"edge": [0, 1]}]})
