@@ -4,28 +4,33 @@ Each ``*_failures`` function sweeps one identity over all faces (or steps)
 of a sequence and returns a list of failure descriptions, empty when the
 identity holds everywhere; all comparisons are exact.
 
-History is read forward: every per-step walker, here and in
-``deep_failures``, walks consecutive pairs of ``seq.states()``, which
-replays the steps and keeps nothing, so two states are alive at a time.
-Faces are classified against N_j(w_j), the neighbors that ``extend``
-recorded for the new vertex of step j, as ``_link_seq`` classifies them.
+History is read forward: every per-step suite function walks
+consecutive pairs of ``seq.states()``, which replays the steps and keeps
+nothing, so two states are alive at a time.  Faces are classified
+against N_j(w_j), the neighbors that ``extend`` recorded for the new
+vertex of step j, as ``_link_seq`` classifies them.
 
 ``deep_failures``, behind the CLI's --deep flag, returns the same seven
 lists, in two tiers: fast checks decide which suites hold, and only the
-suite functions explain.  One forward pass over the steps carries the
-induced-sequence recipe of every face from the cross polytope to the
+suite functions explain.  The checks decide on what a sequence stores,
+its step log, ``w_neighbors``, final complex, K-table and gamma edges,
+never on a replayed history.  One forward pass over the steps carries
+the induced-sequence recipe of every face from the cross polytope to the
 final complex, and decides the increment identity and the K case rules
 on the way; where it carries that layer to the end, the W case rules
 and the face-set oracle hold by the lemmas below.  Step j changes only
 the faces around the subdivided edge ab, built on the cliques tau of
 lk(ab) in step j-1's complex, so the pass touches those faces and no
-other, by the lemmas below.  It checks each step against the
-edge-subdivision rule, as entries set on the adjacency before it, and
-reads f(lk ab) off the cliques through ab that the step loses; by the
-linearity of the edge-subdivision lemma the increment identity holds
-exactly where each such f has a gamma, so no state's cliques are
-counted, no f or gamma is carried from step to step, no gained clique
-is listed and no link is built.  The other three suites are decided by
+other, by the lemmas below.  It applies each logged step's
+edge-subdivision rule to an adjacency and a K-table of its own, started
+from the cross polytope, checks the step and its recorded N_j(w) on
+that state, and compares the state with the stored final complex and
+K-table once, at the end.  It reads f(lk ab) off the cliques through ab
+that the step loses in its own state; by the linearity of the
+edge-subdivision lemma the increment identity holds exactly where each
+such f has a gamma, so no state's cliques are counted, no f or gamma is
+carried from step to step, no gained clique is listed and no link is
+built.  The other three suites are decided by
 one depth-first clique walk over the final complex, in ``faces()``
 order, carrying K(F + v) = K(F) & K(v) and N(F), the common neighbors
 of F, as running intersections of int masks, bit v standing for vertex
@@ -62,8 +67,8 @@ compares masks with those tables, and rebuilds nothing:
 A check only says whether its suites hold.  A suite that fails gets its
 list, or its error, from its own ``*_failures`` function, which also
 names the failing step and face; where the forward pass carries no
-layer (the start is not the cross polytope, or the subdivision premise
-fails at some step), every suite function runs.
+layer (the subdivision premise fails at some step), every suite
+function runs.
 Those functions share no walk with ``deep_failures`` and are the oracle
 it is tested against.
 
@@ -84,12 +89,15 @@ skipped check is implied by the ones that run:
   neighbors of w, so common neighbors of a and b in C: F - w + b is a face
   of C.  In an F3 face every vertex but w is such a common neighbor, so
   F - w + a + b is a face of C.  So no transformed face needs validation
-  once the premise holds at the step, which the forward pass checks on
-  the adjacencies as the rule itself: ab is an edge of C and w is not a
-  vertex of it; a and b swap each other for w, every common neighbor of
-  a and b gains w, w gets those and a and b, and no other entry changes.
-  No complex is built to compare with.  The premise also
-  asks that the recorded N_j(w) be w's neighbors in step j's complex, so
+  once the premise holds at the step.  The forward pass checks it by
+  applying the rule to a state of its own, started from the cross
+  polytope: where ab is an edge of C and w is not a vertex of it, a and
+  b swap each other for w, every common neighbor of a and b gains w, w
+  gets those and a and b, and no other entry changes, so each of its
+  states is its predecessor subdivided by construction, and its last
+  must be the stored final complex.  No complex is built to compare
+  with.  The premise also asks that the recorded N_j(w) be w's neighbors
+  in step j's complex, the common neighbors of a and b with a and b, so
   that a face's class is the same read from either.
 - Vertex lemma (K rules).  Given the premise at step j, suppose that
   w = 2d + j - 1, so that K of the empty face, the w ids, gains exactly
@@ -183,8 +191,6 @@ skipped check is implied by the ones that run:
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .complexes import (
     _mask,
     cross_polytope,
@@ -193,7 +199,7 @@ from .complexes import (
     link,
     subdivide_face_general,
 )
-from .polynomials import f_from_counts, gamma_of, h_from_f, is_symmetric
+from .polynomials import _h_rows, gamma_of
 from .subdivision import (
     FaceClass,
     SubdivisionSequence,
@@ -366,82 +372,55 @@ def _cliques_through(adj, base) -> list[int]:
     return out
 
 
-def _is_update(before, after, new) -> bool:
-    """Whether the mapping ``after`` is ``before`` with the entries of ``new`` set and no other entry changed.
-
-    That is ``dict(after) == {**before, **new}``.  Each entry is compared
-    by identity first and by value only where that fails, so an entry that
-    ``after`` shares with ``before`` costs no set comparison.
-    """
-    if len(after) != len(before) + len(new.keys() - before.keys()):
-        return False
-    missing = object()
-    for v, x in after.items():
-        y = new[v] if v in new else before.get(v, missing)
-        if x is not y and x != y:
-            return False
-    return True
-
-
-def _subdivides(prev, cur, step) -> bool:
-    """Whether the graph ``cur`` is ``prev`` with the edge ab subdivided by w, ``step`` being ((a, b), w).
-
-    Both graphs are adjacency mappings.  This is the edge-subdivision rule:
-    ab is an edge of ``prev`` and w is not one of its vertices; a and b
-    swap each other for w, every common neighbor of a and b gains w, w gets
-    those common neighbors and a and b, and no other entry changes.
-    """
-    (a, b), w = step
-    if b not in prev.get(a, ()) or w in prev:
-        return False
-    common = prev[a] & prev[b]
-    new = {c: prev[c] | {w} for c in common}
-    new.update({a: prev[a] - {b} | {w}, b: prev[b] - {a} | {w}, w: common | {a, b}})
-    return _is_update(prev, cur, new)
-
-
 def _link_has_gamma(lost, d) -> bool:
     """Whether lk(ab) has a gamma at d - 2, its f read off ``lost``, the cliques tau + a + b through ab as masks.
 
-    That is, f(lk ab), the size count of ``lost`` less 2, has degree at
-    most d - 2 and a symmetric h_{d-2}.
+    That is, f(lk ab), the size count of ``lost`` less 2, as a plain list,
+    has degree at most d - 2 and a symmetric h_{d-2}, each h_i the sum of
+    the counts weighted by the cached row i of ``polynomials._h_rows``.
     """
-    link_f = f_from_counts(Counter(m.bit_count() - 2 for m in lost))
-    return link_f.degree <= d - 2 and is_symmetric(h_from_f(link_f, d - 2), d - 2)
+    f = [0] * (d - 1)
+    for m in lost:
+        size = m.bit_count() - 2
+        if size > d - 2:
+            return False
+        f[size] += 1
+    h = [sum(map(int.__mul__, row, f)) for row in _h_rows(d - 2)]
+    return h == h[::-1]
 
 
 def _forward_pass(seq) -> tuple | None:
     """The verdicts of the increment identity and the K case rules, and the final layer; None where no layer is carried.
 
-    The pass walks consecutive pairs of ``seq.states()``, so two states
-    are alive at a time.  The layer maps the mask of every face to its
-    recipe, a plain tuple.  It starts as the cross polytope's, built
-    without a walk by ``_start_layer``, and is carried by the W rule on
-    the changed faces only (``_advance_recipes``); by the rename lemma
-    those are the recipes ``_link_seq`` would build.  The pass returns
-    None, and so leaves every suite to its own function, where the start
-    complex is not the cross polytope, or where at some step the
-    subdivision premise of the module docstring fails.  Where it carries
-    the layer to the final complex, the W rules hold by the memo lemma and
-    the face-set oracle by the edge-subdivision lemma, so only two verdicts
-    are left to return.  The premise is checked by ``_subdivides``, the
-    edge-subdivision rule on the adjacencies of steps j-1 and j; only then
-    is N_j(w) read, as w is a vertex of step j's complex.
+    The pass applies each logged step to an adjacency and a K-table of its
+    own, started from the cross polytope as ``extend`` starts a sequence,
+    and reads nothing of any other state: no history is replayed, and
+    only the last state is compared whole.  At step j it checks the
+    subdivision premise of the module docstring on its own state: ab is
+    an edge and w is not a vertex, and the recorded N_j(w) is the N(w)
+    the rule gives, the common neighbors of a and b with a and b.  It
+    then takes the cliques the step loses, those through ab, from its own
+    state, and applies the rule.  At the end its adjacency must be that
+    of the final complex.  The pass returns None, and so leaves every
+    suite to its own function, where any of these fails, or where a step
+    before the last logs a w other than 2d + j - 1.  That is the id the
+    history the suite functions read, ``seq.states()``, gives step j's
+    new vertex at every step but the last, whose state is the sequence
+    itself.  The layer maps the mask of every face to its recipe, a plain
+    tuple.  It starts as the cross polytope's, built without a walk by
+    ``_start_layer``, and is carried by the W rule on the changed faces
+    only (``_advance_recipes``); by the rename lemma those are the
+    recipes ``_link_seq`` would build.  Where it carries the layer to the
+    final complex, the W rules hold by the memo lemma and the face-set
+    oracle by the edge-subdivision lemma, so only two verdicts are left
+    to return.
 
-    The K rules are read off each step's K-table update by the vertex
-    lemma, as one ``_is_update`` of the table: w gets K(a) & K(b), the
-    common neighbors of a and b gain w, and no other entry changes.  The
-    table must cover the vertices first, so that ``k_rule_failures`` raises
-    its own ``KeyError``.  That no K entry held w before the step is one
-    check of the start table, that no K_0 entry holds a w id of the
-    sequence, by induction: while ``k_ok`` holds, every earlier step i
-    passed ``_is_update`` and its w_i is ``seq.w_id(i)``, so every id in a
-    K_{j-1} entry is in a K_0 entry or is one of w_1..w_{j-1}, which are
-    smaller than w_j = ``seq.w_id(j)``.  So wherever a scan of every
-    K_{j-1} entry would find w_j, the start check has failed.  It fails
-    where no scan would only if a start key off the vertices is a w id
-    whose entry a step replaced, and that False leaves the K rules to
-    ``k_rule_failures``.
+    The K rules are read off the vertex lemma: the pass's own table
+    applies it at each step (K(w) = K(a) & K(b), the common neighbors of
+    a and b gain w, no other entry changes), so the K verdict is True
+    where the last step's w is 2d + k - 1, as every earlier one is where
+    a layer is carried, and the own table is the stored K-table.  With no
+    step it is True, as ``k_rule_failures`` has no step to check.
 
     The increment identity is decided by the linearity lemma, within the
     edge-subdivision lemma of the module docstring: f(G_j) - f(G_{j-1}) is
@@ -454,31 +433,34 @@ def _forward_pass(seq) -> tuple | None:
     reads off the cliques the step loses; so no f or gamma is carried.
     Where it is False, ``increment_identity_failures`` decides.
     """
-    d = seq.d
-    states = seq.states()
-    before = next(states)
-    if before.final != cross_polytope(d):
-        return None
+    d, steps, near = seq.d, seq.steps, seq.w_neighbors
+    adj = {v: set(ns) for v, ns in cross_polytope(d).adjacency().items()}
+    table = {v: set() for v in adj}
     layer = _start_layer(d)
-    ws = set(seq.w_ids())
-    k_ok = all(ws.isdisjoint(ks) for ks in before.k_table.values())
-    increment_ok = True
-    for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
+    increment_ok, last = True, len(steps)
+    for j, step in enumerate(steps, start=1):
         (a, b), w = step
-        prev, cur = before.final.adjacency(), after.final.adjacency()
-        if not (_subdivides(prev, cur, step) and seq.w_neighbors[j - 1] == cur[w]):
+        if b not in adj.get(a, ()) or w in adj or (j < last and w != 2 * d + j - 1):
             return None
-        kb, common = before.k_table, prev[a] & prev[b]
-        k_ok = k_ok and (
-            w == seq.w_id(j)
-            and kb.keys() >= prev.keys()
-            and _is_update(kb, after.k_table, {w: kb[a] & kb[b], **{c: kb[c] | {w} for c in common}})
-        )
+        common = adj[a] & adj[b]
+        near_w = common | {a, b}
+        if near[j - 1] != near_w:
+            return None
         # the cliques lost are the faces that held a and b
-        lost = _cliques_through(prev, (a, b))
+        lost = _cliques_through(adj, (a, b))
         increment_ok = increment_ok and _link_has_gamma(lost, d)
         _advance_recipes(layer, lost, step, (1 << a, 1 << b, 1 << w))
-        before = after
+        table[w] = table[a] & table[b]
+        for c in common:
+            adj[c].add(w)
+            table[c].add(w)
+        for u, x in ((a, b), (b, a)):
+            adj[u].remove(x)
+            adj[u].add(w)
+        adj[w] = near_w
+    if adj != seq.final.adjacency():
+        return None
+    k_ok = not steps or (steps[-1][1] == 2 * d + last - 1 and table == seq.k_table)
     return increment_ok, k_ok, layer
 
 
@@ -711,9 +693,9 @@ def deep_failures(seq: SubdivisionSequence) -> dict[str, list[str]]:
     construction there; ``w_rule_failures``, which compares recipes with
     the W rule, is the exhaustive test oracle of ``_link_seq``.  Where the
     pass carries no layer, every suite function runs.  Nothing is kept on
-    ``seq``.  On a valid sequence history is replayed once, by the forward
-    pass, and nothing of it is kept; a suite function that runs replays it
-    again.
+    ``seq``.  On a valid sequence no history is replayed: the forward pass
+    applies the logged steps to a state of its own; a suite function that
+    runs replays the history.
     """
     carried = _forward_pass(seq)
     if carried is None:

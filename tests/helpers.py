@@ -6,6 +6,7 @@ the h-transform comes from expanding sum_i f_i t^i (1-t)^(d-i) with
 plain polynomial arithmetic.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 from random import Random
 
@@ -19,6 +20,8 @@ from gammacomplex import (
     random_sequence,
     subdivision,
 )
+from gammacomplex.complexes import cross_polytope
+from gammacomplex.polynomials import f_from_counts, h_from_f, is_symmetric
 
 
 def brute_force_face_counts(c: FlagComplex) -> dict[int, int]:
@@ -163,3 +166,88 @@ def read_replaced_recipes(monkeypatch):
 
     monkeypatch.setattr(subdivision, "_link_seq", link_seq)
     monkeypatch.setattr(checks, "_forward_pass", forward_pass)
+
+
+def is_update(before, after, new) -> bool:
+    """Whether the mapping ``after`` is ``before`` with the entries of ``new`` set and no other entry changed.
+
+    That is ``dict(after) == {**before, **new}``.  Each entry is compared
+    by identity first and by value only where that fails, so an entry that
+    ``after`` shares with ``before`` costs no set comparison.
+    """
+    if len(after) != len(before) + len(new.keys() - before.keys()):
+        return False
+    missing = object()
+    for v, x in after.items():
+        y = new[v] if v in new else before.get(v, missing)
+        if x is not y and x != y:
+            return False
+    return True
+
+
+def subdivides(prev, cur, step) -> bool:
+    """Whether the graph ``cur`` is ``prev`` with the edge ab subdivided by w, ``step`` being ((a, b), w).
+
+    Both graphs are adjacency mappings.  This is the edge-subdivision rule:
+    ab is an edge of ``prev`` and w is not one of its vertices; a and b
+    swap each other for w, every common neighbor of a and b gains w, w gets
+    those common neighbors and a and b, and no other entry changes.
+    """
+    (a, b), w = step
+    if b not in prev.get(a, ()) or w in prev:
+        return False
+    common = prev[a] & prev[b]
+    new = {c: prev[c] | {w} for c in common}
+    new.update({a: prev[a] - {b} | {w}, b: prev[b] - {a} | {w}, w: common | {a, b}})
+    return is_update(prev, cur, new)
+
+
+def link_has_gamma_by_polynomials(lost, d) -> bool:
+    """``checks._link_has_gamma`` through ``IntPolynomial``: f(lk ab), the size count of ``lost`` less 2, has degree at most d - 2 and a symmetric h_{d-2}."""
+    link_f = f_from_counts(Counter(m.bit_count() - 2 for m in lost))
+    return link_f.degree <= d - 2 and is_symmetric(h_from_f(link_f, d - 2), d - 2)
+
+
+def replaying_forward_pass(seq) -> tuple | None:
+    """``checks._forward_pass`` as it was when it replayed history: the oracle of the pass on its own state.
+
+    It walks consecutive pairs of ``seq.states()`` and checks each step
+    with ``subdivides`` on the two states' adjacencies, and the K rules
+    with one ``is_update`` of the two K-tables, so it reads a corrupted
+    replayed history (``KeptHistory``) that the pass on its own state
+    never sees.  It returns None where the start is not the cross
+    polytope or the premise fails at some step; a step off an edge
+    before the last raises ``extend``'s error from the replay.  That no
+    K entry held w before a step is one check of the start table, that no
+    K_0 entry holds a w id of the sequence.
+    """
+    d = seq.d
+    states = seq.states()
+    before = next(states)
+    if before.final != cross_polytope(d):
+        return None
+    layer = subdivision._start_layer(d)
+    ws = set(seq.w_ids())
+    k_ok = all(ws.isdisjoint(ks) for ks in before.k_table.values())
+    increment_ok = True
+    for j, (step, after) in enumerate(zip(seq.steps, states), start=1):
+        (a, b), w = step
+        prev, cur = before.final.adjacency(), after.final.adjacency()
+        if not (subdivides(prev, cur, step) and seq.w_neighbors[j - 1] == cur[w]):
+            return None
+        kb, common = before.k_table, prev[a] & prev[b]
+        k_ok = k_ok and (
+            w == seq.w_id(j)
+            and kb.keys() >= prev.keys()
+            and is_update(kb, after.k_table, {w: kb[a] & kb[b], **{c: kb[c] | {w} for c in common}})
+        )
+        lost = checks._cliques_through(prev, (a, b))
+        increment_ok = increment_ok and link_has_gamma_by_polynomials(lost, d)
+        subdivision._advance_recipes(layer, lost, step, (1 << a, 1 << b, 1 << w))
+        before = after
+    return increment_ok, k_ok, layer
+
+
+def stored(seq) -> SubdivisionSequence:
+    """The plain sequence of what ``seq`` stores (step log, final complex, K-table, gamma edges, ``w_neighbors``), with no kept history."""
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges, seq.w_neighbors)

@@ -445,9 +445,10 @@ def test_scale_guard_increment_in_forward_pass(monkeypatch):
     # each step loses, those through ab, and by the linearity lemma checks
     # only that it has a gamma, so a passing run counts the cliques of no
     # state, builds no link of ab, lists the cliques through ab once per
-    # step and none that a step gains, and replays history once (the
-    # increment suite counted all 9 states, built 8 links and replayed
-    # history a second time)
+    # step and none that a step gains, and replays no history, as it
+    # applies each step to a state of its own (the increment suite counted
+    # all 9 states, built 8 links and replayed history; the pass replayed
+    # it once before it kept a state of its own)
     start = time.perf_counter()
     names = ["increment_identity_failures", "link", "gamma_of", "_cliques_through"]
     calls = dict.fromkeys([*names, "states"], 0)
@@ -473,7 +474,7 @@ def test_scale_guard_increment_in_forward_pass(monkeypatch):
         "link": 0,
         "gamma_of": 0,
         "_cliques_through": 8,
-        "states": 1,
+        "states": 0,
     }
     _report(
         "scale guard (increment identity in the forward pass, d=5, k=8)",

@@ -62,9 +62,13 @@ from helpers import (
     KeptHistory,
     RecipesReplaced,
     final_k_entry_moved,
+    is_update,
     read_replaced_recipes,
+    replaying_forward_pass,
     sequence_from_edges,
     shape_tables,
+    stored,
+    subdivides,
 )
 
 EXAMPLE_STEPS = [(0, 2), (4, 6), (0, 9)]
@@ -764,6 +768,58 @@ def step_off_an_edge():
     return RecipesReplaced(seq, {(3, frozenset()): (pairs, ((pairs[0], steps[0][1]),) + steps[1:])})
 
 
+def final_edge_toggled():
+    """The final complex of the worked example with the edge {+e1, +e2}, which step 1 subdivided, put back."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    final = FlagComplex(seq.final.vertices, seq.final.edges() + [(0, 2)])
+    return SubdivisionSequence(seq.d, seq.steps, final, seq.k_table, seq.gamma_edges, seq.w_neighbors)
+
+
+def w_neighbors_entry_changed():
+    """N_2(w2) is recorded without +e1, a common neighbor of +e3 and +e4 that w2 is joined to."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    near = list(seq.w_neighbors)
+    near[1] = near[1] - {0}
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, seq.k_table, seq.gamma_edges, tuple(near))
+
+
+def non_edge_logged_at_step_2_unkept():
+    """``non_edge_logged_at_step_2`` with no kept history: the suites replay the step log, and ``extend`` refuses step 2."""
+    return stored(non_edge_logged_at_step_2())
+
+
+def final_k_entry_missing():
+    """The final table has no entry for +e3."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    table = dict(seq.k_table)
+    del table[4]
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
+
+
+def deep_failures_or_error(seq):
+    """``deep_failures(seq)``, or the type and the message of the error it raises."""
+    try:
+        return deep_failures(seq)
+    except (KeyError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_read_as_stored(seq):
+    """``deep_failures`` gives on ``seq`` what it gives on the sequence of its stored fields, or raises alike.
+
+    ``--deep`` decides on what a sequence stores, never on a replayed
+    history, so a ``KeptHistory`` whose kept states alone are corrupted
+    reads as the genuine sequence it stores.
+    """
+    assert deep_failures_or_error(seq) == deep_failures_or_error(stored(seq))
+
+
+def replayed_verdicts(seq):
+    """The two verdicts of ``helpers.replaying_forward_pass``, which reads the replayed history; None where it carries no layer."""
+    carried = replaying_forward_pass(seq)
+    return carried and tuple(carried[:2])
+
+
 # Ways to replace a recipe: by the one ``_link_seq`` builds, or by one off by one change.
 CORRUPTIONS = [
     lambda r: r,
@@ -817,13 +873,11 @@ class TestDeepFailures:
     @pytest.mark.parametrize(
         "name, corrupt",
         [
-            ("increment_identity", pendant_at_the_start),
-            ("k_recursion", k_entry_dropped),
+            ("k_recursion", final_k_entry_moved),
             ("link_recursion", link_pair_dropped),
             ("phi_image", final_k_entry_moved),
             ("phi_image", commuting_steps_reversed_at_a_vertex),
             ("gamma_restriction", gamma_edge_added),
-            ("oracle_equivalence", pendant_at_the_start),
         ],
     )
     def test_a_corrupted_sequence_fails_alike(self, name, corrupt, replaced_recipes):
@@ -831,6 +885,43 @@ class TestDeepFailures:
         assert SUITES[name](seq)
         self.assert_same_as_the_suites(seq)
         assert deep_report(seq)[name] is False
+
+    @pytest.mark.parametrize(
+        "name, corrupt, replayed",
+        [
+            ("increment_identity", pendant_at_the_start, None),
+            ("k_recursion", k_entry_dropped, (True, False)),
+            ("oracle_equivalence", pendant_at_the_start, None),
+        ],
+    )
+    def test_a_corrupted_history_fails_the_suite_and_the_replaying_pass(self, name, corrupt, replayed):
+        # only the kept history is corrupted: the suite and the replaying
+        # pass, which read it, catch that, and deep_failures, which decides
+        # on what the sequence stores, reads the genuine stored sequence
+        seq = corrupt()
+        assert SUITES[name](seq)
+        assert replayed_verdicts(seq) == replayed
+        assert_read_as_stored(seq)
+        assert deep_failures(seq) == dict.fromkeys(SUITES, [])
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            (final_edge_toggled, ValueError, "found a clique of 5 vertices but d=4"),
+            (w_neighbors_entry_changed, RuntimeError, "internal inconsistency: |K|=1 but |W|=0 for {0}"),
+            (non_edge_logged_at_step_2_unkept, ValueError, "step 2: (0, 1) is not an edge of the current complex"),
+        ],
+    )
+    def test_a_corrupted_stored_field_fails_or_raises_alike(self, corrupt, error, message):
+        # the forward pass finds each at its step, or at the end, and carries
+        # no layer, so every suite runs; the replaying pass carries none
+        # either, or raises extend's error in its replay
+        seq = corrupt()
+        assert checks._forward_pass(seq) is None
+        with pytest.raises(error) as got:
+            deep_failures(seq)
+        assert str(got.value) == message
+        self.assert_same_or_raised_alike(seq)
 
     def test_the_w_suite_catches_a_recursion_off_the_w_rule(self, replaced_recipes):
         # deep_failures takes the W rules from the memo lemma, which holds for
@@ -850,14 +941,17 @@ class TestDeepFailures:
             (endpoint_swapped_at_step_1, "{0, 1, 2, 4, 6} is not a face of complex 0"),
         ],
     )
-    def test_a_transformed_face_off_the_previous_complex_raises_alike(self, corrupt, message):
-        # each breaks the subdivision premise at its step, so the K suite runs
-        # and validates every transformed face
+    def test_a_transformed_face_off_the_previous_complex_raises_in_the_k_suite(self, corrupt, message):
+        # each breaks the subdivision premise at its step of the kept
+        # history, so the K suite, which validates every transformed face of
+        # that history, raises, and the replaying pass carries no layer;
+        # deep_failures reads the genuine stored sequence
         with pytest.raises(ValueError) as expected:
             k_rule_failures(corrupt())
-        with pytest.raises(ValueError) as got:
-            deep_failures(corrupt())
-        assert str(got.value) == str(expected.value) == message
+        assert str(expected.value) == message
+        assert replaying_forward_pass(corrupt()) is None
+        assert_read_as_stored(corrupt())
+        assert deep_failures(corrupt()) == dict.fromkeys(SUITES, [])
 
     @given(
         st.integers(2, 5),
@@ -1021,11 +1115,8 @@ class TestDeepFailures:
         self.assert_same_or_raised_alike(seq)
 
     def test_pinned_failure_strings(self, replaced_recipes):
-        assert deep_failures(k_entry_dropped())["k_recursion"][:4] == [
-            "step 1, face [4], class F4: K=[] expected [8]",
-            "step 1, face [4, 6], class F4: K=[] expected [8]",
-            "step 1, face [4, 7], class F4: K=[] expected [8]",
-            "step 2, face [4], class F1: K=[8] expected []",
+        assert deep_failures(final_k_entry_moved())["k_recursion"] == [
+            "step 4, face [2], class F5: K=[9] expected [6]"
         ]
         assert deep_failures(link_pair_dropped())["link_recursion"] == [
             "face [10]: induced result differs from link"
@@ -1036,9 +1127,17 @@ class TestDeepFailures:
         assert deep_failures(gamma_edge_added())["gamma_restriction"] == [
             f"face {face}: restricted gamma complex mismatch" for face in ([], [3], [8])
         ]
-        assert deep_failures(pendant_at_the_start())["increment_identity"] == [
-            "step 1: gamma increment [] != t*[1]"
+        # corruptions of a kept history alone: the suites give the strings,
+        # and deep_failures reads the genuine stored sequence
+        assert k_rule_failures(k_entry_dropped())[:4] == [
+            "step 1, face [4], class F4: K=[] expected [8]",
+            "step 1, face [4, 6], class F4: K=[] expected [8]",
+            "step 1, face [4, 7], class F4: K=[] expected [8]",
+            "step 2, face [4], class F1: K=[8] expected []",
         ]
+        assert increment_identity_failures(pendant_at_the_start()) == ["step 1: gamma increment [] != t*[1]"]
+        for corrupt in (k_entry_dropped, pendant_at_the_start):
+            assert deep_failures(corrupt()) == deep_failures(stored(corrupt())) == dict.fromkeys(SUITES, [])
 
 
 # The five suites whose verdicts come from the shared walks of ``deep_failures``.
@@ -1078,10 +1177,10 @@ class TestDeepWalksDecide:
     @pytest.mark.parametrize(
         "corrupt, expected",
         [
-            # prefix(0) with the pendant is no cross polytope, so the forward
-            # pass carries no layer and every suite comes from its function
-            (pendant_at_the_start, list(WALK_FED)),
-            (k_entry_dropped, ["k_recursion"]),
+            # only the kept history is corrupted, which the forward pass
+            # does not read: it carries the layer and passes every check
+            (pendant_at_the_start, []),
+            (k_entry_dropped, []),
             # the W rules hold by construction, and the replaced recipe keeps
             # the link, phi and the gamma restriction
             (commuting_steps_reversed, []),
@@ -1100,11 +1199,14 @@ class TestDeepWalksDecide:
     @pytest.mark.parametrize(
         "corrupt", [pendant_added_at_step_2, pendant_moved_at_step_1, endpoint_swapped_at_step_1]
     )
-    def test_a_broken_premise_raises_from_the_k_suite(self, corrupt):
-        called = []
+    def test_a_premise_broken_in_a_kept_history_alone_calls_no_suite(self, corrupt):
+        # the K suite, which reads the kept history, raises on it; the
+        # forward pass decides on the genuine stored sequence and passes it
         with pytest.raises(ValueError, match="is not a face of complex"):
-            deep_failures_spied(corrupt(), called)
-        assert called == ["k_recursion"]
+            k_rule_failures(corrupt())
+        called = []
+        assert deep_failures_spied(corrupt(), called) == deep_failures(stored(corrupt()))
+        assert called == []
 
 
     # the forward pass fails the K rules, so the K suite gives its list; the
@@ -1138,14 +1240,25 @@ class TestDeepWalksDecide:
             deep_failures_spied(corrupt(), called)
         assert str(got.value) == str(expected.value) == message
         assert called == ["k_recursion", "phi_image"]
+        assert_read_as_stored(corrupt())
 
     def test_a_missing_k_entry_raises_from_the_k_suite(self):
-        # the K suite raises, on its own and inside deep_failures
-        called = []
+        # where only the kept start table lacks the entry, the K suite and
+        # the replaying pass read it, and deep_failures reads the stored
+        # sequence, which has it; where the final table lacks it,
+        # deep_failures raises as the K suite does
         with pytest.raises(KeyError) as got:
-            deep_failures_spied(k_entry_missing(), called)
+            k_rule_failures(k_entry_missing())
         assert str(got.value) == "4"
-        assert called == ["k_recursion"]
+        assert replayed_verdicts(k_entry_missing()) == (True, False)
+        called = []
+        assert deep_failures_spied(k_entry_missing(), called) == deep_failures(stored(k_entry_missing()))
+        assert called == []
+        with pytest.raises(KeyError) as expected:
+            k_rule_failures(final_k_entry_missing())
+        with pytest.raises(KeyError) as got:
+            deep_failures(final_k_entry_missing())
+        assert str(got.value) == str(expected.value) == "4"
 
     @pytest.mark.parametrize("seed", range(10))
     def test_an_extend_that_skips_a_common_neighbor_is_caught(self, seed, monkeypatch):
@@ -1231,13 +1344,19 @@ class TestForwardPass:
             assert deep_failures(random_sequence(d, k, seed))["oracle_equivalence"] == []
         assert called == []
 
-    def test_a_diverging_face_set_calls_the_oracle(self, monkeypatch):
-        called, real = [], checks.oracle_failures
-        monkeypatch.setattr(checks, "oracle_failures", lambda seq: called.append(seq) or real(seq))
-        assert deep_failures(pendant_at_the_start())["oracle_equivalence"] == [
+    def test_a_face_set_diverging_in_a_kept_history_alone_is_the_oracles_to_find(self, monkeypatch):
+        # the face-set oracle replays the kept history and finds the
+        # pendant; deep_failures decides on the genuine stored sequence, so
+        # it passes the face sets by the edge-subdivision lemma and calls
+        # no oracle, and the replaying pass carries no layer
+        assert oracle_failures(pendant_at_the_start()) == [
             f"step {j}: face sets diverge from graph subdivision" for j in (1, 2)
         ]
-        assert len(called) == 1
+        assert replaying_forward_pass(pendant_at_the_start()) is None
+        called, real = [], checks.oracle_failures
+        monkeypatch.setattr(checks, "oracle_failures", lambda seq: called.append(seq) or real(seq))
+        assert deep_failures(pendant_at_the_start())["oracle_equivalence"] == []
+        assert called == []
 
     @staticmethod
     def patch_graph_rule(monkeypatch, drop):
@@ -1246,12 +1365,13 @@ class TestForwardPass:
         The real ``extend`` runs one edge at a time, so every step of a
         batch, not only its last, drops its edge, and the next step reads
         the complex with the edge dropped; N_j(w) is read from that complex
-        too.  ``checks`` writes the edge-subdivision rule out itself
-        (``_subdivides``), calls no ``extend`` to check a step and binds no
-        ``extend`` of its own, so the patch reaches every replay and every
-        base it builds, and the rule check sees each dropped edge.  A
-        sequence to test is drawn by ``reference_random_sequence``, from
-        each patched complex in turn.
+        too.  ``checks`` binds no ``extend`` of its own, so the patch
+        reaches every replay and every base the suite functions build; the
+        forward pass applies the edge-subdivision rule to a state of its
+        own and calls no ``extend``, so it sees each dropped edge in the
+        recorded N_j(w) or in the final complex.  A sequence to test is
+        drawn by ``reference_random_sequence``, from each patched complex in
+        turn.
         """
         real = subdivision.extend
 
@@ -1318,6 +1438,106 @@ class TestForwardPass:
         assert _link_seq(moved, 1, frozenset({0, 99}), {})[0] == ((4, 3),)
 
 
+def stored_field_corrupted(seq, field, at, pick):
+    """The plain sequence of ``seq``'s stored fields with one of them changed, chosen by ``field``, ``at`` and ``pick``.
+
+    "final" joins or parts one pair of final vertices; "w_neighbors" adds or
+    drops one vertex of one recorded N_j(w_j); "k_table" adds or drops one w
+    id in one final K entry; "new vertex" gives one step another w, an old
+    id or a new one; "edge" gives one step another pair of ids.
+    """
+    d, k = seq.d, seq.k
+    steps, near, table, final = list(seq.steps), list(seq.w_neighbors), dict(seq.k_table), seq.final
+    vertices = sorted(final.vertices)
+    j = round(at * (k - 1))
+    if field == "final":
+        final = toggled(final, at, pick)
+    elif field == "w_neighbors":
+        near[j] = near[j] ^ {vertices[pick % len(vertices)]}
+    elif field == "k_table":
+        v = vertices[int(at * (len(vertices) - 1))]
+        table[v] = table[v] ^ {seq.w_id(pick % k + 1)}
+    elif field == "new vertex":
+        steps[j] = SubdivisionStep(steps[j].edge, pick % (2 * d + k + 2))
+    else:
+        steps[j] = SubdivisionStep((vertices[pick % len(vertices)], vertices[(pick // 7) % len(vertices)]), steps[j].new_vertex)
+    return SubdivisionSequence(d, tuple(steps), final, table, seq.gamma_edges, tuple(near))
+
+
+class TestPassOnItsOwnState:
+    """``checks._forward_pass``, on a state of its own, against ``helpers.replaying_forward_pass``, which replays history.
+
+    On a sequence with no kept history the two give the same verdicts and
+    an equal layer, or both carry none, or the replay raises ``extend``'s
+    error on a logged step off an edge where the pass carries no layer.
+    """
+
+    @staticmethod
+    def assert_same_as_the_replay(seq):
+        got = checks._forward_pass(seq)
+        try:
+            expected = replaying_forward_pass(seq)
+        except ValueError as exc:
+            assert "is not an edge of the current complex" in str(exc)
+            assert got is None
+        else:
+            assert got == expected
+        return got
+
+    @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sequences(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        got = self.assert_same_as_the_replay(seq)
+        assert got[:2] == (True, True) and len(got[2]) == len(list(seq.final.faces()))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            final_edge_toggled,
+            w_neighbors_entry_changed,
+            non_edge_logged_at_step_2_unkept,
+            final_k_entry_missing,
+            final_k_entry_moved,
+            final_k_entry_emptied,
+            final_k_entry_off_the_gamma_complex,
+            final_k_entry_off_with_a_gamma_edge_toggled,
+            new_vertex_off_its_id,
+            gamma_edge_added,
+            lambda: stored(existing_id_logged_at_step_2()),
+            lambda: stored(w_in_a_start_k_entry()),
+            lambda: stored(new_vertex_k_entry_emptied()),
+        ],
+    )
+    def test_corrupted_stored_fields(self, corrupt):
+        self.assert_same_as_the_replay(corrupt())
+
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 10),
+        st.integers(0, 10**6),
+        st.sampled_from(["final", "w_neighbors", "k_table", "new vertex", "edge"]),
+        st.floats(0, 1),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_corrupted_stored_field(self, d, k, seed, field, at, pick):
+        self.assert_same_as_the_replay(stored_field_corrupted(random_sequence(d, k, seed), field, at, pick))
+
+    def test_the_pass_replays_nothing(self, monkeypatch):
+        # it reads what the sequence stores: no state is replayed and no
+        # extend called
+        seq = random_sequence(5, 8, 1)
+
+        def refuse(*args):
+            raise AssertionError("the forward pass read a replayed history")
+
+        monkeypatch.setattr(SubdivisionSequence, "states", refuse)
+        monkeypatch.setattr(SubdivisionSequence, "prefix", refuse)
+        monkeypatch.setattr(subdivision, "extend", refuse)
+        assert checks._forward_pass(seq)[:2] == (True, True)
+
+
 def toggled(c, at, pick):
     """``c`` with one pair of its vertices, chosen by ``at`` and ``pick``, joined or parted."""
     vertices = sorted(c.vertices)
@@ -1361,21 +1581,36 @@ class TestIncrementVerdict:
                 seq = SubdivisionSequence(
                     d, seq.steps, toggled(seq.final, at, pick), seq.k_table, seq.gamma_edges, seq.w_neighbors
                 )
-            carried = checks._forward_pass(seq)
-            try:
-                passes = increment_identity_failures(seq) == []
-            except ValueError:
-                passes = False
+            # the forward pass decides on what the sequence stores, the
+            # replaying pass on the history the suite reads
+            carried, replayed = checks._forward_pass(seq), replaying_forward_pass(seq)
             if carried is not None:
-                assert carried[0] == passes
+                assert carried[0] == self.suite_passes(stored(seq))
+            if replayed is not None:
+                assert replayed[0] == self.suite_passes(seq)
             if corrupt == "none":
                 assert carried is not None and carried[0]
-            TestDeepFailures.assert_same_or_raised_alike(seq)
+            if isinstance(seq, KeptHistory):
+                assert_read_as_stored(seq)
+            else:
+                TestDeepFailures.assert_same_or_raised_alike(seq)
 
-    def test_a_failing_step_is_left_to_the_suite(self):
+    @staticmethod
+    def suite_passes(seq):
+        """Whether ``increment_identity_failures`` gives [], False where it raises."""
+        try:
+            return increment_identity_failures(seq) == []
+        except ValueError:
+            return False
+
+    def test_a_failing_step_of_a_kept_history_is_left_to_the_suite(self):
+        # the suite and the replaying pass read the pendant in the kept
+        # start; the forward pass reads the genuine stored sequence
         seq = pendant_at_the_start()
-        assert checks._forward_pass(seq) is None
-        assert deep_failures(seq)["increment_identity"] == increment_identity_failures(seq) != []
+        assert replaying_forward_pass(seq) is None
+        assert increment_identity_failures(seq) != []
+        assert checks._forward_pass(seq)[:2] == (True, True)
+        assert_read_as_stored(seq)
 
 
 def carried_increment_verdict(start, d, losts):
@@ -1453,14 +1688,20 @@ class TestIncrementByLinearity:
     )
     def test_corrupted_fixtures(self, corrupt, replaced_recipes):
         # each start has a gamma, so the carried comparison and the per-step
-        # check agree on every history, whether or not the pass carries it
+        # check agree on every history, whether or not a pass carries it:
+        # the replaying pass reads the history that ``states`` gives, and
+        # the forward pass the stored sequence's
         seq = corrupt()
         losts = lost_cliques(seq)
         expected = carried_increment_verdict(next(seq.states()).final, seq.d, losts)
         assert all(checks._link_has_gamma(lost, seq.d) for lost in losts) == expected
+        replayed = replaying_forward_pass(seq)
+        if replayed is not None:
+            assert replayed[0] == expected
         carried = checks._forward_pass(seq)
         if carried is not None:
-            assert carried[0] == expected
+            losts = lost_cliques(stored(seq))
+            assert carried[0] == carried_increment_verdict(cross_polytope(seq.d), seq.d, losts)
 
     @pytest.mark.parametrize(
         "losts, expected",
@@ -1495,9 +1736,9 @@ class TestIncrementByLinearity:
             assert checks._forward_pass(seq)[0] is False
 
 
-def subdivides(before, step, after):
-    """``checks._subdivides``, the forward pass's rule check, on the adjacencies of two complexes."""
-    return checks._subdivides(before.adjacency(), after.adjacency(), step)
+def subdivides_graphs(before, step, after):
+    """``helpers.subdivides``, the replaying pass's rule check, on the adjacencies of two complexes."""
+    return subdivides(before.adjacency(), after.adjacency(), step)
 
 
 def changed_vertex(c, added, rng):
@@ -1512,17 +1753,17 @@ def changed_vertex(c, added, rng):
 class TestPremiseFromDeltas:
     """Where ab is an edge and w is new, the rule check holds exactly where the step is ``subdivide_edge``.
 
-    The forward pass compares no step with ``subdivide_edge``: it checks the
-    edge-subdivision rule as entries set on the adjacency before the step
-    (``_is_update``).  The comparison with ``subdivide_edge`` is the oracle
-    here.
+    The replaying pass of ``helpers``, the forward pass's oracle, compares
+    no step with ``subdivide_edge``: it checks the edge-subdivision rule as
+    entries set on the adjacency before the step (``is_update``).  The
+    comparison with ``subdivide_edge`` is the oracle here.
     """
 
     @staticmethod
     def assert_premise_follows(before, step, after):
         (a, b), w = step
         if before.has_edge(a, b) and w not in before.vertices:
-            assert subdivides(before, step, after) == (after == subdivide_edge(before, (a, b), w))
+            assert subdivides_graphs(before, step, after) == (after == subdivide_edge(before, (a, b), w))
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -1560,8 +1801,9 @@ class TestPremiseFromDeltas:
         # no layer, and deep_failures raises as the first suite that raises
         seq = corrupt()
         states = [state.final for state in seq.states()]
-        assert [subdivides(*triple) for triple in zip(states, seq.steps, states[1:])] == [True, False, True]
+        assert [subdivides_graphs(*triple) for triple in zip(states, seq.steps, states[1:])] == [True, False, True]
         assert checks._forward_pass(seq) is None
+        assert replaying_forward_pass(seq) is None
         with pytest.raises(ValueError) as got:
             deep_failures(seq)
         raised = []
@@ -1598,11 +1840,11 @@ class TestPremiseFromDeltas:
         self.assert_premise_follows(pair["before"], seq.steps[j], pair["after"])
         # the real step passes both
         self.assert_premise_follows(states[j], seq.steps[j], states[j + 1])
-        assert subdivides(states[j], seq.steps[j], states[j + 1])
+        assert subdivides_graphs(states[j], seq.steps[j], states[j + 1])
 
 
 class TestIsUpdate:
-    """``checks._is_update``, the forward pass's one rule check, against ``dict(after) == {**before, **new}``."""
+    """``helpers.is_update``, the replaying pass's one rule check, against ``dict(after) == {**before, **new}``."""
 
     @given(
         st.dictionaries(st.integers(0, 5), st.frozensets(st.integers(0, 3)), max_size=5),
@@ -1626,15 +1868,15 @@ class TestIsUpdate:
                 after[v] = x ^ {9}
         after.update((v, x) for v, x in extra.items() if v not in merged)
         expected = dict(after) == merged
-        assert checks._is_update(before, after, new) == expected
-        # the forward pass passes adjacencies as read-only proxies
-        assert checks._is_update(MappingProxyType(before), MappingProxyType(after), new) == expected
+        assert is_update(before, after, new) == expected
+        # the replaying pass passes adjacencies as read-only proxies
+        assert is_update(MappingProxyType(before), MappingProxyType(after), new) == expected
 
 
 def k_update_by_vertex(seq, j, before, after):
     """The vertex lemma at step j, vertex by vertex, as the forward pass once checked it.
 
-    The oracle of the pass's one ``_is_update`` of the K-table.
+    The oracle of the replaying pass's one ``is_update`` of the K-table.
     """
     (a, b), w = seq.steps[j - 1]
     kb, ka = before.k_table, after.k_table
@@ -1657,34 +1899,38 @@ def k_rules_by_vertex(seq):
 
 
 class TestKVerdictByVertex:
-    """The K verdict of ``checks._forward_pass`` against the vertex-by-vertex loop.
+    """The K verdict of the replaying pass of ``helpers``, the forward pass's oracle, against the vertex-by-vertex loop.
 
     The two agree wherever each table's keys are its complex's vertices.  A
     key off the vertices fails only the table check, which is stricter; the
-    report is the same, as ``k_rule_failures`` then decides.
+    report is the same, as ``k_rule_failures`` then decides.  Both read the
+    replayed history; the forward pass reads only the stored K-table.
     """
 
     @given(st.integers(2, 6), st.integers(0, 10), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_real_steps(self, d, k, seed):
         seq = random_sequence(d, k, seed)
-        assert checks._forward_pass(seq)[1] is True
+        assert checks._forward_pass(seq)[1] is replaying_forward_pass(seq)[1] is True
         assert k_rules_by_vertex(seq)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, stored_ok",
         [
-            k_entry_dropped,
-            w_in_a_start_k_entry,
-            new_vertex_off_its_id,
-            new_vertex_k_entry_emptied,
-            k_entry_missing,
+            (k_entry_dropped, True),
+            (w_in_a_start_k_entry, False),
+            (new_vertex_off_its_id, False),
+            (new_vertex_k_entry_emptied, False),
+            (k_entry_missing, True),
         ],
     )
-    def test_corrupted_k_updates(self, corrupt):
+    def test_corrupted_k_updates(self, corrupt, stored_ok):
+        # where the stored K-table is genuine, and only the kept history's
+        # is corrupted, the forward pass passes the K rules
         seq = corrupt()
-        assert checks._forward_pass(seq)[1] is False
+        assert replaying_forward_pass(seq)[1] is False
         assert not k_rules_by_vertex(seq)
+        assert checks._forward_pass(seq)[1] is stored_ok
 
     @given(
         st.integers(2, 5),
@@ -1709,12 +1955,16 @@ class TestKVerdictByVertex:
             del table[v]
         else:
             table[99] = frozenset()
-        k_ok, by_vertex = checks._forward_pass(seq)[1], k_rules_by_vertex(seq)
+        k_ok, by_vertex = replaying_forward_pass(seq)[1], k_rules_by_vertex(seq)
         if kind == "off the vertices":
             assert by_vertex and not k_ok
         else:
             assert k_ok == by_vertex
-        TestDeepFailures.assert_same_or_raised_alike(seq)
+        # only a kept state is corrupted, never the last, which is the
+        # sequence itself
+        assert checks._forward_pass(seq)[:2] == (True, True)
+        assert_read_as_stored(seq)
+        assert deep_failures(seq) == dict.fromkeys(SUITES, [])
 
 
 def induced_reference(seq, fs):
@@ -1855,9 +2105,9 @@ class TestShapeTables:
 
     @given(st.integers(2, 7), st.integers(0, 12), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
-    def test_a_passing_report_extends_nothing_after_the_forward_pass(self, d, k, seed):
-        # the forward pass replays history, one extend call per step but the
-        # last; the final walk builds no base
+    def test_a_passing_report_calls_no_extend(self, d, k, seed):
+        # the forward pass applies each step to a state of its own and
+        # replays no history, and the final walk builds no base
         seq = random_sequence(d, k, seed)
         calls, at_return = [], []
         real_extend, real_pass = subdivision.extend, checks._forward_pass
@@ -1871,7 +2121,7 @@ class TestShapeTables:
             mp.setattr(subdivision, "extend", lambda *args: calls.append(args) or real_extend(*args))
             mp.setattr(checks, "_forward_pass", forward_pass)
             assert all(deep_report(seq).values())
-        assert at_return == [len(calls)] == [max(k - 1, 0)]
+        assert at_return == [len(calls)] == [0]
 
 
 class TestFinalWalkRaisesAlike:
