@@ -115,9 +115,10 @@ class SubdivisionSequence:
         Nothing is kept: each state is built from the one before, so a
         reader that walks consecutive pairs holds two states at a time.
         Each is one ``extend`` call of one edge, so consecutive states share
-        every neighbor set and K entry the step leaves alone; that only
-        speeds up ``checks._is_update``, which compares an entry by value
-        where it is not shared.
+        every neighbor set and K entry the step leaves alone.  The readers
+        are the ``*_failures`` suite functions of ``checks``, ``prefix`` and
+        the CLI's ``example``; the ``--deep`` forward pass applies the steps
+        to a state of its own and reads none.
         """
         if self.steps:
             state = new_sequence(self.d)

@@ -111,8 +111,11 @@ def shape_tables(base) -> tuple[list, list, list, list]:
 class KeptHistory(SubdivisionSequence):
     """``seq`` with its states 0..k-1 replayed once and kept, so that a test can corrupt them.
 
-    ``history`` is that list; ``states``, and so every reader of history,
-    yields it and then the sequence itself.
+    ``history`` is that list; ``states``, and so every reader of history
+    (the suite functions and ``replaying_forward_pass``), yields it and
+    then the sequence itself.  ``checks._forward_pass`` reads no history,
+    so ``deep_failures`` decides on a ``KeptHistory`` as on the sequence
+    it stores (``stored``).
     """
 
     __slots__ = ("history",)

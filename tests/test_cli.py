@@ -244,6 +244,15 @@ class TestVerify:
         assert code == 2
         assert "step 1" in err
 
+    def test_a_deep_run_on_a_step_off_an_edge_exits_2(self, capsys, tmp_path):
+        # the sequence of the CI smoke test: step 2 subdivides an antipodal pair
+        path = write(tmp_path, "off-edge.json", {"d": 4, "steps": [{"edge": [0, 2]}, {"edge": [0, 1]}]})
+        assert run(capsys, "verify", "--deep", path) == (
+            2,
+            "",
+            "error: step 2: (0, 1) is not an edge of the current complex\n",
+        )
+
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"d": 2,\n  "steps": oops}')
