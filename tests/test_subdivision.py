@@ -788,6 +788,21 @@ def non_edge_logged_at_step_2_unkept():
     return stored(non_edge_logged_at_step_2())
 
 
+def new_vertices_numbered_out_of_order():
+    """Steps {+e1, +e2} and {+e3, +e4} create 9 and then 8; the final complex, N_j(w_j) and every K-set agree with that.
+
+    The replayed history, which the suites read, numbers them 8 and 9.
+    """
+    genuine = sequence_from_edges(4, [(0, 2), (4, 6)])
+    swap = {8: 9, 9: 8}.get
+    one = subdivide_edge(new_sequence(4).final, (0, 2), 9)
+    two = subdivide_edge(one, (4, 6), 8)
+    table = {swap(v, v): frozenset(swap(x, x) for x in ks) for v, ks in genuine.k_table.items()}
+    gamma = frozenset((swap(x, x), swap(w, w)) for x, w in genuine.gamma_edges)
+    steps = (SubdivisionStep((0, 2), 9), SubdivisionStep((4, 6), 8))
+    return SubdivisionSequence(4, steps, two, table, gamma, (one.neighbors(9), two.neighbors(8)))
+
+
 def final_k_entry_missing():
     """The final table has no entry for +e3."""
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
@@ -910,12 +925,15 @@ class TestDeepFailures:
             (final_edge_toggled, ValueError, "found a clique of 5 vertices but d=4"),
             (w_neighbors_entry_changed, RuntimeError, "internal inconsistency: |K|=1 but |W|=0 for {0}"),
             (non_edge_logged_at_step_2_unkept, ValueError, "step 2: (0, 1) is not an edge of the current complex"),
+            (new_vertices_numbered_out_of_order, ValueError, "{0, 8, 4, 6} is not a face of complex 0"),
         ],
     )
     def test_a_corrupted_stored_field_fails_or_raises_alike(self, corrupt, error, message):
         # the forward pass finds each at its step, or at the end, and carries
         # no layer, so every suite runs; the replaying pass carries none
-        # either, or raises extend's error in its replay
+        # either, or raises extend's error in its replay.  A step before
+        # the last that logs a w off its id carries no layer, as the
+        # history the suites read numbers it otherwise
         seq = corrupt()
         assert checks._forward_pass(seq) is None
         with pytest.raises(error) as got:
@@ -1460,7 +1478,8 @@ def stored_field_corrupted(seq, field, at, pick):
     elif field == "new vertex":
         steps[j] = SubdivisionStep(steps[j].edge, pick % (2 * d + k + 2))
     else:
-        steps[j] = SubdivisionStep((vertices[pick % len(vertices)], vertices[(pick // 7) % len(vertices)]), steps[j].new_vertex)
+        edge = vertices[pick % len(vertices)], vertices[(pick // 7) % len(vertices)]
+        steps[j] = SubdivisionStep(edge, steps[j].new_vertex)
     return SubdivisionSequence(d, tuple(steps), final, table, seq.gamma_edges, tuple(near))
 
 
@@ -1497,6 +1516,7 @@ class TestPassOnItsOwnState:
             final_edge_toggled,
             w_neighbors_entry_changed,
             non_edge_logged_at_step_2_unkept,
+            new_vertices_numbered_out_of_order,
             final_k_entry_missing,
             final_k_entry_moved,
             final_k_entry_emptied,
