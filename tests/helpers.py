@@ -15,12 +15,12 @@ from gammacomplex import (
     IntPolynomial,
     SubdivisionSequence,
     checks,
+    cross_polytope,
     extend,
     new_sequence,
     random_sequence,
     subdivision,
 )
-from gammacomplex.complexes import cross_polytope
 from gammacomplex.polynomials import f_from_counts, h_from_f, is_symmetric
 
 
