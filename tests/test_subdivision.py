@@ -811,6 +811,13 @@ def final_k_entry_missing():
     return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
 
 
+def final_k_entries_deleted(vertices):
+    """The worked example with the final table's entries of ``vertices`` deleted."""
+    seq = sequence_from_edges(4, EXAMPLE_STEPS)
+    table = {v: ks for v, ks in seq.k_table.items() if v not in vertices}
+    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
+
+
 def deep_failures_or_error(seq):
     """``deep_failures(seq)``, or the type and the message of the error it raises."""
     try:
@@ -2211,6 +2218,17 @@ class TestFinalWalkRaisesAlike:
         with pytest.raises(error) as got:
             deep_failures(corrupt())
         assert str(got.value) == str(expected.value) == message
+
+    @pytest.mark.parametrize("vertices", [{1, 10}, {1}, {10}, {0, 3}, {8, 9}], ids=str)
+    def test_a_final_k_table_missing_entries_raises_as_the_suites(self, vertices):
+        # the walk reads the final table vertex by vertex, in its own
+        # order; the K suite, which runs first, reads it in another
+        seq = final_k_entries_deleted(vertices)
+        try:
+            expected = suite_failures(seq)
+        except KeyError as exc:
+            expected = KeyError, str(exc)
+        assert deep_failures_or_error(seq) == expected
 
 
 def oracle_failures_reference(seq):
