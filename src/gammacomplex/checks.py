@@ -615,8 +615,15 @@ def _final_verdicts(seq, layer) -> tuple[bool, bool, bool]:
     result is not F's link.  A face with |K(F)| != |W(F)| has no phi, so it
     sets the phi image and the gamma restriction False, and
     ``phi_image_failures`` raises ``phi``'s ``RuntimeError`` there.
+
+    The walk reads the final K entry of every vertex.  Where the stored
+    K-table lacks one, there is no walk and the three suites are False, so
+    their functions run in report order and the error raised is the first
+    raising one's, not the walk's.
     """
     final = seq.final
+    if not seq.k_table.keys() >= final.vertices:
+        return False, False, False
     nbr = {v: _mask(ns) for v, ns in final.adjacency().items()}
     kmask = {v: _mask(ks) for v, ks in seq.k_table.items()}
     gamma_nbr = {1 << x: _mask(ns) for x, ns in gamma_complex(seq).adjacency().items()}
