@@ -83,6 +83,27 @@ def final_k_entry_moved():
     return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
 
 
+def rename_by_closure(recipe: tuple, old: int, new: int) -> tuple:
+    """``subdivision._rename`` as it was written with an inner closure and generators: the oracle of the renames.
+
+    Both tiers of ``--deep`` call ``_rename``, the forward pass through
+    ``_advance_recipes`` and the W suite through ``_w_rule``, so neither
+    can catch a fault in it.
+    """
+
+    def sub(x):
+        return new if x == old else x
+
+    pairs, steps = recipe
+    return (
+        tuple(p if old not in p else (sub(p[0]), sub(p[1])) for p in pairs),
+        tuple(
+            s if old not in s[0] and old != s[1] else ((sub(s[0][0]), sub(s[0][1])), sub(s[1]))
+            for s in steps
+        ),
+    )
+
+
 def shape_tables(base) -> tuple[list, list, list, list]:
     """The tables of a built base that ``checks._Shape`` reads off its shape: (ends, other_ends, k_ranks, gamma_ranks).
 

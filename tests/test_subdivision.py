@@ -53,6 +53,7 @@ from gammacomplex.subdivision import (
     SubdivisionSequence,
     SubdivisionStep,
     _link_seq,
+    _rename,
     _start_layer,
     _start_recipe,
     k_set_at,
@@ -64,6 +65,7 @@ from helpers import (
     final_k_entry_moved,
     is_update,
     read_replaced_recipes,
+    rename_by_closure,
     replaying_forward_pass,
     sequence_from_edges,
     shape_tables,
@@ -2095,6 +2097,47 @@ class TestSharedBases:
         got = [subdivision._induced(seq, seq.k, fs, bases, memo) for fs in seq.final.faces()]
         assert len(got) == 783 and len(bases) == 67
         assert len({id(ind.base) for ind in got if ind.base is not None}) == 67
+
+
+LABELS = st.integers(0, 9)
+
+
+class TestRename:
+    """``subdivision._rename`` against ``helpers.rename_by_closure``, the closure-and-generator body it replaced."""
+
+    @given(
+        st.lists(st.tuples(LABELS, LABELS), max_size=5),
+        st.lists(st.tuples(st.tuples(LABELS, LABELS), LABELS), max_size=4),
+        st.sampled_from(["pair", "step edge", "new vertex", "nowhere"]),
+        st.integers(0, 100),
+        LABELS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_closure_body(self, pairs, steps, where, at, new):
+        # the renamed label sits in a pair, in a step's edge, as a step's
+        # new vertex, or nowhere; step-free recipes are drawn too
+        if where == "pair":
+            pairs = pairs or [(at % 10, 9 - at % 10)]
+            old = pairs[at % len(pairs)][at % 2]
+        elif where == "nowhere":
+            old = 10
+        else:
+            steps = steps or [((at % 10, 9 - at % 10), at % 7)]
+            edge, w = steps[at % len(steps)]
+            old = edge[at % 2] if where == "step edge" else w
+        recipe = tuple(pairs), tuple(steps)
+        got = _rename(recipe, old, new)
+        assert got == rename_by_closure(recipe, old, new)
+        # what does not hold old is kept, object for object
+        assert all(g is p for g, p in zip(got[0], recipe[0]) if old not in p)
+        assert all(g is s for g, s in zip(got[1], recipe[1]) if old not in s[0] and old != s[1])
+        if not steps:
+            assert got[1] is recipe[1]
+
+    def test_the_steps_of_a_worked_rename(self):
+        recipe = ((0, 2), (4, 5)), (((0, 4), 8), ((2, 6), 9), ((1, 7), 4))
+        assert _rename(recipe, 4, 10) == (((0, 2), (10, 5)), (((0, 10), 8), ((2, 6), 9), ((1, 7), 10)))
+        assert _rename(recipe, 3, 10) == recipe
 
 
 class TestShapeTables:
