@@ -378,6 +378,13 @@ def _link_has_gamma(lost, d) -> bool:
     That is, f(lk ab), the size count of ``lost`` less 2, as a plain list,
     has degree at most d - 2 and a symmetric h_{d-2}, each h_i the sum of
     the counts weighted by the cached row i of ``polynomials._h_rows``.
+
+    It cannot be False on the state of ``_forward_pass``: that state is an
+    edge subdivision of the cross polytope, a flag sphere, whose edge
+    links are flag (d - 3)-spheres with symmetric h by Dehn-Sommerville.
+    It stays an exhaustive check by choice, not a lemma taken on trust;
+    only ``test_one_step_without_a_link_gamma_fails_the_pass``, which
+    patches it, reaches its False path.
     """
     f = [0] * (d - 1)
     for m in lost:
@@ -431,7 +438,11 @@ def _forward_pass(seq) -> tuple | None:
     gamma(G_j) - gamma(G_{j-1}) = t gamma(lk ab) then holds at every step
     exactly where each step's lk(ab) has a gamma, which ``_link_has_gamma``
     reads off the cliques the step loses; so no f or gamma is carried.
-    Where it is False, ``increment_identity_failures`` decides.
+    Where it is False, ``increment_identity_failures`` decides.  On the
+    pass's own state it cannot be False, as each lk(ab) there is a flag
+    sphere (Dehn-Sommerville); the check is kept as an exhaustive one by
+    choice, and only a test that patches ``_link_has_gamma`` reaches its
+    False path.
     """
     d, steps, near = seq.d, seq.steps, seq.w_neighbors
     adj = {v: set(ns) for v, ns in cross_polytope(d).adjacency().items()}
@@ -513,22 +524,33 @@ class _Shape:
             if not adj[a] >> b & 1:
                 self.ends = None
                 return
-            bw, common = 1 << low + r, adj[a] & adj[b]
-            for c in _bits(common):
+            bw, br, common = 1 << low + r, 1 << r, adj[a] & adj[b]
+            rest = common
+            while rest:
+                bc = rest & -rest
+                rest ^= bc
+                c = bc.bit_length() - 1
                 adj[c] |= bw
-                k[c] |= 1 << r
+                k[c] |= br
             adj[a] ^= 1 << b | bw
             adj[b] ^= 1 << a | bw
             adj.append(common | 1 << a | 1 << b)
             k.append(k[a] & k[b])
             below.append(k[-1])
-        edges = [(x, x + 1 + y) for x, ns in enumerate(adj) for y in _bits(ns >> x + 1)]
-        self.ends, self.other_ends = [x for x, _ in edges], [y for _, y in edges]
-        self.k_ranks = [_bits(ks) for ks in k]
-        self.gamma_ranks = [_bits(ks) for ks in below]
+        self.ends, self.other_ends = ends, other_ends = [], []
+        for x, ns in enumerate(adj):
+            ns >>= x + 1  # bit y is x's neighbor x + 1 + y
+            while ns:
+                by = ns & -ns
+                ns ^= by
+                ends.append(x)
+                other_ends.append(x + by.bit_length())
+        self.k_ranks = [_bits(ks) if ks else [] for ks in k]
+        self.gamma_ranks = [_bits(ks) if ks else [] for ks in below]
         for r, ks in enumerate(below):
-            for x in _bits(ks):
-                self.gamma_ranks[x].append(r)
+            if ks:
+                for x in _bits(ks):
+                    self.gamma_ranks[x].append(r)
 
 
 def _is_link(shape, labels, nf, nbr) -> bool:

@@ -70,19 +70,25 @@ class SubdivisionStep(NamedTuple):
 
 
 def _rename(recipe: tuple, old: int, new: int) -> tuple:
-    """A recipe with ``old`` renamed to ``new`` in its pairs and its steps."""
+    """A recipe with ``old`` renamed to ``new`` in its pairs and its steps.
 
-    def sub(x):
-        return new if x == old else x
-
+    Each pair and step that does not hold ``old`` is kept as the same
+    object, and an empty ``steps`` is returned as it is.
+    """
     pairs, steps = recipe
-    return (
-        tuple(p if old not in p else (sub(p[0]), sub(p[1])) for p in pairs),
-        tuple(
-            s if old not in s[0] and old != s[1] else ((sub(s[0][0]), sub(s[0][1])), sub(s[1]))
-            for s in steps
-        ),
+    pairs = tuple(
+        [p if old not in p else (new if x == old else x, new if y == old else y) for p in pairs for x, y in (p,)]
     )
+    if steps:
+        steps = tuple(
+            [
+                s if old not in e and old != w else ((new if a == old else a, new if b == old else b), new if w == old else w)
+                for s in steps
+                for e, w in (s,)
+                for a, b in (e,)
+            ]
+        )
+    return pairs, steps
 
 
 class SubdivisionSequence:
