@@ -805,19 +805,16 @@ def new_vertices_numbered_out_of_order():
     return SubdivisionSequence(4, steps, two, table, gamma, (one.neighbors(9), two.neighbors(8)))
 
 
-def final_k_entry_missing():
-    """The final table has no entry for +e3."""
-    seq = sequence_from_edges(4, EXAMPLE_STEPS)
-    table = dict(seq.k_table)
-    del table[4]
-    return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
-
-
 def final_k_entries_deleted(vertices):
     """The worked example with the final table's entries of ``vertices`` deleted."""
     seq = sequence_from_edges(4, EXAMPLE_STEPS)
     table = {v: ks for v, ks in seq.k_table.items() if v not in vertices}
     return SubdivisionSequence(seq.d, seq.steps, seq.final, table, seq.gamma_edges, seq.w_neighbors)
+
+
+def final_k_entry_missing():
+    """The final table has no entry for +e3."""
+    return final_k_entries_deleted({4})
 
 
 def deep_failures_or_error(seq):
