@@ -258,6 +258,16 @@ class TestAgainstThePreviousLoops:
             113221928, 14152741,
         ]
 
+    def test_pinned_counts_at_d20_k60(self):
+        # 1.16T cliques in 21 fields, counted before the count split masks at their joins
+        counts = random_sequence(20, 60, 1).final.clique_count_by_size()
+        assert [counts[i] for i in range(len(counts))] == [
+            1, 100, 4134, 96918, 1474891, 15708287, 122762225, 726641240, 3329246254,
+            11983909338, 34218001350, 77909584874, 141623661080, 204941880904,
+            234303667568, 208782962452, 141849726011, 70928122863, 24588972947,
+            5276232760, 527623276,
+        ]
+
     def test_repr_counts_each_edge_once(self):
         assert repr(cross_polytope(3)) == "FlagComplex(6 vertices, 12 edges)"
         assert repr(FlagComplex(range(3))) == "FlagComplex(3 vertices, 0 edges)"
