@@ -199,26 +199,58 @@ class FlagComplex:
         held as an int bitmask, the clique polynomial of an induced subgraph
         M is f(M) = 1 + t * sum over v in M of f(M_{>v} & N(v)), where M_{>v}
         is the part of M after v.  f is memoized on the mask, so a
-        neighbourhood reached from many cliques is counted once; the
-        recursion only steps into neighbourhoods, so its depth is at most
-        the clique number.
+        neighbourhood reached from many cliques is counted once.
 
         The count is exact in any numbering, because every clique has
         exactly one first vertex v and is v plus a clique of v's later
         neighbours; the numbering only decides which masks the memo meets.
         ``_count_order`` numbers vertices of large degree last, so the
         later neighbourhoods, and with them the masks, stay small: at d=16,
-        k=30 the memo holds 19,692 masks instead of the 308,426 that the
-        ``_vkey`` numbering, cross-polytope ids first, gives.  The order
-        is found on degree counters, so the neighbourhood masks are built
+        k=30 the memo holds 1,305 masks instead of the 122,810 that the
+        ``_vkey`` numbering, cross-polytope ids first, gives.  The order is
+        found on degree counters, so the neighbourhood masks are built
         once, here, in the numbering the kernel uses.
 
         A polynomial is one packed int with coefficient i in bits
         [i*width, (i+1)*width): adding is ``+`` and multiplying by t is
-        ``<< width``.  By the same first-vertex argument no coefficient
-        exceeds 1 + sum_v 2**|later neighbours of v| (2**n for K_n), taken
-        over the numbering in use, and a field of that bound's bit length
-        never carries into the next.
+        ``<< width``.  By the same first-vertex argument the graph has at
+        most 1 + sum_v 2**|later neighbours of v| cliques (2**n for K_n),
+        taken over the numbering in use, and a field of that bound's bit
+        length holds any count of cliques of the graph.  Every field the
+        kernel builds is a coefficient of some f(M), a count of cliques of
+        M and so of the graph, so no field ever carries into the next.
+
+        Joins.  The cliques of a join A * B, every vertex of A adjacent to
+        every vertex of B, are the unions of a clique of A and a clique of
+        B, so f(A * B) = f(A) * f(B).  On a mask M, with v its first vertex,
+        S = M_{>v} & N(v) its later neighbours and F = M - v - S its
+        non-neighbours, both non-empty, f looks for a join before it
+        expands:
+        - Suspension.  Where F is one vertex u and S lies in N(u),
+          M = {v, u} * S and f(M) = (1 + 2t) * f(S), f(S) being the first
+          term the expansion would need anyway.
+        - Join.  Otherwise, where |S| > |F|, f grows C, the part of M that
+          v reaches along non-edges, from v and F.  D starts as S; each
+          vertex b taken into C moves the vertices of D outside N(b) into
+          C.  Once D is empty, M's non-edges connect all of it, and M is
+          no join at all.  If D is left non-empty, every vertex of D is
+          adjacent to every vertex of C, M = C * D and f(M) = f(C) * f(D),
+          both memoized.  Where S is no larger than F, a join is rarely
+          found and the growth is not worth its cost.
+        - Otherwise M is expanded as above.
+        The packed product f(C) * f(D) is the exact integer sum over i, j
+        of c_i * d_j * 2**((i + j) * width), so its field i + j collects
+        sum c_i * d_j, the number of (i + j)-cliques of M: a clique count,
+        so below 2**width, and the product never carries.  Likewise
+        f(S) + (f(S) << width + 1) has field i equal to s_i + 2 * s_{i-1},
+        the i-cliques of M.
+
+        Depth.  Every recursive call is on a mask of smaller clique number
+        than M's: an expansion term and the suspension's S lie in the
+        neighbourhood of a vertex of M, which extends each of their
+        cliques, and a split's C and D are both non-empty, with
+        clique numbers that sum to M's.  So the recursion depth is at most
+        the clique number.
 
         Suffix exit.  Let M's vertices be v_1 < ... < v_m.  For j > i the
         part of M after v_j is also the part of M_{>v_i} after v_j, so the
@@ -226,23 +258,64 @@ class FlagComplex:
         and f(M) = f(M_{>v_i}) + t * (the terms for v_1, ..., v_i).  Once
         the suffix left after v_i is non-zero and in the memo, f(M) is its
         value plus the sum so far shifted, and the loop ends there.  The
-        memo is read there and never written, and it ends with the same
-        masks as without the exit: when a mask enters the memo, every mask
-        its full loop would meet is already in it, because the steps it ran
-        put theirs in and the suffix it stopped at entered earlier
-        (induction on the order of entry).  So the memory stays as it was,
-        and the recursion still only steps into neighbourhoods.
+        memo is read there and never written.  The memo ends with no mask
+        it would not hold without the exit: whether a mask is split,
+        suspended or expanded depends on the mask alone, so every mask the
+        run with the exit computes is computed by the run without it, with
+        the same factors or at least the same terms (induction on the
+        order of entry).  A suffix may have been split rather than
+        expanded, so the exit can leave out terms the full loop would have
+        entered; the memory is at most what it was without the exit.
         """
         order = _count_order(self._adj)
         bits = {v: 1 << i for i, v in enumerate(order)}
         nbr = [sum(map(bits.__getitem__, self._adj[v])) for v in order]
         bound = 1 + sum(1 << (m >> (i + 1)).bit_count() for i, m in enumerate(nbr))
         width = bound.bit_length()
+        wider = width + 1
         memo: dict = {}
 
         def f(mask):
-            acc = 0
+            low = mask & -mask
+            mask ^= low
+            sub = mask & nbr[low.bit_length() - 1]
+            if sub:
+                far = mask ^ sub
+                if far:
+                    if not far & (far - 1) and not sub & ~nbr[far.bit_length() - 1]:
+                        val = memo.get(sub)  # the suspension {v, u} * S
+                        if val is None:
+                            val = memo[sub] = f(sub)
+                        return val + (val << wider)
+                    if sub.bit_count() > far.bit_count():
+                        pending, rest = far, sub
+                        while pending:  # grow C; rest is D
+                            b = pending & -pending
+                            pending ^= b
+                            kept = rest & nbr[b.bit_length() - 1]
+                            if kept != rest:
+                                if not kept:
+                                    break
+                                pending |= rest ^ kept
+                                rest = kept
+                        else:  # the join C * D
+                            comp = (mask | low) ^ rest
+                            one = memo.get(comp)
+                            if one is None:
+                                one = memo[comp] = f(comp)
+                            two = memo.get(rest)
+                            if two is None:
+                                two = memo[rest] = f(rest)
+                            return one * two
+                acc = memo.get(sub)
+                if acc is None:
+                    acc = memo[sub] = f(sub)
+            else:
+                acc = 1
             while mask:
+                rest = memo.get(mask)
+                if rest is not None:  # the suffix exit
+                    return rest + (acc << width)
                 low = mask & -mask
                 mask ^= low
                 sub = mask & nbr[low.bit_length() - 1]
@@ -253,13 +326,9 @@ class FlagComplex:
                     acc += val
                 else:
                     acc += 1
-                if mask:
-                    rest = memo.get(mask)
-                    if rest is not None:  # the suffix exit
-                        return rest + (acc << width)
             return 1 + (acc << width)
 
-        packed = f((1 << len(order)) - 1)
+        packed = f((1 << len(order)) - 1) if order else 1
         del f  # f refers to itself through its closure cell: break that cycle
         counts: Counter = Counter()
         field = (1 << width) - 1
