@@ -9,28 +9,31 @@ criterion asserts coefficientwise nonnegativity over the whole pool.
 The scale guards before it bound the time and the memory of one long
 subdivision sequence, the time of one complex at d=12 with 13.9M faces
 and of one at d=16 with 1.5G faces, the time of the bridge on the power
-set n=8, the induced sequences and the bases that the deep suites build,
-the (F, G) pairs that the phi image examines, the clique walks of the
-case rules and the per-face calls of the deep walks on a valid sequence,
-the face-set replays and the prefix recipes of the deep forward pass,
-the clique counts, links and history replays of the increment identity,
-the memory ``deep_report`` and four history reads leave behind, the peak
-of ``deep_report`` and its time on one long sequence and on one complex
-with many faces, so a return to
-per-step rebuilding of the graph, to keeping a copy of every step's
-state, to counting faces one by one, to numbering the vertices by id for
-the clique count, to enumerating every nested set, to one face walk per
-deep suite, to one clique walk per prefix for the case rules, to
-checking phi on every pair (F, G), to rebuilding each face's link, phi
-or restricted Γ, to one base per face, to keeping the deep memos or the
-replayed prefixes, to rebuilding each step's face set, to a recipe for
-every face of every prefix, to counting every state's cliques for the
-increment identity or to enumerating the cliques a step gains, fails here.
+set n=8 and of the nestohedron report on the intervals n=18, the induced
+sequences and the bases that the deep suites build, the (F, G) pairs
+that the phi image examines, the clique walks of the case rules and the
+per-face calls of the deep walks on a valid sequence, the face-set
+replays and the prefix recipes of the deep forward pass, the clique
+counts, links and history replays of the increment identity, the memory
+``deep_report`` and four history reads leave behind, the peak of
+``deep_report`` and its time on one long sequence and on one complex
+with many faces, so a return to per-step rebuilding of the graph, to
+keeping a copy of every step's state, to counting faces one by one, to
+numbering the vertices by id for the clique count, to expanding every
+clique-count mask that is a join, to enumerating every nested set, to
+one face walk per deep suite, to one clique walk per prefix for the case
+rules, to checking phi on every pair (F, G), to rebuilding each face's
+link, phi or restricted Γ, to one base per face, to keeping the deep
+memos or the replayed prefixes, to rebuilding each step's face set, to a
+recipe for every face of every prefix, to counting every state's cliques
+for the increment identity or to enumerating the cliques a step gains,
+fails here.
 """
 
 import time
 import tracemalloc
 from gc import collect
+from math import comb
 
 from gammacomplex import (
     FlagComplex,
@@ -39,6 +42,7 @@ from gammacomplex import (
     gamma_of,
     interval_building_set,
     link,
+    nestohedron_report,
     power_set_building_set,
     random_flag_building_set,
     random_sequence,
@@ -308,6 +312,23 @@ def test_scale_guard_power_set_bridge():
         time.perf_counter() - start,
         10.0,
         f"gamma_theta={report['gamma_theta']}, f_gamma={report['f_gamma']}",
+    )
+
+
+def test_scale_guard_intervals_nestohedron():
+    # the links of a nested-set complex are joins, and the clique count
+    # splits its masks there; expanding every mask, this took 6.7 s
+    start = time.perf_counter()
+    report = nestohedron_report(interval_building_set(18))
+    _GAMMAS.append(report["gamma_theta"])
+    associahedron = [comb(17, 2 * i) * comb(2 * i, i) // (i + 1) for i in range(9)]
+    ok = report["equal"] and report["isomorphic"] and report["uv_match"] and report["bridge"]
+    _report(
+        "scale guard (nestohedron report on the intervals, n=18)",
+        ok and report["gamma_theta"] == associahedron,
+        time.perf_counter() - start,
+        2.0,
+        f"gamma_theta={report['gamma_theta']}",
     )
 
 

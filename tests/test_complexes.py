@@ -27,7 +27,12 @@ from gammacomplex import (
     subdivide_face_general,
 )
 from gammacomplex.complexes import _count_order, _vkey
-from gammacomplex.nestohedra import nested_set_complex, random_flag_building_set
+from gammacomplex.nestohedra import (
+    interval_building_set,
+    nested_set_complex,
+    power_set_building_set,
+    random_flag_building_set,
+)
 from helpers import (
     all_bijections,
     brute_force_f,
@@ -216,6 +221,44 @@ def clique_count_without_suffix_exit(c: FlagComplex) -> Counter:
     return counts
 
 
+def clique_count_without_joins(c: FlagComplex) -> Counter:
+    """``clique_count_by_size`` that expands every mask vertex by vertex, never splitting it at a join."""
+    order = _count_order(c.adjacency())
+    bits = {v: 1 << i for i, v in enumerate(order)}
+    nbr = [sum(map(bits.__getitem__, c.neighbors(v))) for v in order]
+    bound = 1 + sum(1 << (m >> (i + 1)).bit_count() for i, m in enumerate(nbr))
+    width = bound.bit_length()
+    memo: dict = {}
+
+    def f(mask):
+        acc = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            sub = mask & nbr[low.bit_length() - 1]
+            if sub:
+                val = memo.get(sub)
+                if val is None:
+                    val = memo[sub] = f(sub)
+                acc += val
+            else:
+                acc += 1
+            if mask:
+                rest = memo.get(mask)
+                if rest is not None:  # the suffix exit
+                    return rest + (acc << width)
+        return 1 + (acc << width)
+
+    packed = f((1 << len(order)) - 1)
+    counts: Counter = Counter()
+    size = 0
+    while packed:
+        counts[size] = packed & ((1 << width) - 1)
+        packed >>= width
+        size += 1
+    return counts
+
+
 def edges_by_sorted_pairs(c: FlagComplex) -> list:
     """``edges()`` by brute force: a set of sorted pairs, then a sort of the whole set."""
     out = set()
@@ -271,6 +314,89 @@ class TestAgainstThePreviousLoops:
     def test_repr_counts_each_edge_once(self):
         assert repr(cross_polytope(3)) == "FlagComplex(6 vertices, 12 edges)"
         assert repr(FlagComplex(range(3))) == "FlagComplex(3 vertices, 0 edges)"
+
+
+def product_of_counts(*factors: dict) -> dict:
+    """Clique counts by size of a join: the product of its factors' clique polynomials."""
+    out = {0: 1}
+    for counts in factors:
+        nxt: Counter = Counter()
+        for i, a in out.items():
+            for j, b in counts.items():
+                nxt[i + j] += a * b
+        out = dict(nxt)
+    return out
+
+
+def complete_multipartite(sizes) -> FlagComplex:
+    """K_{m1..mr}: parts of the given sizes, no edge inside a part and every edge between two."""
+    parts, start = [], 0
+    for m in sizes:
+        parts.append(range(start, start + m))
+        start += m
+    edges = [(a, b) for p, q in combinations(parts, 2) for a in p for b in q]
+    return FlagComplex(range(start), edges)
+
+
+class TestSplitAtJoins:
+    """The count that splits masks at joins against the kernel that never does, and closed forms of joins."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_sampled_graphs(self, seed):
+        c = sampled_graph(seed)
+        assert c.clique_count_by_size() == clique_count_without_joins(c)
+
+    @given(st.lists(st.integers(0, 10_000), min_size=2, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_joins_of_sampled_graphs(self, seeds):
+        factors = [sampled_graph(s) for s in seeds]
+        factors = [c.relabel({v: 100 * i + v for v in c.vertices}) for i, c in enumerate(factors)]
+        joined = factors[0]
+        for c in factors[1:]:
+            joined = join(joined, c)
+        counts = joined.clique_count_by_size()
+        assert counts == clique_count_without_joins(joined)
+        assert dict(counts) == product_of_counts(*(dict(c.clique_count_by_size()) for c in factors))
+
+    @given(st.integers(3, 9), st.integers(0, 40), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_sequences_and_their_gamma_complexes(self, d, k, seed):
+        seq = random_sequence(d, k, seed)
+        for c in (seq.final, gamma_complex(seq)):
+            assert c.clique_count_by_size() == clique_count_without_joins(c)
+
+    @given(st.integers(3, 8), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_nested_set_complexes(self, n, seed):
+        c = nested_set_complex(random_flag_building_set(n, seed))
+        assert c.clique_count_by_size() == clique_count_without_joins(c)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_intervals_and_power_sets(self, n):
+        # the link of a nested set is a join of a restriction and a contraction
+        sets = [interval_building_set(n)] + ([power_set_building_set(n)] if n <= 7 else [])
+        for b in sets:
+            c = nested_set_complex(b)
+            assert c.clique_count_by_size() == clique_count_without_joins(c)
+
+    def test_cross_polytopes_are_iterated_suspensions(self):
+        for d in range(1, 61):
+            counts = cross_polytope(d).clique_count_by_size()
+            assert dict(counts) == {i: comb(d, i) * 2**i for i in range(d + 1)}
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_complete_multipartite_graphs(self, sizes):
+        c = complete_multipartite(sizes)
+        counts = c.clique_count_by_size()
+        assert dict(counts) == product_of_counts(*({0: 1, 1: m} for m in sizes))
+        assert counts == clique_count_without_joins(c)
+
+    def test_a_complete_multipartite_graph_of_24_parts(self):
+        sizes = list(range(1, 7)) * 4
+        counts = complete_multipartite(sizes).clique_count_by_size()
+        assert dict(counts) == product_of_counts(*({0: 1, 1: m} for m in sizes))
 
 
 def largest_degree_last(c: FlagComplex) -> list:
