@@ -288,24 +288,24 @@ class FlagComplex:
                             val = memo[sub] = f(sub)
                         return val + (val << wider)
                     if sub.bit_count() > far.bit_count():
-                        pending, rest = far, sub
-                        while pending:  # grow C; rest is D
+                        pending, other = far, sub  # C grows from v and F; other is D
+                        while pending:
                             b = pending & -pending
                             pending ^= b
-                            kept = rest & nbr[b.bit_length() - 1]
-                            if kept != rest:
+                            kept = other & nbr[b.bit_length() - 1]
+                            if kept != other:
                                 if not kept:
                                     break
-                                pending |= rest ^ kept
-                                rest = kept
+                                pending |= other ^ kept
+                                other = kept
                         else:  # the join C * D
-                            comp = (mask | low) ^ rest
-                            one = memo.get(comp)
+                            side = (mask | low) ^ other
+                            one = memo.get(side)
                             if one is None:
-                                one = memo[comp] = f(comp)
-                            two = memo.get(rest)
+                                one = memo[side] = f(side)
+                            two = memo.get(other)
                             if two is None:
-                                two = memo[rest] = f(rest)
+                                two = memo[other] = f(other)
                             return one * two
                 acc = memo.get(sub)
                 if acc is None:
