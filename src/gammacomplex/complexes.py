@@ -217,8 +217,9 @@ class FlagComplex:
         most 1 + sum_v 2**|later neighbours of v| cliques (2**n for K_n),
         taken over the numbering in use, and a field of that bound's bit
         length holds any count of cliques of the graph.  Every field the
-        kernel builds is a coefficient of some f(M), a count of cliques of
-        M and so of the graph, so no field ever carries into the next.
+        kernel builds is a coefficient of some f(M), or a partial sum of
+        one, so at most a count of cliques of M and of the graph, and no
+        field ever carries into the next.
 
         Joins.  The cliques of a join A * B, every vertex of A adjacent to
         every vertex of B, are the unions of a clique of A and a clique of
